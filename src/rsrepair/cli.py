@@ -148,6 +148,8 @@ def _cmd_metrics(args):
 
 
 def _cmd_simulate(args):
+    if args.trials < 0:
+        raise ParamViolation(f"--trials must be non-negative, got {args.trials}")
     scheme = load_scheme(args.scheme)
     code = scheme.code
     tower = code.tower

@@ -9,7 +9,6 @@ compared against an analytic bound.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 from .errors import (
@@ -94,24 +93,56 @@ def subspace_char_sum(G: Subspace, scale: int, tower: FieldTower) -> int:
 
 
 def _normal_form_tally(nf, points) -> CharSum:
-    """Tally chi(g_u(alpha) beta_s) over s in support, u in B^m, given alphas."""
+    """Tally chi(g_u(alpha) beta_s) over s in support, u in B^m, given alphas.
+
+    For each alpha the q^m values g_u(alpha) = sum_j u_j g_j(alpha) are
+    enumerated by growing the span one polynomial at a time: each new value
+    is an earlier one plus c g_j(alpha) for a nonzero c in B.  Every term is
+    then multiplied by beta_s through the log/exp tables and traced.
+    """
     scheme = nf.scheme
     t = scheme.tower
-    bp = scheme.basis
-    bels = t.subfield_elements()
-    betas = [bp.beta[s - 1] for s in nf.support_set]
-    tr = t.absolute_trace
-    cs = CharSum(t.p)
+    code = scheme.code
+    add, mul = t.add, t.mul
+    exp, log, order = t.exp, t.log, t.order
+    tr = t.absolute_trace_table()
+    units = t.subfield_elements()[1:]
+    polys = scheme.polys[: nf.m]
+    log_betas = [log[scheme.basis.beta[s - 1]] for s in nf.support_set]
+    nbetas = len(log_betas)
+    xor = t.p == 2
+    counts = [0] * t.p
     for alpha in points:
-        evals = [scheme.code.eval_poly(p, alpha) for p in scheme.polys[: nf.m]]
-        for u in itertools.product(bels, repeat=nf.m):
-            gu = 0
-            for uj, ej in zip(u, evals):
-                if uj and ej:
-                    gu = t.add(gu, t.mul(uj, ej))
-            for b in betas:
-                cs.tally(tr(t.mul(gu, b)))
-    return cs
+        values = [0]
+        for poly in polys:
+            e = code.eval_poly(poly, alpha)
+            old = values
+            values = list(old)
+            for c in units:
+                ce = mul(c, e)
+                values += [v ^ ce for v in old] if xor else [add(v, ce) for v in old]
+        for v in values:
+            if v == 0:
+                counts[0] += nbetas
+                continue
+            lv = log[v]
+            for lb in log_betas:
+                counts[tr[exp[(lv + lb) % order]]] += 1
+    return CharSum(t.p, counts)
+
+
+def _collapse(cs: CharSum, qm: int) -> int:
+    """A normal-form tally divided by q^m; both steps must be exact.
+
+    Inside a metric route a tally that fails to collapse is an arithmetic
+    bug, so it is reported as a cross-check mismatch.
+    """
+    if not cs.is_rational_integer():
+        raise CrossCheckMismatch(f"character sum counts {cs.counts} do not collapse to an integer")
+    total = cs.as_integer()
+    if total % qm:
+        raise CrossCheckMismatch("u-sum failed to collapse; arithmetic bug")
+    return total // qm
 
 
 def io_cost_expsum(nf) -> int:
@@ -124,10 +155,8 @@ def io_cost_expsum(nf) -> int:
     scheme = nf.scheme
     t = scheme.tower
     code = scheme.code
-    total = _normal_form_tally(nf, code.points).as_integer()
-    qm = t.q**nf.m
-    assert total % qm == 0, "u-sum failed to collapse; arithmetic bug"
-    return (code.n - 1) * t.ell - total // qm
+    total = _collapse(_normal_form_tally(nf, code.points), t.q**nf.m)
+    return (code.n - 1) * t.ell - total
 
 
 def per_node_zero_columns(nf) -> dict[int, int]:
@@ -143,11 +172,10 @@ def per_node_zero_columns(nf) -> dict[int, int]:
     qm = t.q**nf.m
     out = {}
     for i in range(1, code.n + 1):
-        total = _normal_form_tally(nf, [code.points[i - 1]]).as_integer()
-        assert total % qm == 0, "u-sum failed to collapse; arithmetic bug"
-        z = total // qm
+        z = _collapse(_normal_form_tally(nf, [code.points[i - 1]]), qm)
         if i == scheme.target:
-            assert z == 0, "target repair matrix has a zero column"
+            if z:
+                raise CrossCheckMismatch("target repair matrix has a zero column")
         else:
             out[i] = z
     return out

@@ -370,6 +370,16 @@ class FieldTower:
 
     def absolute_trace(self, x: int) -> int:
         """Trace down to GF(p), returned as an int in [0, p)."""
+        table = self._tr_abs
+        if table is None:
+            table = self.absolute_trace_table()
+        return table[x]
+
+    def absolute_trace_table(self) -> list[int]:
+        """Absolute traces of all elements, indexed by the int encoding.
+
+        Built once on first use; callers must not mutate the list.
+        """
         if self._tr_abs is None:
             p = self.p
             base = []
@@ -382,7 +392,7 @@ class FieldTower:
                     raise AssertionError("absolute trace left the prime field")
                 base.append(t)
             self._tr_abs = self._linear_table(base, lambda u, v: (u + v) % p)
-        return self._tr_abs[x]
+        return self._tr_abs
 
     # -- subfields ---------------------------------------------------------
 
@@ -457,12 +467,6 @@ class FieldTower:
         if self.order == 1:
             return True
         return all(self.pow(x, self.order // t) != 1 for t in _factor(self.order))
-
-    def primitive_elements(self):
-        """Primitive elements in enumeration (int) order."""
-        for x in range(1, self.size):
-            if self.is_primitive(x):
-                yield x
 
     # -- serialization -------------------------------------------------------
 

@@ -60,17 +60,6 @@ def right_kernel(tower, rows: list[list[int]], width: int) -> list[list[int]]:
     return basis
 
 
-def mat_vec(tower, rows, v):
-    out = []
-    for r in rows:
-        acc = 0
-        for a, b in zip(r, v):
-            if a and b:
-                acc = tower.add(acc, tower.mul(a, b))
-        out.append(acc)
-    return out
-
-
 def mat_mul(tower, A, B):
     cols = list(zip(*B))
     return [[_dot(tower, r, c) for c in cols] for r in A]

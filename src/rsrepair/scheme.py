@@ -20,13 +20,12 @@ indices.  Metrics can then be read off the m x t upper blocks W_hat_i.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 from . import linalg
 from .basis import BasisPair
-from .errors import InvalidScheme, SingularM, SingularRepairMatrix
+from .errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularRepairMatrix
 from .gf import FieldTower, field_create
 from .rs import RSCode
 from .subspace import Subspace, b_gfp_basis, b_rank
@@ -86,9 +85,12 @@ class MetricsReport:
     per_node: tuple  # (node, nz, rank) for each helper, in node order
 
     def __post_init__(self):
-        assert self.io_cost == sum(nz for _, nz, _ in self.per_node)
-        assert self.bandwidth == sum(rk for _, _, rk in self.per_node)
-        assert self.bandwidth <= self.io_cost
+        if self.io_cost != sum(nz for _, nz, _ in self.per_node):
+            raise CrossCheckMismatch(f"{self.method}: io cost is not the sum over helpers")
+        if self.bandwidth != sum(rk for _, _, rk in self.per_node):
+            raise CrossCheckMismatch(f"{self.method}: bandwidth is not the sum over helpers")
+        if self.bandwidth > self.io_cost:
+            raise CrossCheckMismatch(f"{self.method}: bandwidth exceeds io cost")
 
 
 @dataclass
@@ -112,10 +114,20 @@ class NormalForm:
                 raise InvalidScheme(f"polynomial {j + 1} must be constant in normal form")
 
     def w_hat(self, i: int) -> list[tuple[int, ...]]:
-        """Upper m x t block of W_i: rows 1..m, columns in support_set."""
-        rows = repair_matrix(self.scheme, i)
+        """Upper m x t block of W_i: rows 1..m, columns in support_set.
+
+        Only the m varying polynomials are evaluated, and only the support
+        columns of their phi_hat rows are read.
+        """
+        code = self.scheme.code
+        alpha = code.points[i - 1]
+        table = self.scheme.basis.phi_hat_table()
         cols = [s - 1 for s in self.support_set]
-        return [tuple(rows[j][c] for c in cols) for j in range(self.m)]
+        out = []
+        for p in self.scheme.polys[: self.m]:
+            row = table[code.eval_poly(p, alpha)]
+            out.append(tuple(row[c] for c in cols))
+        return out
 
 
 @dataclass
@@ -186,33 +198,44 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     return MetricsReport(io_cost=io, bandwidth=bw, method="direct", per_node=tuple(per_node))
 
 
+def _pack_bits(row) -> int:
+    """A row over GF(2) as an int, bit s = entry s."""
+    return sum(1 << s for s, c in enumerate(row) if c)
+
+
 def nz_via_weight(rows, tower: FieldTower) -> int:
     """Nonzero-column count via the weight identity.
 
     nz(G) = sum over u in B^k of wt(uG), divided by q^(k-1)(q-1); the
-    division must be exact, enforced in integer arithmetic.
+    division must be exact, enforced in integer arithmetic.  The q^k
+    vectors uG are enumerated by growing the span one row at a time: each
+    new vector is an earlier one plus c * row_j for a nonzero c in B.
     """
     rows = [list(r) for r in rows]
     k = len(rows)
     if k == 0 or not rows[0]:
         return 0
     width = len(rows[0])
-    bels = tower.subfield_elements()
-    cols = list(zip(*rows))
-    total = 0
-    for u in itertools.product(bels, repeat=k):
-        w = 0
-        for col in cols:
-            acc = 0
-            for uj, gj in zip(u, col):
-                if uj and gj:
-                    acc = tower.add(acc, tower.mul(uj, gj))
-            if acc:
-                w += 1
-        total += w
+    if tower.q == 2:
+        span = [0]
+        for row in rows:
+            packed = _pack_bits(row)
+            span += [v ^ packed for v in span]
+        total = sum(v.bit_count() for v in span)
+    else:
+        add, mul = tower.add, tower.mul
+        units = tower.subfield_elements()[1:]
+        span = [(0,) * width]
+        for row in rows:
+            old = span
+            span = list(old)
+            for c in units:
+                crow = [mul(c, g) for g in row]
+                span += [tuple(add(a, b) for a, b in zip(v, crow)) for v in old]
+        total = sum(width - v.count(0) for v in span)
     denom = tower.q ** (k - 1) * (tower.q - 1)
     if total % denom:
-        raise AssertionError("weight identity sum not divisible; arithmetic bug")
+        raise CrossCheckMismatch("weight identity sum not divisible; arithmetic bug")
     return total // denom
 
 
@@ -250,7 +273,10 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
         what = nf.w_hat(i)
         nz = (ell - nf.t) + nz_via_weight(what, t)
         if rank_by_node is None:
-            rk = (ell - nf.m) + linalg.rank(t, [list(r) for r in what])
+            if t.q == 2:
+                rk = (ell - nf.m) + linalg.rank_bits([_pack_bits(r) for r in what])
+            else:
+                rk = (ell - nf.m) + linalg.rank(t, [list(r) for r in what])
         else:
             rk = rank_by_node[i]
         per_node.append((i, nz, rk))
@@ -270,7 +296,7 @@ def metrics_expsum(nf: NormalForm) -> MetricsReport:
     per_node = tuple((i, ell - zcols[i], ranks[i]) for i in sorted(ranks))
     io = io_cost_expsum(nf)
     if io != sum(nz for _, nz, _ in per_node):
-        raise AssertionError("global and per-node character sums disagree")
+        raise CrossCheckMismatch("global and per-node character sums disagree")
     bw = sum(rk for _, _, rk in per_node)
     return MetricsReport(io_cost=io, bandwidth=bw, method="expsum", per_node=per_node)
 
@@ -303,6 +329,15 @@ def transform(scheme: RepairScheme, M) -> RepairScheme:
             coeffs.append(acc)
         new_polys.append(coeffs)
     return RepairScheme(scheme.code, scheme.basis, new_polys, scheme.target)
+
+
+def _support_set(scheme: RepairScheme, m: int) -> tuple[int, ...]:
+    """1-based columns that no constant g_{m+1}..g_ell covers under phi_hat."""
+    covered = set()
+    for j in range(m, scheme.ell):
+        w = scheme.basis.vectorize_dual(scheme.polys[j][0])
+        covered |= {s + 1 for s, cval in enumerate(w) if cval}
+    return tuple(s for s in range(1, scheme.ell + 1) if s not in covered)
 
 
 def normalize(scheme: RepairScheme) -> NormalForm:
@@ -351,11 +386,7 @@ def normalize(scheme: RepairScheme) -> NormalForm:
             break
     M = ext + urows
     new_scheme = transform(scheme, M)
-    covered = set()
-    for j in range(m, ell):
-        w = new_scheme.basis.vectorize_dual(new_scheme.polys[j][0])
-        covered |= {s + 1 for s, cval in enumerate(w) if cval}
-    support = tuple(s for s in range(1, ell + 1) if s not in covered)
+    support = _support_set(new_scheme, m)
     nf = NormalForm(scheme=new_scheme, m=m, t=len(support), support_set=support, transform=M)
     new_scheme.normal_form = nf
     return nf
@@ -423,9 +454,43 @@ def save_scheme(scheme: RepairScheme, path: str) -> None:
         fh.write("\n")
 
 
+# entry -> its shape: a dict of shapes, or the list depth of an int array
+_SHAPE = {
+    "field": {"p": 0, "a": 0, "ell": 0, "modulus": 1},
+    "basis": {"beta": 2, "gamma": 2},
+    "evaluation_subspace": 2,
+    "polys": 3,
+    "target": 0,
+    "normal_form": {"m": 0, "t": 0, "support_set": 1},
+}
+_REQUIRED = ("field", "basis", "evaluation_subspace", "polys")
+
+
+def _fits(value, shape) -> bool:
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(k in value and _fits(value[k], s) for k, s in shape.items())
+    if shape == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_fits(v, shape - 1) for v in value)
+
+
+def _check_document(doc) -> None:
+    """Reject a scheme document of the wrong shape before reading it."""
+    if not isinstance(doc, dict):
+        raise InvalidScheme(f"scheme file must hold a JSON object, not {type(doc).__name__}")
+    for key in _REQUIRED:
+        if key not in doc:
+            raise InvalidScheme(f"scheme file lacks the {key!r} entry")
+    for key, shape in _SHAPE.items():
+        # an empty normal_form entry means none, as load_scheme reads it
+        if key in doc and not _fits(doc[key], shape) and (key != "normal_form" or doc[key]):
+            raise InvalidScheme(f"scheme file entry {key!r} has the wrong type")
+
+
 def load_scheme(path: str) -> RepairScheme:
     with open(path) as fh:
         doc = json.load(fh)
+    _check_document(doc)
     fspec = doc["field"]
     t = field_create(fspec["p"], fspec["a"], fspec["ell"])
     if list(t.modulus) != list(fspec["modulus"]):
@@ -447,11 +512,7 @@ def load_scheme(path: str) -> RepairScheme:
             support_set=tuple(nfspec["support_set"]),
             transform=linalg.identity(t.ell),
         )
-        covered = set()
-        for j in range(nf.m, t.ell):
-            w = bp.vectorize_dual(scheme.polys[j][0])
-            covered |= {s + 1 for s, cval in enumerate(w) if cval}
-        if tuple(s for s in range(1, t.ell + 1) if s not in covered) != nf.support_set:
+        if _support_set(scheme, nf.m) != nf.support_set:
             raise InvalidScheme("stored support set does not match the constants")
         scheme.normal_form = nf
     return scheme

@@ -1,4 +1,4 @@
-"""B-linear subspaces of F, plus subspaces of B^m.
+"""B-linear subspaces of F.
 
 Subspaces of F are represented internally over the prime field: a reduced
 GF(p)-coordinate basis of a*dim_B rows, closed under multiplication by the
@@ -17,7 +17,6 @@ from .errors import TooLarge, WNotInImage, ZeroScalar
 from .gf import FieldTower, max_field_size
 
 AMBIENT_FIELD = "field"
-AMBIENT_VECTORS = "vectors"
 
 
 def b_gfp_basis(tower: FieldTower) -> tuple[int, ...]:
@@ -66,12 +65,12 @@ def rank_over_subfield(tower: FieldTower, elements, subfield_size: int) -> int:
 
 
 class Subspace:
-    """A B-linear subspace, ambient F (default) or B^m."""
+    """A B-linear subspace of F."""
 
     def __init__(self, tower, ambient, width, rows, pivots):
         self.tower = tower
         self.ambient = ambient
-        self.width = width  # GF(p) coordinates for F; B-entries for vectors
+        self.width = width  # GF(p) coordinates of F
         self._rows = [list(r) for r in rows]
         self._pivots = list(pivots)
         self._b_basis = None
@@ -85,12 +84,6 @@ class Subspace:
         """B-span of field elements."""
         rows, piv = linalg.rref(tower, gfp_rows(tower, b_closure(tower, elements)))
         return cls(tower, AMBIENT_FIELD, tower.degree, rows, piv)
-
-    @classmethod
-    def span_vectors(cls, tower: FieldTower, vectors, width: int) -> "Subspace":
-        """B-span of vectors in B^width (entries must lie in B)."""
-        rows, piv = linalg.rref(tower, [list(v) for v in vectors])
-        return cls(tower, AMBIENT_VECTORS, width, rows, piv)
 
     @classmethod
     def full_field(cls, tower: FieldTower) -> "Subspace":
@@ -120,20 +113,15 @@ class Subspace:
     @property
     def dim(self) -> int:
         """Dimension over B."""
-        if self.ambient == AMBIENT_FIELD:
-            return len(self._rows) // self.tower.a
-        return len(self._rows)
+        return len(self._rows) // self.tower.a
 
     def gfp_basis_elements(self) -> list[int]:
-        """F-ambient only: the GF(p)-basis rows as field elements."""
+        """The GF(p)-basis rows as field elements."""
         return [self.tower.element(r) for r in self._rows]
 
     def b_basis(self):
-        """Deterministic B-basis (elements for F-ambient, rows for B^m)."""
+        """Deterministic B-basis, as field elements."""
         if self._b_basis is not None:
-            return self._b_basis
-        if self.ambient == AMBIENT_VECTORS:
-            self._b_basis = tuple(tuple(r) for r in self._rows)
             return self._b_basis
         picked = []
         target = self.dim
@@ -148,11 +136,7 @@ class Subspace:
         return self._b_basis
 
     def contains(self, x) -> bool:
-        if self.ambient == AMBIENT_FIELD:
-            digs = list(self.tower.coords(x))
-        else:
-            digs = list(x)
-        return not any(self._reduce(digs))
+        return not any(self._reduce(list(self.tower.coords(x))))
 
     __contains__ = contains
 
@@ -180,7 +164,7 @@ class Subspace:
     def enumerate(self) -> list:
         """All q^dim members: B-coefficient vectors in lex order over b_basis.
 
-        First element is always 0 (or the zero vector).
+        First element is always 0.
         """
         t = self.tower
         if t.q**self.dim > max_field_size():
@@ -188,20 +172,12 @@ class Subspace:
         basis = self.b_basis()
         bels = t.subfield_elements()
         out = []
-        if self.ambient == AMBIENT_FIELD:
-            for coeffs in itertools.product(bels, repeat=self.dim):
-                v = 0
-                for c, e in zip(coeffs, basis):
-                    if c:
-                        v = t.add(v, t.mul(c, e))
-                out.append(v)
-        else:
-            for coeffs in itertools.product(bels, repeat=self.dim):
-                v = [0] * self.width
-                for c, row in zip(coeffs, basis):
-                    if c:
-                        v = [t.add(a, t.mul(c, b)) for a, b in zip(v, row)]
-                out.append(tuple(v))
+        for coeffs in itertools.product(bels, repeat=self.dim):
+            v = 0
+            for c, e in zip(coeffs, basis):
+                if c:
+                    v = t.add(v, t.mul(c, e))
+            out.append(v)
         return out
 
     # -- lattice operations -----------------------------------------------------
@@ -252,8 +228,6 @@ class Subspace:
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> list:
-        if self.ambient != AMBIENT_FIELD:
-            raise ValueError("only F-ambient subspaces serialize")
         return [list(self.tower.coords(e)) for e in self.b_basis()]
 
     @classmethod

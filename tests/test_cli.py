@@ -1,10 +1,15 @@
 """Command line behavior, including the three documented exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rsrepair
 from rsrepair.cli import main
+from rsrepair.expsum import CharSum
 from rsrepair.scheme import MetricsReport
 
 
@@ -110,6 +115,63 @@ def test_metrics_mismatch_exits_2(capsys, tmp_path, monkeypatch):
     assert "cross-check mismatch" in err
 
 
+def test_metrics_uncollapsed_tally_exits_2(capsys, tmp_path, monkeypatch):
+    # a character sum that is no rational integer is an arithmetic bug inside
+    # the expsum route, not a validation failure
+    path = _saved_scheme(tmp_path, capsys)
+    monkeypatch.setattr(
+        "rsrepair.expsum._normal_form_tally", lambda nf, points: CharSum(3, [1, 2, 0])
+    )
+    code, _, err = _run(capsys, ["metrics", path])
+    assert code == 2
+    assert "cross-check mismatch" in err
+
+
+def test_metrics_uncollapsed_tally_exits_2_under_O(capsys, tmp_path):
+    # the route invariants are checks, not asserts, so -O keeps them
+    path = _saved_scheme(tmp_path, capsys)
+    script = (
+        "import sys\n"
+        "import rsrepair.expsum as ex\n"
+        "from rsrepair.cli import main\n"
+        "ex._normal_form_tally = lambda nf, points: ex.CharSum(3, [1, 2, 0])\n"
+        "sys.exit(main(['metrics', sys.argv[1]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "doc", [{}, [], "scheme", {"field": {"p": 2, "a": 1, "ell": 4, "modulus": [1, 1, 0, 0, 1]}}]
+)
+def test_metrics_rejects_malformed_document(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["metrics", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_metrics_rejects_document_missing_polys(capsys, tmp_path):
+    path = tmp_path / "scheme.json"
+    _run(capsys, ["construct", "c1", "--ell", "4", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    del doc["polys"]
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["metrics", str(path)])
+    assert code == 1 and "'polys'" in err
+    doc = json.loads(path.read_text())
+    doc["polys"] = [[["x"]]]
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["metrics", str(path)])
+    assert code == 1 and "wrong type" in err
+
+
 def test_metrics_missing_file(capsys, tmp_path):
     code, _, err = _run(capsys, ["metrics", str(tmp_path / "nope.json")])
     assert code == 1 and "error" in err
@@ -129,6 +191,13 @@ def test_simulate(capsys, tmp_path):
     assert code == 0
     assert doc["trials"] == doc["successes"] == 7
     assert doc["io_cost"] == 44 and doc["bandwidth"] == 41
+
+
+def test_simulate_rejects_negative_trials(capsys, tmp_path):
+    path = _saved_scheme(tmp_path, capsys)
+    code, out, err = _run(capsys, ["simulate", path, "--trials", "-3"])
+    assert code == 1 and out == ""
+    assert "--trials" in err and len(err.strip().splitlines()) == 1
 
 
 def test_bounds_io(capsys):

@@ -1,12 +1,22 @@
 """Exact character sums: orthogonality, subspace dichotomy, analytic bound."""
 
+import itertools
 import random
 
 import pytest
 
-from rsrepair import CharSum, char_sum, field_create, io_cost_expsum, metrics_direct, weil_check
+from rsrepair import (
+    CharSum,
+    char_sum,
+    construction2,
+    field_create,
+    io_cost_expsum,
+    metrics_direct,
+    random_normalized_scheme,
+    weil_check,
+)
 from rsrepair.errors import DegreeSharesCharacteristic, NonIntegerSum
-from rsrepair.expsum import per_node_zero_columns
+from rsrepair.expsum import _normal_form_tally, per_node_zero_columns
 
 from conftest import all_subspaces
 
@@ -84,6 +94,43 @@ def test_per_node_zero_columns(example1):
     for node, z in zeros.items():
         assert by_node[node] == ell - z
     assert rep.io_cost == sum(by_node.values())
+
+
+def _tally_oracle(nf, points):
+    """Reference counts: the literal (alpha, u, s) loop, every g_u built anew."""
+    scheme = nf.scheme
+    t = scheme.tower
+    betas = [scheme.basis.beta[s - 1] for s in nf.support_set]
+    counts = [0] * t.p
+    for alpha in points:
+        evals = [scheme.code.eval_poly(p, alpha) for p in scheme.polys[: nf.m]]
+        for u in itertools.product(t.subfield_elements(), repeat=nf.m):
+            gu = 0
+            for uj, ej in zip(u, evals):
+                if uj and ej:
+                    gu = t.add(gu, t.mul(uj, ej))
+            for b in betas:
+                counts[t.absolute_trace(t.mul(gu, b))] += 1
+    return counts
+
+
+def _oracle_cases():
+    rng = random.Random(23)
+    for q in (2, 3):
+        for _ in range(6):
+            yield random_normalized_scheme(rng, q=q)[0]
+    yield construction2(4, 6, 4, 0, 3, 2)[2].normal_form
+
+
+def test_normal_form_tally_matches_literal_loop():
+    seen_q = set()
+    for nf in _oracle_cases():
+        points = nf.scheme.code.points
+        seen_q.add(nf.scheme.tower.q)
+        assert _normal_form_tally(nf, points).counts == _tally_oracle(nf, points)
+        for alpha in points[:3] + points[-2:]:
+            assert _normal_form_tally(nf, [alpha]).counts == _tally_oracle(nf, [alpha])
+    assert seen_q == {2, 3, 4}
 
 
 def test_weil_cubic_anchor(gf16):

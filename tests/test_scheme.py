@@ -6,6 +6,7 @@ import pytest
 
 from rsrepair import (
     AccessCounter,
+    MetricsReport,
     RSCode,
     RepairScheme,
     Subspace,
@@ -22,7 +23,7 @@ from rsrepair import (
     save_scheme,
     transform,
 )
-from rsrepair.errors import InvalidScheme, SingularM
+from rsrepair.errors import CrossCheckMismatch, InvalidScheme, SingularM
 from rsrepair.suites import random_normalized_scheme
 
 
@@ -35,7 +36,10 @@ def _nz_scan(rows):
 
 def test_weight_formula_oracle_500():
     rng = random.Random(41)
-    towers = [field_create(2, 1, 4), field_create(3, 1, 2), field_create(2, 1, 6)]
+    towers = [
+        field_create(2, 1, 4), field_create(3, 1, 2), field_create(2, 1, 6),
+        field_create(2, 2, 3),
+    ]
     for _ in range(500):
         t = rng.choice(towers)
         k = rng.randint(0, 4)
@@ -43,6 +47,15 @@ def test_weight_formula_oracle_500():
         bset = list(t.subfield_elements())
         rows = [tuple(rng.choice(bset) for _ in range(width)) for _ in range(k)]
         assert nz_via_weight(rows, t) == _nz_scan(rows)
+
+
+@pytest.mark.parametrize(
+    "io, bw, per_node",
+    [(5, 3, ((2, 4, 3),)), (4, 2, ((2, 4, 3),)), (2, 3, ((2, 2, 3),))],
+)
+def test_metrics_report_rejects_inconsistent_totals(io, bw, per_node):
+    with pytest.raises(CrossCheckMismatch):
+        MetricsReport(io, bw, "direct", per_node)
 
 
 def _toy_scheme(seed=0, target=1):
