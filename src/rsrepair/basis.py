@@ -57,20 +57,10 @@ class BasisPair:
         return tuple(t.trace_to_subfield(t.mul(alpha, b)) for b in self.beta)
 
     def devectorize(self, v) -> int:
-        t = self.tower
-        out = 0
-        for c, b in zip(v, self.beta):
-            if c:
-                out = t.add(out, t.mul(c, b))
-        return out
+        return linalg.dot(self.tower, v, self.beta)
 
     def devectorize_dual(self, v) -> int:
-        t = self.tower
-        out = 0
-        for c, g in zip(v, self.gamma):
-            if c:
-                out = t.add(out, t.mul(c, g))
-        return out
+        return linalg.dot(self.tower, v, self.gamma)
 
     # -- cached full tables (hot paths) -------------------------------------
 
@@ -124,11 +114,5 @@ def dual_basis(beta, tower: FieldTower) -> BasisPair:
     tr = tower.trace_to_subfield
     gram = [[tr(tower.mul(bi, bj)) for bj in beta] for bi in beta]
     ginv = linalg.inverse(tower, gram)
-    gamma = []
-    for i in range(tower.ell):
-        acc = 0
-        for j, b in enumerate(beta):
-            if ginv[i][j]:
-                acc = tower.add(acc, tower.mul(ginv[i][j], b))
-        gamma.append(acc)
+    gamma = [linalg.dot(tower, row, beta) for row in ginv]
     return BasisPair(tower, beta, gamma)

@@ -23,6 +23,7 @@ from .errors import (
     ParamViolation,
     UnsupportedRegime,
 )
+from .gf import split_prime_power
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,6 @@ class BoundQuery:
         return self.q**self.d
 
 
-def _characteristic(q: int) -> int:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            qq = q
-            while qq % p == 0:
-                qq //= p
-            if qq != 1:
-                raise ParamViolation(f"q = {q} is not a prime power")
-            return p
-    raise ParamViolation(f"q = {q} is not a prime power")
-
-
 def io_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto") -> dict:
     """Best applicable I/O lower bound, or a specific route by tag.
 
@@ -81,7 +70,7 @@ def io_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto") -> d
         value = (n - 1) * ell - (ell - d + 2) * 2 ** (d - 1)
         tight = d == ell or ell % (ell - d + 2) == 0
         candidates.append({"theorem": "thm6", "value": value, "tight_known": tight})
-    p = _characteristic(q)
+    p, _ = split_prime_power(q)
     if d == ell and 2 <= r <= p:
         c = (r - 2) * (q - 1)
         value = (n - 1) * ell - q ** (ell - 1) - math.isqrt(c * c * q ** (ell - 2))

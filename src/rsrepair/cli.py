@@ -14,7 +14,7 @@ import sys
 from .bounds import bandwidth_lower_bound, io_lower_bound
 from .constructions import construction1, construction2
 from .errors import CrossCheckMismatch, ParamViolation, RSRepairError
-from .gf import field_create
+from .gf import field_create, split_prime_power
 from .scheme import (
     AccessCounter,
     load_scheme,
@@ -42,24 +42,6 @@ def _emit(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _split_prime_power(q):
-    if q < 2:
-        raise ParamViolation(f"q must be a prime power, got {q}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    a = 0
-    rem = q
-    while rem % p == 0:
-        rem //= p
-        a += 1
-    if rem != 1:
-        raise ParamViolation(f"q must be a prime power, got {q}")
-    return p, a
-
-
 def _scheme_summary(scheme):
     code = scheme.code
     doc = {
@@ -78,7 +60,7 @@ def _scheme_summary(scheme):
 
 
 def _cmd_field(args):
-    p, a = _split_prime_power(args.q)
+    p, a = split_prime_power(args.q)
     tower = field_create(p, a, args.ell)
     doc = tower.to_json()
     doc.update(

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from . import linalg
 from .basis import BasisPair, dual_basis
 from .errors import (
+    CrossCheckMismatch,
     DependentBetas,
     NoSolution,
     NoSuitableTheta,
     ParamViolation,
 )
-from .gf import FieldTower, field_create
+from .gf import FieldTower, field_create, split_prime_power
 from .rs import RSCode
 from .scheme import NormalForm, RepairScheme
 from .subspace import AMBIENT_FIELD, Subspace, b_rank, rank_over_subfield
@@ -53,21 +54,12 @@ class QPolynomial:
     def gfp_matrix(self) -> list[list[int]]:
         """Matrix M over GF(p) with coords(L(x)) = M @ coords(x)."""
         tw = self.tower
-        cols = []
-        for k in range(tw.degree):
-            unit = [0] * tw.degree
-            unit[k] = 1
-            cols.append(list(tw.coords(self(tw.element(unit)))))
+        cols = [tw.coords(self(tw.p**k)) for k in range(tw.degree)]
         return [list(row) for row in zip(*cols)]
 
     def image(self) -> Subspace:
         tw = self.tower
-        units = []
-        for k in range(tw.degree):
-            unit = [0] * tw.degree
-            unit[k] = 1
-            units.append(self(tw.element(unit)))
-        return Subspace.span(tw, units)
+        return Subspace.span(tw, [self(tw.p**k) for k in range(tw.degree)])
 
     def kernel(self) -> Subspace:
         tw = self.tower
@@ -105,15 +97,14 @@ def qpoly_annihilator(betas, tower: FieldTower) -> QPolynomial:
 def _extend_basis(tower: FieldTower, fixed) -> list[int]:
     """Greedily grow a B-basis of F from the given elements, in int order."""
     out = list(fixed)
-    rank = b_rank(tower, out)
-    if rank != len(out):
+    eb = linalg.EchelonBasis(tower)
+    if not all(eb.insert(x) for x in out):
         raise DependentBetas("starting elements are dependent over B")
     for x in range(1, tower.size):
-        if rank == tower.ell:
+        if eb.dim == tower.ell:
             break
-        if b_rank(tower, out + [x]) > rank:
+        if eb.insert(x):
             out.append(x)
-            rank += 1
     return out
 
 
@@ -196,22 +187,8 @@ def construction1(ell: int, theta_strategy: str = "auto"):
     return bp, scheme
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            a = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                a += 1
-            if qq != 1:
-                raise ParamViolation(f"q = {q} is not a prime power")
-            return p, a
-    raise ParamViolation(f"q = {q} is not a prime power")
-
-
 def _check_c2_params(q: int, ell: int, d: int, s: int, m: int, r: int) -> tuple[int, int]:
-    p, a = _prime_power(q)
+    p, a = split_prime_power(q)
     if ell < 2:
         raise ParamViolation("need ell >= 2")
     if not 1 <= d <= ell:
@@ -280,14 +257,14 @@ def construction2(q: int, ell: int, d: int, s: int, m: int, r: int):
     # basis of the q^m subfield over B, grown from 1
     mid_elems, _ = t.subfield(q**m)
     gamma_small: list[int] = []
+    eb = linalg.EchelonBasis(t)
     for x in sorted(mid_elems):
         if x == 0:
             continue
         if len(gamma_small) == m:
             break
-        if b_rank(t, gamma_small + [x]) > len(gamma_small):
+        if eb.insert(x):
             gamma_small.append(x)
-    assert gamma_small[0] == 1
     # basis of F over the q^m subfield, grown from 1
     lams: list[int] = []
     for x in range(1, t.size):
@@ -295,7 +272,8 @@ def construction2(q: int, ell: int, d: int, s: int, m: int, r: int):
             break
         if rank_over_subfield(t, lams + [x], q**m) > len(lams):
             lams.append(x)
-    assert lams[0] == 1
+    if gamma_small[0] != 1 or lams[0] != 1:
+        raise CrossCheckMismatch("subfield bases must start at 1")
     gamma = [t.mul(li, gj) for li in lams for gj in gamma_small]
     bp = dual_basis(gamma, t).swapped()
     beta = bp.beta
@@ -310,9 +288,11 @@ def construction2(q: int, ell: int, d: int, s: int, m: int, r: int):
         W = kernels[0].intersect(*kernels[1:])
     else:
         W = Subspace.full_field(t)
-    assert W.dim == d - s, "intersection misses the expected dimension"
+    if W.dim != d - s:
+        raise CrossCheckMismatch("intersection misses the expected dimension")
     A = W.preimage(L)
-    assert A.dim == d
+    if A.dim != d:
+        raise CrossCheckMismatch("preimage misses the expected dimension")
 
     coeffs = [0] * (q**s + 1)
     polys = []

@@ -17,6 +17,7 @@ from .errors import (
     NonIntegerSum,
 )
 from .gf import FieldTower
+from .scheme import node_values
 from .subspace import Subspace
 
 
@@ -92,30 +93,28 @@ def subspace_char_sum(G: Subspace, scale: int, tower: FieldTower) -> int:
     return value
 
 
-def _normal_form_tally(nf, points) -> CharSum:
-    """Tally chi(g_u(alpha) beta_s) over s in support, u in B^m, given alphas.
+def _normal_form_tally(nf, rows) -> CharSum:
+    """Tally chi(g_u(alpha) beta_s) over s in support, u in B^m.
 
-    For each alpha the q^m values g_u(alpha) = sum_j u_j g_j(alpha) are
-    enumerated by growing the span one polynomial at a time: each new value
-    is an earlier one plus c g_j(alpha) for a nonzero c in B.  Every term is
-    then multiplied by beta_s through the log/exp tables and traced.
+    Each row holds (g_1(alpha), ..., g_m(alpha)) for one alpha.  The q^m
+    values g_u(alpha) = sum_j u_j g_j(alpha) are enumerated by growing the
+    span one polynomial at a time: each new value is an earlier one plus
+    c g_j(alpha) for a nonzero c in B.  Every term is then multiplied by
+    beta_s through the log/exp tables and traced.
     """
     scheme = nf.scheme
     t = scheme.tower
-    code = scheme.code
     add, mul = t.add, t.mul
     exp, log, order = t.exp, t.log, t.order
     tr = t.absolute_trace_table()
     units = t.subfield_elements()[1:]
-    polys = scheme.polys[: nf.m]
     log_betas = [log[scheme.basis.beta[s - 1]] for s in nf.support_set]
     nbetas = len(log_betas)
     xor = t.p == 2
     counts = [0] * t.p
-    for alpha in points:
+    for evals in rows:
         values = [0]
-        for poly in polys:
-            e = code.eval_poly(poly, alpha)
+        for e in evals:
             old = values
             values = list(old)
             for c in units:
@@ -154,9 +153,9 @@ def io_cost_expsum(nf) -> int:
     """
     scheme = nf.scheme
     t = scheme.tower
-    code = scheme.code
-    total = _collapse(_normal_form_tally(nf, code.points), t.q**nf.m)
-    return (code.n - 1) * t.ell - total
+    rows = node_values(scheme, scheme.polys[: nf.m])
+    total = _collapse(_normal_form_tally(nf, rows), t.q**nf.m)
+    return (scheme.code.n - 1) * t.ell - total
 
 
 def per_node_zero_columns(nf) -> dict[int, int]:
@@ -164,20 +163,24 @@ def per_node_zero_columns(nf) -> dict[int, int]:
 
     For helper i the (s, u)-tally equals q^m times the number of support
     columns where W_hat_i vanishes.  The target must contribute zero, since
-    its repair matrix has no zero column.
+    its repair matrix has no zero column.  The merged tallies (the global
+    sum of io_cost_expsum) must match the per-node sum.
     """
     scheme = nf.scheme
-    t = scheme.tower
-    code = scheme.code
-    qm = t.q**nf.m
+    qm = scheme.tower.q**nf.m
+    merged = CharSum(scheme.tower.p)
     out = {}
-    for i in range(1, code.n + 1):
-        z = _collapse(_normal_form_tally(nf, [code.points[i - 1]]), qm)
+    for i, vals in enumerate(node_values(scheme, scheme.polys[: nf.m]), 1):
+        cs = _normal_form_tally(nf, [vals])
+        z = _collapse(cs, qm)
+        merged.merge(cs)
         if i == scheme.target:
             if z:
                 raise CrossCheckMismatch("target repair matrix has a zero column")
         else:
             out[i] = z
+    if _collapse(merged, qm) != sum(out.values()):
+        raise CrossCheckMismatch("global and per-node character sums disagree")
     return out
 
 

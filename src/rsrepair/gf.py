@@ -23,7 +23,7 @@ import functools
 import math
 import os
 
-from .errors import NoIrreducible, NotPrime, TooLarge, ZeroScalar
+from .errors import CrossCheckMismatch, NoIrreducible, NotPrime, ParamViolation, TooLarge, ZeroScalar
 
 DEFAULT_MAX_FIELD_BITS = 20
 
@@ -62,6 +62,15 @@ def _factor(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def split_prime_power(q: int) -> tuple[int, int]:
+    """(p, a) with q = p^a; ParamViolation unless q is a prime power."""
+    primes = _factor(q) if q >= 2 else []
+    if len(primes) != 1:
+        raise ParamViolation(f"q = {q} is not a prime power")
+    p = primes[0]
+    return p, next(a for a in range(1, q) if p**a == q)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +398,7 @@ class FieldTower:
                 for i in range(self.degree):
                     t = self.add(t, self.pow(b, p**i))
                 if t >= p:
-                    raise AssertionError("absolute trace left the prime field")
+                    raise CrossCheckMismatch("absolute trace left the prime field")
                 base.append(t)
             self._tr_abs = self._linear_table(base, lambda u, v: (u + v) % p)
         return self._tr_abs

@@ -10,7 +10,7 @@ metric loops.
 
 from __future__ import annotations
 
-from .errors import NoSolution, SingularMatrix
+from .errors import CrossCheckMismatch, NoSolution, SingularMatrix
 
 
 def rref(tower, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -62,10 +62,10 @@ def right_kernel(tower, rows: list[list[int]], width: int) -> list[list[int]]:
 
 def mat_mul(tower, A, B):
     cols = list(zip(*B))
-    return [[_dot(tower, r, c) for c in cols] for r in A]
+    return [[dot(tower, r, c) for c in cols] for r in A]
 
 
-def _dot(tower, r, c):
+def dot(tower, r, c):
     acc = 0
     for a, b in zip(r, c):
         if a and b:
@@ -101,6 +101,40 @@ def solve(tower, rows, b) -> list[int]:
     for r, pc in zip(red, pivots):
         x[pc] = r[-1]
     return x
+
+
+class EchelonBasis:
+    """GF(p) echelon basis of the B-span of the inserted field elements.
+
+    Rows are field elements (bit-packed when p = 2) keyed by the place value
+    p^k of their lowest nonzero digit, which is 1.  insert(x) adds x's
+    B-closure and reports whether the B-dimension grew.
+    """
+
+    def __init__(self, tower):
+        self.tower = tower
+        self._scales = tower.subfield_gfp_basis(tower.q)
+        self._rows = {}
+        self.dim = 0
+
+    def insert(self, x: int) -> bool:
+        t, rows, p = self.tower, self._rows, self.tower.p
+        before = len(rows)
+        for v in (t.mul(s, x) for s in self._scales):
+            while v:
+                if p == 2:
+                    low, c = v & -v, 1
+                else:
+                    low, c = next((p**k, c) for k, c in enumerate(t.coords(v)) if c)
+                if low not in rows:
+                    rows[low] = v if c == 1 else t.mul(pow(c, -1, p), v)
+                    break
+                v = v ^ rows[low] if p == 2 else t.sub(v, t.mul(c, rows[low]))
+        grown = len(rows) - before
+        if grown not in (0, t.a):
+            raise CrossCheckMismatch("closure rank growth is not 0 or a")
+        self.dim += grown // t.a
+        return grown > 0
 
 
 def rank_bits(rows: list[int]) -> int:

@@ -8,8 +8,10 @@ numerically rather than assuming it.
 
 from __future__ import annotations
 
+import operator
 import random
 
+from . import linalg
 from .errors import DegreeTooHigh, ParamViolation
 from .gf import FieldTower
 from .subspace import Subspace
@@ -38,9 +40,12 @@ class RSCode:
     def eval_poly(self, coeffs, x: int) -> int:
         """Evaluate sum coeffs[i] x^i (low to high) by Horner's rule."""
         t = self.tower
+        exp, log, order = t.exp, t.log, t.order
+        add = operator.xor if t.p == 2 else t.add
+        lx = log[x]
         acc = 0
-        for c in reversed(list(coeffs)):
-            acc = t.add(t.mul(acc, x), c)
+        for c in reversed(coeffs):
+            acc = add(exp[(log[acc] + lx) % order] if acc and x else 0, c)
         return acc
 
     def encode(self, coeffs) -> list[int]:
@@ -69,20 +74,14 @@ class RSCode:
             c = self.encode([rng.randrange(t.size) for _ in range(self.k)])
             gcoeffs = [rng.randrange(t.size) for _ in range(self.n - self.k)]
             g = [self.eval_poly(gcoeffs, a) for a in self.points]
-            acc = 0
-            for gi, ci in zip(g, c):
-                acc = t.add(acc, t.mul(gi, ci))
-            if acc != 0:
+            if linalg.dot(t, g, c) != 0:
                 scalar_fail += 1
             if basis is not None:
                 # phi_hat(g_i) . phi(c_i)^T = Tr(g_i c_i); the sum over i
                 # must therefore vanish in B as well
                 acc_b = 0
                 for gi, ci in zip(g, c):
-                    vh = basis.vectorize_dual(gi)
-                    v = basis.vectorize(ci)
-                    for x, y in zip(vh, v):
-                        acc_b = t.add(acc_b, t.mul(x, y))
+                    acc_b = t.add(acc_b, linalg.dot(t, basis.vectorize_dual(gi), basis.vectorize(ci)))
                 if acc_b != 0:
                     vector_fail += 1
         return {

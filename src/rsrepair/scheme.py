@@ -20,7 +20,9 @@ indices.  Metrics can then be read off the m x t upper blocks W_hat_i.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -114,20 +116,11 @@ class NormalForm:
                 raise InvalidScheme(f"polynomial {j + 1} must be constant in normal form")
 
     def w_hat(self, i: int) -> list[tuple[int, ...]]:
-        """Upper m x t block of W_i: rows 1..m, columns in support_set.
-
-        Only the m varying polynomials are evaluated, and only the support
-        columns of their phi_hat rows are read.
-        """
+        """Upper m x t block of W_i: rows 1..m, columns in support_set."""
         code = self.scheme.code
-        alpha = code.points[i - 1]
         table = self.scheme.basis.phi_hat_table()
-        cols = [s - 1 for s in self.support_set]
-        out = []
-        for p in self.scheme.polys[: self.m]:
-            row = table[code.eval_poly(p, alpha)]
-            out.append(tuple(row[c] for c in cols))
-        return out
+        rows = [table[code.eval_poly(p, code.points[i - 1])] for p in self.scheme.polys[: self.m]]
+        return [tuple(r[s - 1] for s in self.support_set) for r in rows]
 
 
 @dataclass
@@ -160,19 +153,38 @@ def repair_matrix(scheme: RepairScheme, i: int) -> list[tuple[int, ...]]:
     return [table[code.eval_poly(p, alpha)] for p in scheme.polys]
 
 
-def _eval_rows_bits(scheme: RepairScheme):
-    """Iterator of (node, packed W_i rows) over helpers; q = 2 fast path."""
-    code = scheme.code
-    bits = scheme.basis.phi_hat_bits()
-    const = [p if any(p[1:]) else bits[p[0]] for p in scheme.polys]
-    for i in range(1, code.n + 1):
-        if i == scheme.target:
-            continue
-        alpha = code.points[i - 1]
-        rows = [
-            c if isinstance(c, int) else bits[code.eval_poly(c, alpha)] for c in const
-        ]
-        yield i, rows
+def node_values(scheme: RepairScheme, polys):
+    """Yield [g(alpha_i) for g in polys] for each node i, in node order.
+
+    If all nonzero coefficients sit at exponent 0 or a power of q, g is a
+    constant plus a B-linear L: A is walked in Subspace.enumerate order
+    from L(b) per basis element b, one field addition per g and node.
+    Other polynomials go through Horner.
+    """
+    code, t = scheme.code, scheme.tower
+    qpows = {t.q**k for k in range(code.r.bit_length())}
+    if any(c for g in polys for e, c in enumerate(g) if e and e not in qpows):
+        for alpha in code.points:
+            yield [code.eval_poly(g, alpha) for g in polys]
+        return
+    # lists, not tuples: freed tuples stay cached per size, raising peak RSS
+    add = operator.xor if t.p == 2 else t.add
+    steps = []  # per basis element b: [c L(b) for g in polys] per c in B
+    for b in code.A.b_basis():
+        lb = [code.eval_poly([0, *g[1:]], b) for g in polys]
+        steps.append([[t.mul(c, x) for x in lb] for c in t.subfield_elements()])
+    k = len(steps)  # the last k positions: a tabulated block of q^k <= 256
+    while t.q**k > 256:
+        k -= 1
+    low = [[0] * len(polys)]
+    for mults in steps[len(steps) - k:]:
+        low = [list(map(add, v, w)) for v in low for w in mults]
+    for high in itertools.product(*steps[: len(steps) - k]):
+        base = [g[0] for g in polys]
+        for w in high:
+            base = list(map(add, base, w))
+        for v in low:
+            yield list(map(add, base, v))
 
 
 def metrics_direct(scheme: RepairScheme) -> MetricsReport:
@@ -181,7 +193,13 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     t = scheme.tower
     per_node = []
     if t.q == 2:
-        for i, rows in _eval_rows_bits(scheme):
+        bits = scheme.basis.phi_hat_bits()
+        varying = [p for p in scheme.polys if any(p[1:])]
+        fixed = [bits[p[0]] for p in scheme.polys if not any(p[1:])]
+        for i, alpha in enumerate(code.points, 1):
+            if i == scheme.target:
+                continue
+            rows = [bits[code.eval_poly(p, alpha)] for p in varying] + fixed
             mask = 0
             for r in rows:
                 mask |= r
@@ -198,31 +216,27 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     return MetricsReport(io_cost=io, bandwidth=bw, method="direct", per_node=tuple(per_node))
 
 
-def _pack_bits(row) -> int:
-    """A row over GF(2) as an int, bit s = entry s."""
-    return sum(1 << s for s, c in enumerate(row) if c)
-
-
 def nz_via_weight(rows, tower: FieldTower) -> int:
     """Nonzero-column count via the weight identity.
 
     nz(G) = sum over u in B^k of wt(uG), divided by q^(k-1)(q-1); the
     division must be exact, enforced in integer arithmetic.  The q^k
     vectors uG are enumerated by growing the span one row at a time: each
-    new vector is an earlier one plus c * row_j for a nonzero c in B.
+    new vector is an earlier one plus c * row_j for a nonzero c in B.  GF(2)
+    rows may come bit-packed (bit s = entry s).
     """
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     k = len(rows)
-    if k == 0 or not rows[0]:
+    if k == 0:
         return 0
-    width = len(rows[0])
     if tower.q == 2:
         span = [0]
         for row in rows:
-            packed = _pack_bits(row)
+            packed = row if isinstance(row, int) else sum(1 << s for s, c in enumerate(row) if c)
             span += [v ^ packed for v in span]
         total = sum(v.bit_count() for v in span)
     else:
+        width = len(rows[0])
         add, mul = tower.add, tower.mul
         units = tower.subfield_elements()[1:]
         span = [(0,) * width]
@@ -240,18 +254,16 @@ def nz_via_weight(rows, tower: FieldTower) -> int:
 
 
 def _rank_profile(scheme: RepairScheme) -> dict[int, int]:
-    """rank(W_i) for every helper, computed directly."""
+    """rank(W_i) for every helper; phi_hat is B-linear and bijective, so for
+    q = 2 it is the GF(2)-rank of the values' int encodings."""
     t = scheme.tower
-    out = {}
     if t.q == 2:
-        for i, rows in _eval_rows_bits(scheme):
-            out[i] = linalg.rank_bits(rows)
+        rank = linalg.rank_bits
     else:
-        for i in range(1, scheme.code.n + 1):
-            if i == scheme.target:
-                continue
-            out[i] = linalg.rank(t, [list(r) for r in repair_matrix(scheme, i)])
-    return out
+        table = scheme.basis.phi_hat_table()
+        rank = lambda vals: linalg.rank(t, [table[v] for v in vals])
+    walk = enumerate(node_values(scheme, scheme.polys), 1)
+    return {i: rank(vals) for i, vals in walk if i != scheme.target}
 
 
 def metrics_weight(nf: NormalForm) -> MetricsReport:
@@ -263,22 +275,22 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
     scheme = nf.scheme
     t = scheme.tower
     ell = scheme.ell
-    rank_by_node = None
-    if nf.t != nf.m:
-        rank_by_node = _rank_profile(scheme)
+    rank_by_node = _rank_profile(scheme) if nf.t != nf.m else None
+    cols = [s - 1 for s in nf.support_set]
+    if t.q == 2:
+        bits = scheme.basis.phi_hat_bits()
+        mask = sum(1 << c for c in cols)
+        row, rank = (lambda v: bits[v] & mask), linalg.rank_bits
+    else:
+        table = scheme.basis.phi_hat_table()
+        row, rank = (lambda v: [table[v][c] for c in cols]), (lambda rows: linalg.rank(t, rows))
     per_node = []
-    for i in range(1, scheme.code.n + 1):
+    for i, vals in enumerate(node_values(scheme, scheme.polys[: nf.m]), 1):
         if i == scheme.target:
             continue
-        what = nf.w_hat(i)
+        what = [row(v) for v in vals]
         nz = (ell - nf.t) + nz_via_weight(what, t)
-        if rank_by_node is None:
-            if t.q == 2:
-                rk = (ell - nf.m) + linalg.rank_bits([_pack_bits(r) for r in what])
-            else:
-                rk = (ell - nf.m) + linalg.rank(t, [list(r) for r in what])
-        else:
-            rk = rank_by_node[i]
+        rk = (ell - nf.m) + rank(what) if rank_by_node is None else rank_by_node[i]
         per_node.append((i, nz, rk))
     io = sum(nz for _, nz, _ in per_node)
     bw = sum(rk for _, _, rk in per_node)
@@ -286,17 +298,15 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
 
 
 def metrics_expsum(nf: NormalForm) -> MetricsReport:
-    """Metrics with io from exact character sums (see expsum.io_cost_expsum)."""
-    from .expsum import io_cost_expsum, per_node_zero_columns
+    """Metrics with io from exact character sums, one tally per node."""
+    from .expsum import per_node_zero_columns
 
     scheme = nf.scheme
     ell = scheme.ell
     zcols = per_node_zero_columns(nf)
     ranks = _rank_profile(scheme)
     per_node = tuple((i, ell - zcols[i], ranks[i]) for i in sorted(ranks))
-    io = io_cost_expsum(nf)
-    if io != sum(nz for _, nz, _ in per_node):
-        raise CrossCheckMismatch("global and per-node character sums disagree")
+    io = sum(nz for _, nz, _ in per_node)
     bw = sum(rk for _, _, rk in per_node)
     return MetricsReport(io_cost=io, bandwidth=bw, method="expsum", per_node=per_node)
 
@@ -308,26 +318,13 @@ def metrics_expsum(nf: NormalForm) -> MetricsReport:
 def transform(scheme: RepairScheme, M) -> RepairScheme:
     """Replace g by M g for an invertible matrix over B; metrics-preserving."""
     t = scheme.tower
-    ell = scheme.ell
     M = [list(r) for r in M]
     bset = set(t.subfield_elements())
     if any(e not in bset for r in M for e in r):
         raise SingularM("transform entries must lie in B")
     if not linalg.is_invertible(t, M):
         raise SingularM("transform matrix is singular over B")
-    r = scheme.code.r
-    new_polys = []
-    for i in range(ell):
-        coeffs = []
-        for c in range(r):
-            acc = 0
-            for j in range(ell):
-                mij = M[i][j]
-                cj = scheme.polys[j][c]
-                if mij and cj:
-                    acc = t.add(acc, t.mul(mij, cj))
-            coeffs.append(acc)
-        new_polys.append(coeffs)
+    new_polys = linalg.mat_mul(t, M, scheme.polys)
     return RepairScheme(scheme.code, scheme.basis, new_polys, scheme.target)
 
 
@@ -405,29 +402,24 @@ def repair_node(scheme: RepairScheme, codeword, counter: AccessCounter | None = 
     """
     t = scheme.tower
     ell = scheme.ell
-    code = scheme.code
     if counter is None:
         counter = AccessCounter()
     w_star = [list(r) for r in repair_matrix(scheme, scheme.target)]
     if linalg.rank(t, w_star) != ell:
         raise SingularRepairMatrix("repair matrix at the target is singular")
+    table = scheme.basis.phi_hat_table()
+    phi = scheme.basis.phi_table()
+    ranks = _rank_profile(scheme)
     rhs = [0] * ell
-    for i in range(1, code.n + 1):
+    for i, vals in enumerate(node_values(scheme, scheme.polys), 1):
         if i == scheme.target:
             continue
-        rows = repair_matrix(scheme, i)
+        rows = [table[v] for v in vals]
         positions = [s + 1 for s in range(ell) if any(r[s] for r in rows)]
-        v = scheme.basis.phi_table()[codeword[i - 1]]
-        y = []
-        for row in rows:
-            acc = 0
-            for s in positions:
-                rs, vs = row[s - 1], v[s - 1]
-                if rs and vs:
-                    acc = t.add(acc, t.mul(rs, vs))
-            y.append(acc)
+        read = [phi[codeword[i - 1]][s - 1] for s in positions]
+        y = [linalg.dot(t, [row[s - 1] for s in positions], read) for row in rows]
         rhs = [t.add(a, b) for a, b in zip(rhs, y)]
-        counter.record(i, positions, linalg.rank(t, [list(r) for r in rows]))
+        counter.record(i, positions, ranks[i])
     rhs = [t.neg(v) for v in rhs]
     x = linalg.solve(t, w_star, rhs)
     return scheme.basis.devectorize(x), counter

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .errors import TooLarge, WNotInImage, ZeroScalar
+from .errors import CrossCheckMismatch, TooLarge, WNotInImage, ZeroScalar
 from .gf import FieldTower, max_field_size
 
 AMBIENT_FIELD = "field"
@@ -21,15 +21,7 @@ AMBIENT_FIELD = "field"
 
 def b_gfp_basis(tower: FieldTower) -> tuple[int, ...]:
     """GF(p)-basis of B: powers of the subfield generator (just 1 if a = 1)."""
-    if tower.a == 1:
-        return (1,)
-    g = tower.subfield_generator
-    out = []
-    v = 1
-    for _ in range(tower.a):
-        out.append(v)
-        v = tower.mul(v, g)
-    return tuple(out)
+    return tower.subfield_gfp_basis(tower.q)
 
 
 def gfp_rows(tower: FieldTower, elements) -> list[list[int]]:
@@ -46,22 +38,23 @@ def b_closure(tower: FieldTower, elements) -> list[int]:
     return out
 
 
+def _closure_rank(tower: FieldTower, elements, size: int) -> int:
+    """Rank over the subfield of the given size = GF(p)-rank of the closure."""
+    sb = tower.subfield_gfp_basis(size)
+    r = linalg.rank(tower, gfp_rows(tower, [tower.mul(s, e) for e in elements for s in sb]))
+    if r % len(sb):
+        raise CrossCheckMismatch("closure rank not divisible by the subfield degree")
+    return r // len(sb)
+
+
 def b_rank(tower: FieldTower, elements) -> int:
-    """Rank over B of field elements = GF(p)-rank of the closure, over a."""
-    r = linalg.rank(tower, gfp_rows(tower, b_closure(tower, elements)))
-    if r % tower.a:
-        raise AssertionError("closure rank not divisible by a")
-    return r // tower.a
+    """Rank over B of field elements."""
+    return _closure_rank(tower, elements, tower.q)
 
 
 def rank_over_subfield(tower: FieldTower, elements, subfield_size: int) -> int:
     """Rank of elements over the intermediate subfield of the given size."""
-    sb = tower.subfield_gfp_basis(subfield_size)
-    closed = [tower.mul(s, e) for e in elements for s in sb]
-    r = linalg.rank(tower, gfp_rows(tower, closed))
-    if r % len(sb):
-        raise AssertionError("closure rank not divisible by subfield degree")
-    return r // len(sb)
+    return _closure_rank(tower, elements, subfield_size)
 
 
 class Subspace:
@@ -75,7 +68,7 @@ class Subspace:
         self._pivots = list(pivots)
         self._b_basis = None
         if ambient == AMBIENT_FIELD and len(self._rows) % tower.a:
-            raise AssertionError("GF(p)-dimension not divisible by a; not B-linear")
+            raise CrossCheckMismatch("GF(p)-dimension not divisible by a; not B-linear")
 
     # -- constructors ------------------------------------------------------
 
@@ -131,7 +124,7 @@ class Subspace:
             if b_rank(self.tower, picked + [e]) > len(picked):
                 picked.append(e)
         if len(picked) != target:
-            raise AssertionError("failed to extract a B-basis from GF(p) rows")
+            raise CrossCheckMismatch("failed to extract a B-basis from GF(p) rows")
         self._b_basis = tuple(picked)
         return self._b_basis
 
@@ -170,15 +163,8 @@ class Subspace:
         if t.q**self.dim > max_field_size():
             raise TooLarge(f"enumeration of q^{self.dim} elements exceeds budget")
         basis = self.b_basis()
-        bels = t.subfield_elements()
-        out = []
-        for coeffs in itertools.product(bels, repeat=self.dim):
-            v = 0
-            for c, e in zip(coeffs, basis):
-                if c:
-                    v = t.add(v, t.mul(c, e))
-            out.append(v)
-        return out
+        coeffs = itertools.product(t.subfield_elements(), repeat=self.dim)
+        return [linalg.dot(t, c, basis) for c in coeffs]
 
     # -- lattice operations -----------------------------------------------------
 

@@ -16,6 +16,7 @@ from .bounds import r3cond_max_bruteforce
 from .errors import InvalidScheme, RSRepairError
 from .expsum import CharSum, char_sum, subspace_char_sum, weil_check
 from .gf import field_create
+from .linalg import EchelonBasis
 from .rs import RSCode
 from .scheme import metrics_direct, metrics_expsum, metrics_weight
 from .scheme import RepairScheme, normalize
@@ -49,9 +50,10 @@ def _random_tower(rng):
 def _random_independent(rng, tower, count):
     """count elements of the tower, independent over B, drawn uniformly."""
     out = []
+    eb = EchelonBasis(tower)
     while len(out) < count:
         x = rng.randrange(1, tower.size)
-        if b_rank(tower, out + [x]) > len(out):
+        if eb.insert(x):
             out.append(x)
     return out
 

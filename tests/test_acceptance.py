@@ -7,6 +7,8 @@ catalog of constructed schemes, built once and cached at module level.
 
 import random
 
+import pytest
+
 from conftest import RUN_LARGE, all_subspaces
 
 from rsrepair import (
@@ -81,6 +83,17 @@ def test_criterion_1_full_length_io():
     bad = {ell: _c1_metrics(ell)[0] for ell in want if _c1_metrics(ell)[0] != want[ell]}
     print(f"criterion 1: {'FAIL' if bad else 'PASS'} io at ell={sorted(want)}")
     assert not bad, f"io mismatches: {bad}"
+
+
+@pytest.mark.skipif(not RUN_LARGE, reason="ell = 16 runs under RSREPAIR_TEST_LARGE=1")
+def test_criterion_1_ell16_by_all_routes():
+    _, scheme = construction1(16)
+    nf = scheme.normal_form
+    want = (2**16 - 1) * 16 - 2**16
+    got = {rep.method: rep.io_cost
+           for rep in (metrics_direct(scheme), metrics_weight(nf), metrics_expsum(nf))}
+    print(f"criterion 1: io at ell=16 by route {got}")
+    assert set(got.values()) == {want}, got
 
 
 def test_criterion_2_pinned_small_scheme():

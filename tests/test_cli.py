@@ -146,6 +146,35 @@ def test_metrics_uncollapsed_tally_exits_2_under_O(capsys, tmp_path):
     assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# two scaled trace kernels, so a broken intersect leaves W at the wrong dimension
+_C2_ARGS = ["construct", "c2", "--q", "2", "--ell", "6", "--d", "4", "--m", "3", "--r", "2"]
+
+
+def test_construct_dimension_check_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("rsrepair.subspace.Subspace.intersect", lambda self, *others: self)
+    code, _, err = _run(capsys, _C2_ARGS)
+    assert code == 2
+    assert "cross-check mismatch" in err and "dimension" in err
+
+
+def test_construct_dimension_check_exits_2_under_O(tmp_path):
+    # construction 2's dimension checks are checks, not asserts, so -O keeps them
+    script = (
+        "import sys\n"
+        "from rsrepair.subspace import Subspace\n"
+        "from rsrepair.cli import main\n"
+        "Subspace.intersect = lambda self, *others: self\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script] + _C2_ARGS,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "doc", [{}, [], "scheme", {"field": {"p": 2, "a": 1, "ell": 4, "modulus": [1, 1, 0, 0, 1]}}]
 )

@@ -12,10 +12,11 @@ from rsrepair import (
     field_create,
     io_cost_expsum,
     metrics_direct,
+    metrics_expsum,
     random_normalized_scheme,
     weil_check,
 )
-from rsrepair.errors import DegreeSharesCharacteristic, NonIntegerSum
+from rsrepair.errors import CrossCheckMismatch, DegreeSharesCharacteristic, NonIntegerSum
 from rsrepair.expsum import _normal_form_tally, per_node_zero_columns
 
 from conftest import all_subspaces
@@ -122,14 +123,21 @@ def _oracle_cases():
     yield construction2(4, 6, 4, 0, 3, 2)[2].normal_form
 
 
+def _value_rows(nf, points):
+    """The kernel's input: (g_1(alpha), ..., g_m(alpha)) per alpha, by Horner."""
+    code = nf.scheme.code
+    return [[code.eval_poly(p, alpha) for p in nf.scheme.polys[: nf.m]] for alpha in points]
+
+
 def test_normal_form_tally_matches_literal_loop():
     seen_q = set()
     for nf in _oracle_cases():
         points = nf.scheme.code.points
         seen_q.add(nf.scheme.tower.q)
-        assert _normal_form_tally(nf, points).counts == _tally_oracle(nf, points)
+        assert _normal_form_tally(nf, _value_rows(nf, points)).counts == _tally_oracle(nf, points)
         for alpha in points[:3] + points[-2:]:
-            assert _normal_form_tally(nf, [alpha]).counts == _tally_oracle(nf, [alpha])
+            got = _normal_form_tally(nf, _value_rows(nf, [alpha])).counts
+            assert got == _tally_oracle(nf, [alpha])
     assert seen_q == {2, 3, 4}
 
 
@@ -162,3 +170,30 @@ def test_weil_refuses_bad_degree(gf16, gf9):
         weil_check([5], gf16)  # constant
     # trailing zeros stripped before the degree test
     assert weil_check([0, 1, 0, 0], gf16)["ok"]
+
+
+def test_expsum_tallies_each_node_once(example1, monkeypatch):
+    import rsrepair.expsum as ex
+
+    _, scheme = example1
+    kernel = ex._normal_form_tally
+    rows_per_call = []
+
+    def counting(nf, rows):
+        rows = list(rows)
+        rows_per_call.append(len(rows))
+        return kernel(nf, rows)
+
+    monkeypatch.setattr(ex, "_normal_form_tally", counting)
+    rep = metrics_expsum(scheme.normal_form)
+    # one call per node, the target included: n * q^m * t terms in all
+    assert rows_per_call == [1] * scheme.code.n
+    assert rep.io_cost == 44
+
+
+def test_expsum_global_sum_checked(example1, monkeypatch):
+    # the merged global sum is an independent total, not a restatement
+    _, scheme = example1
+    monkeypatch.setattr(CharSum, "merge", lambda self, other: self)
+    with pytest.raises(CrossCheckMismatch, match="global and per-node"):
+        per_node_zero_columns(scheme.normal_form)

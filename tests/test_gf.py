@@ -5,7 +5,8 @@ import random
 import pytest
 
 from rsrepair import field_create
-from rsrepair.errors import NotPrime, TooLarge
+from rsrepair.errors import NotPrime, ParamViolation, TooLarge
+from rsrepair.gf import split_prime_power
 
 
 def _poly_mod(num, den, p):
@@ -160,3 +161,11 @@ def test_json_roundtrip():
     t2 = FieldTower.from_json(doc)
     assert t2.modulus == t.modulus and t2.size == t.size
     assert t2.mul(5, 7) == t.mul(5, 7)
+
+
+def test_split_prime_power():
+    assert [split_prime_power(q) for q in (2, 3, 4, 8, 9, 25, 49, 97)] == [
+        (2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (97, 1)]
+    for q in (-4, 0, 1, 6, 12, 100):
+        with pytest.raises(ParamViolation, match="prime power"):
+            split_prime_power(q)

@@ -10,6 +10,8 @@ from rsrepair import (
     RSCode,
     RepairScheme,
     Subspace,
+    construction1,
+    construction2,
     dual_basis,
     field_create,
     load_scheme,
@@ -24,7 +26,8 @@ from rsrepair import (
     transform,
 )
 from rsrepair.errors import CrossCheckMismatch, InvalidScheme, SingularM
-from rsrepair.suites import random_normalized_scheme
+from rsrepair.scheme import node_values
+from rsrepair.suites import _random_independent, random_normalized_scheme
 
 
 def _nz_scan(rows):
@@ -248,3 +251,73 @@ def test_load_rejects_corrupt_support(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidScheme):
         load_scheme(str(path))
+
+
+def _horner_rows(scheme, polys):
+    code = scheme.code
+    return [[code.eval_poly(g, a) for g in polys] for a in code.points]
+
+
+def _walk(scheme, polys, monkeypatch):
+    """node_values over polys, with the number of Horner evaluations it made."""
+    calls = []
+    horner = RSCode.eval_poly
+    monkeypatch.setattr(RSCode, "eval_poly", lambda self, c, x: calls.append(1) or horner(self, c, x))
+    got = list(node_values(scheme, polys))
+    monkeypatch.undo()
+    return got, len(calls)
+
+
+def test_node_values_affine_walk_matches_horner(monkeypatch):
+    schemes = [construction1(ell)[1] for ell in (4, 8, 10)]
+    for params in ((2, 6, 4, 0, 3, 2), (2, 6, 5, 1, 3, 3), (3, 6, 4, 0, 3, 2),
+                   (3, 6, 5, 1, 3, 4), (4, 6, 4, 0, 3, 2), (4, 4, 3, 1, 2, 5)):
+        schemes.append(construction2(*params)[2])
+    for scheme in schemes:
+        got, calls = _walk(scheme, scheme.polys, monkeypatch)
+        assert got == _horner_rows(scheme, scheme.polys)
+        # the walk evaluates each polynomial once per B-basis element of A
+        assert calls == scheme.code.A.dim * len(scheme.polys)
+
+
+def test_node_values_random_schemes_match_horner(monkeypatch):
+    rng = random.Random(5)
+    fallback = []
+    for _ in range(40):
+        nf, _ = random_normalized_scheme(rng)
+        scheme = nf.scheme
+        for polys in (scheme.polys, scheme.polys[: nf.m]):
+            got, calls = _walk(scheme, polys, monkeypatch)
+            assert got == _horner_rows(scheme, polys)
+            fallback.append(calls == scheme.code.n * len(polys))
+    assert any(fallback) and not all(fallback)
+
+
+def test_node_values_q4_square_takes_horner(monkeypatch):
+    # x^2 is a power of p = 2 but not of q = 4, so g is not B-affine
+    t = field_create(2, 2, 3)
+    bp = dual_basis(_random_independent(random.Random(3), t, 3), t)
+    code = RSCode(Subspace.full_field(t), t.size - 3)
+    scheme = RepairScheme(code, bp, [[bp.gamma[0], 7, 1], [bp.gamma[1]], [bp.gamma[2]]])
+    got, calls = _walk(scheme, scheme.polys, monkeypatch)
+    assert got == _horner_rows(scheme, scheme.polys)
+    assert calls == code.n * len(scheme.polys)
+    direct = metrics_direct(scheme)
+    nf = normalize(scheme)
+    for rep in (metrics_weight(nf), metrics_expsum(nf)):
+        assert (rep.io_cost, rep.bandwidth, rep.per_node) == (
+            direct.io_cost, direct.bandwidth, direct.per_node)
+
+
+def test_repair_with_a_constant_first():
+    _, scheme = construction1(6)
+    ell = scheme.ell
+    perm = [ell - 1] + list(range(ell - 1))  # move the last (constant) g_j first
+    moved = transform(scheme, [[int(j == perm[i]) for j in range(ell)] for i in range(ell)])
+    assert not any(moved.polys[0][1:]) and any(moved.polys[1][1:])
+    rep = metrics_direct(moved)
+    for seed in range(3):
+        cw = moved.code.random_codeword(seed)
+        value, counter = repair_node(moved, cw, AccessCounter())
+        assert value == cw[moved.target - 1]
+        assert (counter.total_accessed, counter.total_transmitted) == (rep.io_cost, rep.bandwidth)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from rsrepair import Subspace, field_create
+from rsrepair.linalg import EchelonBasis
 from rsrepair.subspace import b_rank, rank_over_subfield
 
 
@@ -115,3 +116,18 @@ def test_json_roundtrip(gf16):
     A = Subspace.span(gf16, [5, 9])
     B = Subspace.from_json(gf16, A.to_json())
     assert B == A and B.enumerate() == A.enumerate()
+
+
+@pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 2)])
+def test_echelon_basis_matches_b_rank(params):
+    t = field_create(*params)
+    rng = random.Random(11)
+    for _ in range(20):
+        eb, picked = EchelonBasis(t), []
+        for _ in range(2 * t.ell):
+            x = rng.randrange(t.size)
+            grew = eb.insert(x)
+            assert grew == (b_rank(t, picked + [x]) > len(picked))
+            if grew:
+                picked.append(x)
+            assert eb.dim == len(picked)
