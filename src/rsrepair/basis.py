@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import DependentBasis
-from .gf import FieldTower
+from .gf import FieldTower, spot_check
 from .subspace import b_rank
 
 
@@ -25,15 +25,11 @@ class BasisPair:
         self.gamma = tuple(gamma)
         if len(self.beta) != tower.ell or len(self.gamma) != tower.ell:
             raise DependentBasis("basis length must equal ell")
-        if check:
-            for i, g in enumerate(self.gamma):
-                for j, b in enumerate(self.beta):
-                    want = 1 if i == j else 0
-                    if tower.trace_to_subfield(tower.mul(g, b)) != want:
-                        raise DependentBasis("claimed dual pair fails Tr(gamma_i beta_j) = delta_ij")
+        idx = range(tower.ell)
+        if check and [self.vectorize_dual(g) for g in self.gamma] != [tuple(int(i == j) for j in idx) for i in idx]:
+            raise DependentBasis("claimed dual pair fails Tr(gamma_i beta_j) = delta_ij")
         self._phi = None
         self._phi_hat = None
-        self._phi_bits = None
         self._phi_hat_bits = None
 
     @property
@@ -64,23 +60,36 @@ class BasisPair:
 
     # -- cached full tables (hot paths) -------------------------------------
 
+    def _table(self, vectorize) -> list[tuple[int, ...]]:
+        """vectorize on all of F: it is GF(p)-linear, so one linear_table
+        per coordinate, zipped into rows."""
+        t = self.tower
+        rows = [vectorize(t.p**k) for k in range(t.degree)]
+        table = list(zip(*[t.linear_table(col) for col in zip(*rows)]))
+        spot_check(table, vectorize, "vectorization")
+        return table
+
     def phi_table(self) -> list[tuple[int, ...]]:
         if self._phi is None:
-            self._phi = [self.vectorize(x) for x in range(self.tower.size)]
+            self._phi = self._table(self.vectorize)
         return self._phi
 
     def phi_hat_table(self) -> list[tuple[int, ...]]:
         if self._phi_hat is None:
-            self._phi_hat = [self.vectorize_dual(x) for x in range(self.tower.size)]
+            self._phi_hat = self._table(self.vectorize_dual)
         return self._phi_hat
 
     def phi_hat_bits(self) -> list[int]:
         """q = 2 only: phi_hat rows packed into ints (bit s = coordinate s)."""
-        if self.tower.q != 2:
+        t = self.tower
+        if t.q != 2:
             raise ValueError("bit-packed vectorization requires q = 2")
         if self._phi_hat_bits is None:
-            table = self.phi_hat_table()
-            self._phi_hat_bits = [sum(c << s for s, c in enumerate(row)) for row in table]
+            def packed(x):
+                return sum(c << s for s, c in enumerate(self.vectorize_dual(x)))
+            bits = t.linear_table([packed(1 << k) for k in range(t.degree)])
+            spot_check(bits, packed, "phi_hat bits")
+            self._phi_hat_bits = bits
         return self._phi_hat_bits
 
     # -- serialization -------------------------------------------------------

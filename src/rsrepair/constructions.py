@@ -27,7 +27,7 @@ from .errors import (
 from .gf import FieldTower, field_create, split_prime_power
 from .rs import RSCode
 from .scheme import NormalForm, RepairScheme
-from .subspace import AMBIENT_FIELD, Subspace, b_rank, rank_over_subfield
+from .subspace import Subspace, b_rank
 
 
 class QPolynomial:
@@ -62,10 +62,7 @@ class QPolynomial:
         return Subspace.span(tw, [self(tw.p**k) for k in range(tw.degree)])
 
     def kernel(self) -> Subspace:
-        tw = self.tower
-        vecs = linalg.right_kernel(tw, self.gfp_matrix(), tw.degree)
-        rows, piv = linalg.rref(tw, vecs)
-        return Subspace(tw, AMBIENT_FIELD, tw.degree, rows, piv)
+        return Subspace.solutions(self.tower, self.gfp_matrix())
 
 
 def qpoly_annihilator(betas, tower: FieldTower) -> QPolynomial:
@@ -96,16 +93,10 @@ def qpoly_annihilator(betas, tower: FieldTower) -> QPolynomial:
 
 def _extend_basis(tower: FieldTower, fixed) -> list[int]:
     """Greedily grow a B-basis of F from the given elements, in int order."""
-    out = list(fixed)
     eb = linalg.EchelonBasis(tower)
-    if not all(eb.insert(x) for x in out):
+    if not all(eb.insert(x) for x in fixed):
         raise DependentBetas("starting elements are dependent over B")
-    for x in range(1, tower.size):
-        if eb.dim == tower.ell:
-            break
-        if eb.insert(x):
-            out.append(x)
-    return out
+    return list(fixed) + eb.extend(range(1, tower.size), tower.ell)
 
 
 def _cube_root_of_unity(tower: FieldTower) -> int:
@@ -254,24 +245,9 @@ def construction2(q: int, ell: int, d: int, s: int, m: int, r: int):
     """
     p, a = _check_c2_params(q, ell, d, s, m, r)
     t = field_create(p, a, ell)
-    # basis of the q^m subfield over B, grown from 1
-    mid_elems, _ = t.subfield(q**m)
-    gamma_small: list[int] = []
-    eb = linalg.EchelonBasis(t)
-    for x in sorted(mid_elems):
-        if x == 0:
-            continue
-        if len(gamma_small) == m:
-            break
-        if eb.insert(x):
-            gamma_small.append(x)
-    # basis of F over the q^m subfield, grown from 1
-    lams: list[int] = []
-    for x in range(1, t.size):
-        if len(lams) == ell // m:
-            break
-        if rank_over_subfield(t, lams + [x], q**m) > len(lams):
-            lams.append(x)
+    # bases of the q^m subfield over B and of F over it, grown from 1
+    gamma_small = linalg.EchelonBasis(t).extend(t.subfield(q**m)[0][1:], m)
+    lams = linalg.EchelonBasis(t, q**m).extend(range(1, t.size), ell // m)
     if gamma_small[0] != 1 or lams[0] != 1:
         raise CrossCheckMismatch("subfield bases must start at 1")
     gamma = [t.mul(li, gj) for li in lams for gj in gamma_small]

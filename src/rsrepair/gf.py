@@ -11,16 +11,20 @@ irreducible polynomial of degree a*ell over GF(p), where coefficient vectors
 are compared as base-p integers, low degree first.  Two towers built from the
 same (p, a, ell) are therefore interchangeable.
 
-Multiplication, inversion and powering run on exp/log tables built once from
-the smallest primitive element; everything else (trace tables, vectorization
-tables) is derived lazily.  The intended scale is q^ell <= 2^20, settable via
-the RSREPAIR_MAX_FIELD_BITS environment variable.
+Multiplication, inversion and powering use exp/log tables indexed by powers
+of the smallest primitive element g, filled by multiply-by-x walks on the int
+encoding, one per coset of <x>.  Odd-p addition uses Zech logarithms
+Z[n] = log(1 + g^n).  GF(p)-linear tables (traces, vectorizations) come from
+linear_table at O(1) work per entry and are spot-checked.  The intended scale
+is q^ell <= 2^20, settable via the RSREPAIR_MAX_FIELD_BITS environment
+variable.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 
 from .errors import CrossCheckMismatch, NoIrreducible, NotPrime, ParamViolation, TooLarge, ZeroScalar
@@ -35,18 +39,7 @@ def max_field_size() -> int:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _factor(n) == [n]
 
 
 def _factor(n: int) -> list[int]:
@@ -164,6 +157,14 @@ def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
     raise NoIrreducible(f"no irreducible of degree {degree} over GF({p})")
 
 
+def spot_check(table, definition, what: str) -> None:
+    """Compare a table with its definition at size - 1 (all digits nonzero)
+    and at a fixed stride below; CrossCheckMismatch on a miss."""
+    for x in range(len(table) - 1, 0, -(len(table) // 8 + 1)):
+        if table[x] != definition(x):
+            raise CrossCheckMismatch(f"{what} table disagrees with its definition at {x}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -216,23 +217,9 @@ class FieldTower:
     def _mul_raw(self, x: int, y: int) -> int:
         """Table-free product, used only while building the exp table."""
         if self.p == 2:
-            m = self._mod_int
-            deg = self.degree
-            r = 0
-            while y:
-                if y & 1:
-                    r ^= x
-                y >>= 1
-                x <<= 1
-                if (x >> deg) & 1:
-                    x ^= m
-            return r
-        prod = _pmod(
-            _pmul(self._int_to_poly(x), self._int_to_poly(y), self.p),
-            list(self.modulus),
-            self.p,
-        )
-        return self._poly_to_int(prod)
+            walk = self._x_walk(x, y.bit_length())
+            return functools.reduce(operator.xor, (v for k, v in enumerate(walk) if y >> k & 1), 0)
+        return self.element(_pmod(_pmul(self.coords(x), self.coords(y), self.p), self.modulus, self.p))
 
     def _pow_raw(self, x: int, e: int) -> int:
         r = 1
@@ -243,65 +230,76 @@ class FieldTower:
             e >>= 1
         return r
 
-    def _int_to_poly(self, x: int) -> list[int]:
-        out = []
-        while x:
-            out.append(x % self.p)
-            x //= self.p
+    def _x_walk(self, v: int, n: int) -> list[int]:
+        """[v, v x, ..., v x^(n-1)]: each step shifts the digits up by one
+        and reduces x^degree by the sparse modulus."""
+        p, out = self.p, [v]
+        if p == 2:
+            m, deg = self._mod_int, self.degree
+            for _ in range(n - 1):
+                v <<= 1
+                if v >> deg:
+                    v ^= m
+                out.append(v)
+            return out
+        top = self.size // p
+        low = [(p**j, c) for j, c in enumerate(self.modulus[:-1]) if c]
+        for _ in range(n - 1):
+            c, v = divmod(v, top)  # c x^degree = -c (modulus - x^degree)
+            v *= p
+            if c:
+                for place, mc in low:
+                    d = v // place % p
+                    v += ((d - c * mc) % p - d) * place
+            out.append(v)
         return out
 
-    def _poly_to_int(self, f: list[int]) -> int:
-        r = 0
-        for c in reversed(f):
-            r = r * self.p + c
-        return r
-
     def _build_mul_tables(self) -> None:
-        order = self.size - 1
+        p, order = self.p, self.size - 1
         factors = _factor(order) if order > 1 else []
-        g = None
-        for c in range(1, self.size):
-            if all(self._pow_raw(c, order // t) != 1 for t in factors):
-                g = c
-                break
+        g = next((c for c in range(1, self.size)
+                  if all(self._pow_raw(c, order // t) != 1 for t in factors)), None)
         if g is None:  # cannot happen for a true field
             raise NoIrreducible("no primitive element found; modulus not irreducible?")
         self.generator = g
-        exp = [1] * max(order, 1)
-        for i in range(1, order):
-            exp[i] = self._mul_raw(exp[i - 1], g)
+        if self.degree == 1:  # the modulus may be x itself: x = 0, no walk
+            exp = [pow(g, i, p) for i in range(max(order, 1))]
+        else:
+            o = order  # multiplicative order of x
+            for t in factors:
+                while o % t == 0 and self._pow_raw(p, o // t) == 1:
+                    o //= t
+            h = order // o
+            walk = self._x_walk(1, o)
+            j0 = walk.index(self._pow_raw(g, h))  # g^h = x^j0
+            exp = [0] * order
+            for c in range(h):  # coset g^c <x>: g^(c + h i) = g^c x^(i j0)
+                if c:
+                    walk = self._x_walk(self._mul_raw(walk[0], g), o)
+                exp[c::h] = walk if j0 == 1 else [walk[i * j0 % o] for i in range(o)]
         log = [-1] * self.size
         for i, v in enumerate(exp):
             log[v] = i
         self.exp = exp
         self.log = log
+        if p > 2:  # Z[n] = log(1 + g^n); -1 where g^n = -1
+            self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
 
     # -- ring operations ---------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
         if self.p == 2:
             return x ^ y
-        p = self.p
-        r = 0
-        mult = 1
-        while x or y:
-            r += ((x % p) + (y % p)) % p * mult
-            x //= p
-            y //= p
-            mult *= p
-        return r
+        if not (x and y):
+            return x or y
+        lx, order = self.log[x], self.order
+        z = self._zech[(self.log[y] - lx) % order]
+        return self.exp[(lx + z) % order] if z >= 0 else 0
 
     def neg(self, x: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or not x:
             return x
-        p = self.p
-        r = 0
-        mult = 1
-        while x:
-            r += (p - x % p) % p * mult
-            x //= p
-            mult *= p
-        return r
+        return self.exp[(self.log[x] + self.order // 2) % self.order]
 
     def sub(self, x: int, y: int) -> int:
         if self.p == 2:
@@ -343,46 +341,38 @@ class FieldTower:
 
     # -- traces ------------------------------------------------------------
 
-    def _linear_table(self, base_values: list[int], combine) -> list[int]:
-        """Extend a GF(p)-linear map from the power basis to all of F."""
-        table = [0] * self.size
-        p = self.p
-        for k in range(self.degree):
-            b = p**k
-            table[b] = base_values[k]
-            for d in range(2, p):
-                table[d * b] = combine(table[(d - 1) * b], base_values[k])
-        for v in range(1, self.size):
-            x = v
-            k = 0
-            while x % p == 0:
-                x //= p
-                k += 1
-            low = (x % p) * p**k
-            if v == low:
-                continue  # seeded above
-            table[v] = combine(table[v - low], table[low])
+    def linear_table(self, images) -> list[int]:
+        """Table of the GF(p)-linear map p^k -> images[k]: the table over
+        the low k digits is extended by d * images[k], d in GF(p).  Values
+        add in F: XOR for p = 2, so bit-packed rows work too."""
+        table = [0]
+        for img in images:
+            if self.p == 2:
+                table += [v ^ img for v in table]
+                continue
+            mults = [img]
+            for _ in range(self.p - 2):
+                mults.append(self.add(mults[-1], img))
+            table += [self.add(v, m) for m in mults for v in table]
+        return table
+
+    def _trace_table(self, step: int, count: int) -> list[int]:
+        """Table of the trace x -> sum of x^(step^i), i in [0, count)."""
+        def tr(x):
+            return functools.reduce(self.add, (self.pow(x, step**i) for i in range(count)))
+        table = self.linear_table([tr(self.p**k) for k in range(self.degree)])
+        spot_check(table, tr, "trace")
         return table
 
     def trace_to_subfield(self, x: int) -> int:
         """Tr_{F/B}(x) = sum of x^(q^i), i in [0, ell); lands in B."""
         if self._tr_sub is None:
-            base = []
-            for k in range(self.degree):
-                b = self.p**k
-                t = 0
-                for i in range(self.ell):
-                    t = self.add(t, self.frobenius(b, i))
-                base.append(t)
-            self._tr_sub = self._linear_table(base, self.add)
+            self._tr_sub = self._trace_table(self.q, self.ell)
         return self._tr_sub[x]
 
     def absolute_trace(self, x: int) -> int:
         """Trace down to GF(p), returned as an int in [0, p)."""
-        table = self._tr_abs
-        if table is None:
-            table = self.absolute_trace_table()
-        return table[x]
+        return (self._tr_abs or self.absolute_trace_table())[x]
 
     def absolute_trace_table(self) -> list[int]:
         """Absolute traces of all elements, indexed by the int encoding.
@@ -390,17 +380,10 @@ class FieldTower:
         Built once on first use; callers must not mutate the list.
         """
         if self._tr_abs is None:
-            p = self.p
-            base = []
-            for k in range(self.degree):
-                b = p**k
-                t = 0
-                for i in range(self.degree):
-                    t = self.add(t, self.pow(b, p**i))
-                if t >= p:
-                    raise CrossCheckMismatch("absolute trace left the prime field")
-                base.append(t)
-            self._tr_abs = self._linear_table(base, lambda u, v: (u + v) % p)
+            table = self._trace_table(self.p, self.degree)
+            if max(table) >= self.p:
+                raise CrossCheckMismatch("absolute trace left the prime field")
+            self._tr_abs = table
         return self._tr_abs
 
     # -- subfields ---------------------------------------------------------
@@ -425,11 +408,7 @@ class FieldTower:
             raise ValueError(f"no subfield of size {size} in field of size {self.size}")
         step = (self.size - 1) // (size - 1)
         gen = self.exp[step % self.order]
-        els = {0}
-        v = 1
-        for _ in range(size - 1):
-            els.add(v)
-            v = self.mul(v, gen)
+        els = {0, *self.exp[::step]}
         if len(els) != size:
             raise ValueError(f"no subfield of size {size} (generator order mismatch)")
         out = (tuple(sorted(els)), gen)
@@ -442,12 +421,7 @@ class FieldTower:
         dim = round(math.log(size, self.p))
         if self.p**dim != size:
             raise ValueError("subfield size is not a power of p")
-        out = []
-        v = 1
-        for _ in range(dim):
-            out.append(v)
-            v = self.mul(v, gen)
-        return tuple(out)
+        return tuple(self.pow(gen, i) for i in range(dim))
 
     # -- encoding ----------------------------------------------------------
 

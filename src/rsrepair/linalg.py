@@ -104,16 +104,17 @@ def solve(tower, rows, b) -> list[int]:
 
 
 class EchelonBasis:
-    """GF(p) echelon basis of the B-span of the inserted field elements.
+    """GF(p) echelon basis of the span of the inserted field elements over
+    the subfield of the given size (default B).
 
     Rows are field elements (bit-packed when p = 2) keyed by the place value
     p^k of their lowest nonzero digit, which is 1.  insert(x) adds x's
-    B-closure and reports whether the B-dimension grew.
+    subfield closure and reports whether the dimension grew.
     """
 
-    def __init__(self, tower):
+    def __init__(self, tower, size=None):
         self.tower = tower
-        self._scales = tower.subfield_gfp_basis(tower.q)
+        self._scales = tower.subfield_gfp_basis(size or tower.q)
         self._rows = {}
         self.dim = 0
 
@@ -130,11 +131,22 @@ class EchelonBasis:
                     rows[low] = v if c == 1 else t.mul(pow(c, -1, p), v)
                     break
                 v = v ^ rows[low] if p == 2 else t.sub(v, t.mul(c, rows[low]))
-        grown = len(rows) - before
-        if grown not in (0, t.a):
-            raise CrossCheckMismatch("closure rank growth is not 0 or a")
-        self.dim += grown // t.a
+        grown, k = len(rows) - before, len(self._scales)
+        if grown not in (0, k):
+            raise CrossCheckMismatch("closure rank growth is not 0 or the subfield degree")
+        self.dim += grown // k
         return grown > 0
+
+    def extend(self, candidates, dim: int) -> list[int]:
+        """Insert candidates, drawing none once the dimension is dim; the
+        ones that grew it, in order."""
+        picked = []
+        for x in candidates if self.dim < dim else ():
+            if self.insert(x):
+                picked.append(x)
+                if self.dim == dim:
+                    break
+        return picked
 
 
 def rank_bits(rows: list[int]) -> int:

@@ -30,7 +30,7 @@ from .basis import BasisPair
 from .errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularRepairMatrix
 from .gf import FieldTower, field_create
 from .rs import RSCode
-from .subspace import Subspace, b_gfp_basis, b_rank
+from .subspace import Subspace, b_rank
 
 
 class RepairScheme:
@@ -349,7 +349,7 @@ def normalize(scheme: RepairScheme) -> NormalForm:
     ell = scheme.ell
     a = t.a
     r = scheme.code.r
-    bb = b_gfp_basis(t)
+    bb = t.subfield_gfp_basis(t.q)
     # constraint matrix over GF(p): unknown digits (j, d) -> nonconstant coeffs
     cols = []
     for j in range(ell):
@@ -360,17 +360,7 @@ def normalize(scheme: RepairScheme) -> NormalForm:
             cols.append(col)
     mat = [list(row) for row in zip(*cols)] if cols and cols[0] else []
     ker = linalg.right_kernel(t, mat, ell * a) if mat else linalg.identity(ell * a)
-    uvecs = []
-    for v in ker:
-        u = []
-        for j in range(ell):
-            acc = 0
-            for d, s in enumerate(bb):
-                dig = v[j * a + d]
-                if dig:
-                    acc = t.add(acc, t.mul(dig, s))
-            u.append(acc)
-        uvecs.append(u)
+    uvecs = [[linalg.dot(t, v[j * a:(j + 1) * a], bb) for j in range(ell)] for v in ker]
     urows, _ = linalg.rref(t, uvecs)
     m = ell - len(urows)
     ext = []
@@ -493,7 +483,7 @@ def load_scheme(path: str) -> RepairScheme:
     rr = len(polys[0]) if polys else 0
     if any(len(p) != rr for p in polys):
         raise InvalidScheme("polynomials must share the padded length r")
-    code = RSCode(A, len(A.enumerate()) - rr)
+    code = RSCode(A, t.q**A.dim - rr)
     scheme = RepairScheme(code, bp, polys, target=doc.get("target", 1))
     nfspec = doc.get("normal_form")
     if nfspec:

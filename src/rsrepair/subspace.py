@@ -19,32 +19,19 @@ from .gf import FieldTower, max_field_size
 AMBIENT_FIELD = "field"
 
 
-def b_gfp_basis(tower: FieldTower) -> tuple[int, ...]:
-    """GF(p)-basis of B: powers of the subfield generator (just 1 if a = 1)."""
-    return tower.subfield_gfp_basis(tower.q)
-
-
-def gfp_rows(tower: FieldTower, elements) -> list[list[int]]:
-    """Coordinate rows over GF(p) for the given field elements."""
-    return [list(tower.coords(e)) for e in elements]
-
-
-def b_closure(tower: FieldTower, elements) -> list[int]:
-    """Close a set of elements under multiplication by B's GF(p)-basis."""
-    out = []
-    for e in elements:
-        for s in b_gfp_basis(tower):
-            out.append(tower.mul(s, e))
-    return out
+def _closure_rows(tower: FieldTower, elements, size: int) -> list[list[int]]:
+    """GF(p) rows of the elements' closure under the subfield of that size."""
+    sb = tower.subfield_gfp_basis(size)
+    return [list(tower.coords(tower.mul(s, e))) for e in elements for s in sb]
 
 
 def _closure_rank(tower: FieldTower, elements, size: int) -> int:
     """Rank over the subfield of the given size = GF(p)-rank of the closure."""
-    sb = tower.subfield_gfp_basis(size)
-    r = linalg.rank(tower, gfp_rows(tower, [tower.mul(s, e) for e in elements for s in sb]))
-    if r % len(sb):
+    k = len(tower.subfield_gfp_basis(size))
+    r = linalg.rank(tower, _closure_rows(tower, elements, size))
+    if r % k:
         raise CrossCheckMismatch("closure rank not divisible by the subfield degree")
-    return r // len(sb)
+    return r // k
 
 
 def b_rank(tower: FieldTower, elements) -> int:
@@ -75,22 +62,23 @@ class Subspace:
     @classmethod
     def span(cls, tower: FieldTower, elements) -> "Subspace":
         """B-span of field elements."""
-        rows, piv = linalg.rref(tower, gfp_rows(tower, b_closure(tower, elements)))
-        return cls(tower, AMBIENT_FIELD, tower.degree, rows, piv)
+        return cls(tower, AMBIENT_FIELD, tower.degree, *linalg.rref(tower, _closure_rows(tower, elements, tower.q)))
+
+    @classmethod
+    def solutions(cls, tower: FieldTower, rows) -> "Subspace":
+        """{x in F : C . digits(x) = 0} for GF(p) rows C (F if there are none)."""
+        ker = linalg.right_kernel(tower, rows, tower.degree)
+        return cls(tower, AMBIENT_FIELD, tower.degree, *linalg.rref(tower, ker))
 
     @classmethod
     def full_field(cls, tower: FieldTower) -> "Subspace":
-        rows = linalg.identity(tower.degree)
-        return cls(tower, AMBIENT_FIELD, tower.degree, rows, list(range(tower.degree)))
+        return cls.solutions(tower, [])
 
     @classmethod
     def trace_kernel(cls, tower: FieldTower) -> "Subspace":
         """K = {x in F : Tr_{F/B}(x) = 0}; B-dimension ell - 1."""
         cols = [tower.coords(tower.trace_to_subfield(tower.p**k)) for k in range(tower.degree)]
-        mat = [list(row) for row in zip(*cols)]  # maps digits(x) -> digits(Tr x)
-        ker = linalg.right_kernel(tower, mat, tower.degree)
-        rows, piv = linalg.rref(tower, ker)
-        return cls(tower, AMBIENT_FIELD, tower.degree, rows, piv)
+        return cls.solutions(tower, [list(row) for row in zip(*cols)])  # digits(x) -> digits(Tr x)
 
     @classmethod
     def scaled_trace_kernel(cls, beta: int, tower: FieldTower) -> "Subspace":
@@ -116,14 +104,8 @@ class Subspace:
         """Deterministic B-basis, as field elements."""
         if self._b_basis is not None:
             return self._b_basis
-        picked = []
-        target = self.dim
-        for e in self.gfp_basis_elements():
-            if len(picked) == target:
-                break
-            if b_rank(self.tower, picked + [e]) > len(picked):
-                picked.append(e)
-        if len(picked) != target:
+        picked = linalg.EchelonBasis(self.tower).extend(self.gfp_basis_elements(), self.dim)
+        if len(picked) != self.dim:
             raise CrossCheckMismatch("failed to extract a B-basis from GF(p) rows")
         self._b_basis = tuple(picked)
         return self._b_basis
@@ -179,14 +161,11 @@ class Subspace:
             if o.ambient != self.ambient or o.width != self.width:
                 raise ValueError("ambient mismatch in intersection")
             stacked.extend(o.constraints())
-        ker = linalg.right_kernel(self.tower, stacked, self.width) if stacked else linalg.identity(self.width)
-        rows, piv = linalg.rref(self.tower, ker)
-        return Subspace(self.tower, self.ambient, self.width, rows, piv)
+        return Subspace.solutions(self.tower, stacked)
 
     def add(self, other: "Subspace") -> "Subspace":
         """Sum of subspaces (used to test dimension identities)."""
-        rows, piv = linalg.rref(self.tower, self._rows + other._rows)
-        return Subspace(self.tower, self.ambient, self.width, rows, piv)
+        return Subspace(self.tower, self.ambient, self.width, *linalg.rref(self.tower, self._rows + other._rows))
 
     # -- preimages ---------------------------------------------------------------
 
@@ -203,13 +182,7 @@ class Subspace:
         img_rank = linalg.rank(t, cols)
         if linalg.rank(t, cols + self._rows) != img_rank:
             raise WNotInImage("subspace is not contained in the image of the map")
-        cons = self.constraints()
-        if cons:
-            ker = linalg.right_kernel(t, linalg.mat_mul(t, cons, m), self.width)
-        else:
-            ker = linalg.identity(self.width)
-        rows, piv = linalg.rref(t, ker)
-        return Subspace(t, AMBIENT_FIELD, self.width, rows, piv)
+        return Subspace.solutions(t, linalg.mat_mul(t, self.constraints(), m))
 
     # -- serialization -------------------------------------------------------------
 

@@ -49,13 +49,7 @@ def _random_tower(rng):
 
 def _random_independent(rng, tower, count):
     """count elements of the tower, independent over B, drawn uniformly."""
-    out = []
-    eb = EchelonBasis(tower)
-    while len(out) < count:
-        x = rng.randrange(1, tower.size)
-        if eb.insert(x):
-            out.append(x)
-    return out
+    return EchelonBasis(tower).extend(iter(lambda: rng.randrange(1, tower.size), None), count)
 
 
 def random_normalized_scheme(rng, q=None, ell=None, d=None, r=None):

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from rsrepair import Subspace, construction1, field_create
+from rsrepair.gf import FieldTower
 
 # ell = 12 and 14 table columns take a few seconds each; opt in via env
 RUN_LARGE = os.environ.get("RSREPAIR_TEST_LARGE") == "1"
@@ -48,3 +49,11 @@ def gf16():
 def example1():
     """Construction 1 at ell = 4 with the pinned quadratic root."""
     return construction1(4, theta_strategy="paper_example")
+
+
+@pytest.fixture
+def corrupt_first_image(monkeypatch):
+    """Shift the image of 1 by 1 in every linear table built: a wrong basis image."""
+    original = FieldTower.linear_table
+    monkeypatch.setattr(FieldTower, "linear_table",
+                        lambda self, images: original(self, [self.add(images[0], 1), *images[1:]]))

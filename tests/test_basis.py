@@ -5,7 +5,8 @@ import random
 import pytest
 
 from rsrepair import BasisPair, dual_basis, field_create
-from rsrepair.errors import DependentBasis
+from rsrepair.errors import CrossCheckMismatch, DependentBasis
+from rsrepair.suites import _random_independent
 
 
 def test_gf4_dual_by_hand(gf4):
@@ -56,13 +57,33 @@ def test_swapped(gf16):
 
 
 def test_phi_tables_and_bits(gf16):
-    bp = dual_basis([9, 15, 1, 5], gf16)
-    table = bp.phi_hat_table()
-    bits = bp.phi_hat_bits()
-    for x in range(16):
-        assert table[x] == bp.vectorize_dual(x)
-        assert bits[x] == sum(1 << s for s, c in enumerate(table[x]) if c)
-        assert bp.phi_table()[x] == bp.vectorize(x)
+    towers = [(gf16, [9, 15, 1, 5])]
+    for params in [(3, 1, 3), (2, 2, 2), (3, 2, 2), (2, 1, 6)]:
+        t = field_create(*params)
+        towers.append((t, _random_independent(random.Random(7), t, t.ell)))
+    for t, beta in towers:
+        bp = dual_basis(beta, t)
+        phi, phi_hat = bp.phi_table(), bp.phi_hat_table()
+        assert phi == [bp.vectorize(x) for x in range(t.size)]
+        assert phi_hat == [bp.vectorize_dual(x) for x in range(t.size)]
+        if t.q == 2:
+            fresh = dual_basis(beta, t)
+            bits = fresh.phi_hat_bits()
+            assert fresh._phi_hat is None  # bits are built without the row table
+            assert bits == [sum(c << s for s, c in enumerate(row)) for row in phi_hat]
+        else:
+            with pytest.raises(ValueError):
+                bp.phi_hat_bits()
+
+
+def test_phi_tables_are_spot_checked(gf16, request):
+    gf16.trace_to_subfield(0)  # build the tower's own tables before the corruption
+    request.getfixturevalue("corrupt_first_image")
+    for build in ("phi_table", "phi_hat_table", "phi_hat_bits"):
+        bp = dual_basis([9, 15, 1, 5], gf16)
+        with pytest.raises(CrossCheckMismatch, match="definition"):
+            getattr(bp, build)()
+        assert (bp._phi, bp._phi_hat, bp._phi_hat_bits) == (None, None, None)
 
 
 def test_dependent_basis_rejected(gf16):

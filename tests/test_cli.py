@@ -33,6 +33,55 @@ def test_field_prime_power_subfield(capsys):
     assert code == 0 and doc["size"] == 16 and doc["q"] == 4
 
 
+# (q, ell) -> (generator, subfield generator, modulus): degree-1 towers
+# (modulus x), towers whose x is not primitive (GF(2^12) aside, GF(3^8) at
+# q = 9, ell = 4) and a > 1
+FIELD_PINS = {
+    (2, 1): (1, None, [0, 1]), (2, 3): (2, None, [1, 1, 0, 1]), (2, 4): (2, None, [1, 1, 0, 0, 1]),
+    (3, 1): (2, None, [0, 1]), (3, 3): (3, None, [1, 2, 0, 1]), (3, 4): (3, None, [2, 1, 0, 0, 1]),
+    (4, 1): (2, 2, [1, 1, 1]), (4, 3): (2, 59, [1, 1, 0, 0, 0, 0, 1]),
+    (4, 4): (3, 189, [1, 1, 0, 1, 1, 0, 0, 0, 1]),
+    (5, 1): (2, None, [0, 1]), (5, 3): (9, None, [1, 1, 0, 1]), (5, 4): (6, None, [2, 0, 0, 0, 1]),
+    (9, 1): (4, 4, [1, 0, 1]), (9, 3): (3, 233, [2, 1, 0, 0, 0, 0, 1]),
+    (9, 4): (38, 1631, [2, 0, 1, 0, 0, 0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("q,ell", sorted(FIELD_PINS))
+def test_field_pinned_stdout(capsys, q, ell):
+    gen, sub_gen, modulus = FIELD_PINS[q, ell]
+    p, a = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}[q]
+    doc = {"a": a, "ell": ell, "generator": gen,
+           "modulus": modulus, "p": p, "q": q, "size": q**ell, "subfield_generator": sub_gen}
+    code, out, err = _run(capsys, ["field", "--q", str(q), "--ell", str(ell)])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_CORRUPT_IMAGE = (
+    "from rsrepair.gf import FieldTower\n"
+    "linear_table = FieldTower.linear_table\n"
+    "FieldTower.linear_table = lambda self, images: linear_table(self, [self.add(images[0], 1), *images[1:]])\n"
+)
+
+
+def test_corrupted_table_image_exits_2(capsys, corrupt_first_image):
+    code, out, err = _run(capsys, ["construct", "c1", "--ell", "4"])
+    assert code == 2 and out == ""
+    assert "cross-check mismatch" in err and "definition" in err
+
+
+def test_corrupted_table_image_exits_2_under_O():
+    script = _CORRUPT_IMAGE + "import sys\nfrom rsrepair.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script] + _C2_ARGS,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "definition" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_construct_c1(capsys, tmp_path):
     path = tmp_path / "c1.json"
     code, out, _ = _run(

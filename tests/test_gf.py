@@ -1,12 +1,14 @@
 """Field tower arithmetic against small brute-force oracles."""
 
+import operator
 import random
 
 import pytest
 
+from conftest import RUN_LARGE
 from rsrepair import field_create
-from rsrepair.errors import NotPrime, ParamViolation, TooLarge
-from rsrepair.gf import split_prime_power
+from rsrepair.errors import CrossCheckMismatch, NotPrime, ParamViolation, TooLarge
+from rsrepair.gf import FieldTower, spot_check, split_prime_power
 
 
 def _poly_mod(num, den, p):
@@ -169,3 +171,84 @@ def test_split_prime_power():
     for q in (-4, 0, 1, 6, 12, 100):
         with pytest.raises(ParamViolation, match="prime power"):
             split_prime_power(q)
+
+
+def _digitwise(p, deg, op):
+    """table[x][y]: op(x_i, y_i) mod p digit by digit, a carry-free oracle
+    for + and - on the int encoding, grown one low digit at a time."""
+    table = [[0]]
+    for _ in range(deg):
+        n = len(table)
+        table = [[op(x0, y0) % p + p * table[xh][yh] for yh in range(n) for y0 in range(p)]
+                 for xh in range(n) for x0 in range(p)]
+    return table
+
+
+SMALL_TOWERS = [(p, a, ell) for p in (2, 3, 5, 7) for a in (1, 2) for ell in range(1, 10)
+                if p ** (a * ell) <= 729]
+
+
+@pytest.mark.parametrize("p,a,ell", SMALL_TOWERS)
+def test_add_sub_neg_exhaustive(p, a, ell):
+    t = field_create(p, a, ell)
+    plus = _digitwise(p, t.degree, operator.add)
+    minus = _digitwise(p, t.degree, operator.sub)
+    r = range(t.size)
+    for x in r:
+        assert [t.add(x, y) for y in r] == plus[x]
+        assert [t.sub(x, y) for y in r] == minus[x]
+    assert [t.neg(x) for x in r] == minus[0]
+
+
+def _poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+# degree 1 (modulus x, so x = 0), x not primitive (GF(2^12), GF(3^8)), a = 2
+@pytest.mark.parametrize("p,a,ell", [(3, 1, 1), (5, 1, 1), (7, 1, 1), (2, 1, 12), (3, 1, 8),
+                                     (5, 1, 4), (7, 1, 3), (2, 2, 3), (3, 2, 2)])
+def test_exp_is_powers_of_generator(p, a, ell):
+    t = field_create(p, a, ell)
+    digits = lambda x: [x // p**k % p for k in range(t.degree)]
+    power, g = [1], digits(t.generator)
+    for i in range(t.order):
+        assert t.exp[i] == sum(c * p**k for k, c in enumerate(power))
+        power = _poly_mod(_poly_mul(power, g, p), t.modulus, p)
+    assert power == [1]
+
+
+def test_exp_walk_edge_towers():
+    for p in (3, 5, 7):
+        assert field_create(p, 1, 1).modulus == (0, 1)  # x itself: x = 0
+    t = field_create(3, 1, 8)
+    assert t.generator == 38 and not t.is_primitive(3)  # x = 3 is not primitive
+    assert sorted(t.exp) == list(range(1, t.size))
+
+
+@pytest.mark.skipif(not RUN_LARGE, reason="GF(3^12) runs under RSREPAIR_TEST_LARGE=1")
+def test_large_odd_tower_log_inverts_exp():
+    t = field_create(3, 1, 12)
+    assert all(t.log[v] == i for i, v in enumerate(t.exp))
+    assert len(set(t.exp)) == t.order
+
+
+def test_spot_check_catches_a_wrong_image():
+    # a wrong image of 1 shows at size - 1, where every digit is nonzero
+    t = field_create(3, 1, 3)
+    bad = t.linear_table([t.add(1, 1)] + [t.absolute_trace(3**k) for k in range(1, 3)])
+    with pytest.raises(CrossCheckMismatch, match="definition at 26"):
+        spot_check(bad, t.absolute_trace, "absolute trace")
+
+
+def test_trace_tables_are_spot_checked(corrupt_first_image):
+    for p, a, ell in [(2, 1, 4), (3, 1, 3), (2, 2, 2)]:
+        fresh = FieldTower(p, a, ell)
+        with pytest.raises(CrossCheckMismatch):
+            fresh.trace_to_subfield(0)
+        with pytest.raises(CrossCheckMismatch):
+            fresh.absolute_trace_table()
+        assert fresh._tr_sub is None and fresh._tr_abs is None

@@ -239,6 +239,17 @@ def test_save_load_roundtrip(tmp_path):
     assert (a.io_cost, a.bandwidth) == (b.io_cost, b.bandwidth)
 
 
+def test_load_scheme_enumerates_once(tmp_path, monkeypatch):
+    scheme, _ = _toy_scheme(15)
+    path = tmp_path / "scheme.json"
+    save_scheme(scheme, str(path))
+    calls = []
+    original = Subspace.enumerate
+    monkeypatch.setattr(Subspace, "enumerate", lambda self: calls.append(1) or original(self))
+    assert load_scheme(str(path)).code.n == scheme.code.n
+    assert len(calls) == 1
+
+
 def test_load_rejects_corrupt_support(tmp_path):
     import json
 

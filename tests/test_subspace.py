@@ -131,3 +131,34 @@ def test_echelon_basis_matches_b_rank(params):
             if grew:
                 picked.append(x)
             assert eb.dim == len(picked)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 2)])
+def test_b_basis_matches_b_rank_greedy(params):
+    # the b_rank greedy over the GF(p) rows, kept here as the oracle
+    t = field_create(*params)
+    rng = random.Random(5)
+    for _ in range(10):
+        A = Subspace.span(t, [rng.randrange(t.size) for _ in range(rng.randint(0, t.ell))])
+        picked = []
+        for e in A.gfp_basis_elements():
+            if len(picked) < A.dim and b_rank(t, picked + [e]) > len(picked):
+                picked.append(e)
+        assert list(A.b_basis()) == picked
+
+
+def test_echelon_basis_over_subfield_and_extend():
+    t = field_create(2, 1, 6)
+    rng = random.Random(3)
+    for size in (4, 8):
+        eb, picked = EchelonBasis(t, size), []
+        for _ in range(8):
+            x = rng.randrange(t.size)
+            if eb.insert(x):
+                picked.append(x)
+            assert eb.dim == len(picked) == rank_over_subfield(t, picked, size)
+    # extend draws no candidate once the dimension is reached
+    draws = iter(range(1, t.size))
+    assert EchelonBasis(t, 8).extend(draws, 2) == [1, 2]
+    assert next(draws) == 3
+    assert EchelonBasis(t).extend(range(1, 4), 0) == []
