@@ -151,8 +151,8 @@ def r3cond_max_bruteforce(ell: int, d: int, m_max: int | None = None):
     Enumerates (t', m, a_1 >= ... >= a_t') with t' <= m <= ell, each
     0 <= a_i <= m-1, and the largest min(t', ell-d+2) of the a_i summing to
     at most (ell-d+1)m.  Returns (max value, list of maximizers); values are
-    exact rationals, so a fractional intermediate cannot sneak past an
-    integer maximum.
+    compared as exact integers scaled by 2^hi, so a fractional intermediate
+    cannot sneak past an integer maximum.
     """
     if ell > 10:
         raise BudgetExceeded("enumeration over partitions is sized for ell <= 10")
@@ -169,14 +169,16 @@ def r3cond_max_bruteforce(ell: int, d: int, m_max: int | None = None):
                 desc = asc[::-1]
                 if sum(desc[: min(tp, cap)]) > budget:
                     continue
-                value = Fraction(sum(2**ai for ai in desc) * 2**d, 2**m)
+                value = sum(2**ai for ai in desc) << (d + hi - m)  # 2^hi times the value
                 if best is None or value > best:
                     best = value
                     argmax = [(tp, m, desc)]
                 elif value == best:
                     argmax.append((tp, m, desc))
-    if best is not None and best.denominator == 1:
-        best = int(best)
+    if best is not None:
+        best = Fraction(best, 2**hi)
+        if best.denominator == 1:
+            best = int(best)
     return best, argmax
 
 

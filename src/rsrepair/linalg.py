@@ -3,9 +3,11 @@
 Matrices are lists of row lists; entries are int-encoded field elements.
 Because GF(p) and B embed in F as subsets closed under the tower's ops, the
 same elimination code serves prime-field coordinate vectors, matrices over B
-and matrices over F.  Sizes here are tiny (dimension <= a*ell), so clarity
-beats cleverness; the one exception is a bit-packed GF(2) rank used in hot
-metric loops.
+and matrices over F.  When every entry is below p the matrix lies in GF(p),
+whose elements are encoded as themselves, and rref eliminates on native ints
+(XOR for p = 2); otherwise it goes through the tower's add/mul.  Ranks over B
+of field elements come from EchelonBasis, an incremental echelon basis of
+their GF(p)-closure; rank_bits is a bit-packed GF(2) rank for hot loops.
 """
 
 from __future__ import annotations
@@ -16,8 +18,20 @@ from .errors import CrossCheckMismatch, NoSolution, SingularMatrix
 def rref(tower, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     rows = [list(r) for r in rows]
-    if not rows:
+    if not rows or not rows[0]:
         return [], []
+    p = tower.p
+    if max(map(max, rows)) < p:  # a GF(p) matrix: native arithmetic
+        inv = lambda x: pow(x, -1, p)
+        scale = lambda c, row: [c * v % p for v in row]
+        if p == 2:
+            elim = lambda row, c, prow: [a ^ b for a, b in zip(row, prow)]
+        else:
+            elim = lambda row, c, prow: [(a - c * b) % p for a, b in zip(row, prow)]
+    else:
+        inv, mul, sub = tower.inv, tower.mul, tower.sub
+        scale = lambda c, row: [mul(c, v) for v in row]
+        elim = lambda row, c, prow: [sub(a, mul(c, b)) for a, b in zip(row, prow)]
     width = len(rows[0])
     pivots = []
     rank = 0
@@ -26,15 +40,12 @@ def rref(tower, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = tower.inv(rows[rank][col])
-        if inv != 1:
-            rows[rank] = [tower.mul(inv, v) for v in rows[rank]]
+        if rows[rank][col] != 1:
+            rows[rank] = scale(inv(rows[rank][col]), rows[rank])
+        prow = rows[rank]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [
-                    tower.sub(a, tower.mul(c, b)) for a, b in zip(rows[i], rows[rank])
-                ]
+                rows[i] = elim(rows[i], rows[i][col], prow)
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -90,17 +101,16 @@ def inverse(tower, rows) -> list[list[int]]:
     return [r[n:] for r in red]
 
 def solve(tower, rows, b) -> list[int]:
-    """One solution of M x = b, or NoSolution."""
-    n = len(rows)
+    """The unique solution of M x = b: SingularMatrix if the columns of M
+    are dependent, NoSolution if the system is inconsistent."""
     width = len(rows[0])
     aug = [list(r) + [b[i]] for i, r in enumerate(rows)]
     red, pivots = rref(tower, aug)
+    if pivots[:width] != list(range(width)):
+        raise SingularMatrix("matrix columns are dependent; no unique solution")
     if width in pivots:
         raise NoSolution("inconsistent linear system")
-    x = [0] * width
-    for r, pc in zip(red, pivots):
-        x[pc] = r[-1]
-    return x
+    return [r[-1] for r in red[:width]]
 
 
 class EchelonBasis:
@@ -121,21 +131,37 @@ class EchelonBasis:
     def insert(self, x: int) -> bool:
         t, rows, p = self.tower, self._rows, self.tower.p
         before = len(rows)
-        for v in (t.mul(s, x) for s in self._scales):
+        for s in self._scales:
+            v = x if s == 1 else t.mul(s, x)
+            if p == 2:
+                while v:
+                    low = v & -v
+                    if low not in rows:
+                        rows[low] = v
+                        break
+                    v ^= rows[low]
+                continue
+            low = 1  # reducing by rows[low] clears digit low, never one below
             while v:
-                if p == 2:
-                    low, c = v & -v, 1
-                else:
-                    low, c = next((p**k, c) for k, c in enumerate(t.coords(v)) if c)
+                while v // low % p == 0:
+                    low *= p
+                c = v // low % p
                 if low not in rows:
                     rows[low] = v if c == 1 else t.mul(pow(c, -1, p), v)
                     break
-                v = v ^ rows[low] if p == 2 else t.sub(v, t.mul(c, rows[low]))
+                v = t.sub(v, t.mul(c, rows[low]))
         grown, k = len(rows) - before, len(self._scales)
         if grown not in (0, k):
             raise CrossCheckMismatch("closure rank growth is not 0 or the subfield degree")
         self.dim += grown // k
         return grown > 0
+
+    def copy(self) -> "EchelonBasis":
+        """An independent basis of the same span."""
+        new = object.__new__(EchelonBasis)
+        new.tower, new._scales, new.dim = self.tower, self._scales, self.dim
+        new._rows = dict(self._rows)
+        return new
 
     def extend(self, candidates, dim: int) -> list[int]:
         """Insert candidates, drawing none once the dimension is dim; the

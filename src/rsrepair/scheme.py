@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .basis import BasisPair
-from .errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularRepairMatrix
+from .errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularMatrix, SingularRepairMatrix
 from .gf import FieldTower, field_create
 from .rs import RSCode
 from .subspace import Subspace, b_rank
@@ -254,16 +254,21 @@ def nz_via_weight(rows, tower: FieldTower) -> int:
 
 
 def _rank_profile(scheme: RepairScheme) -> dict[int, int]:
-    """rank(W_i) for every helper; phi_hat is B-linear and bijective, so for
-    q = 2 it is the GF(2)-rank of the values' int encodings."""
-    t = scheme.tower
-    if t.q == 2:
-        rank = linalg.rank_bits
-    else:
-        table = scheme.basis.phi_hat_table()
-        rank = lambda vals: linalg.rank(t, [table[v] for v in vals])
-    walk = enumerate(node_values(scheme, scheme.polys), 1)
-    return {i: rank(vals) for i, vals in walk if i != scheme.target}
+    """rank(W_i) for every helper.  phi_hat is a B-linear bijection, so it is
+    the B-rank of the values g_j(alpha_i): the constants' values go into one
+    echelon basis, and each helper adds only the varying values to a copy."""
+    fixed, varying, ranks = linalg.EchelonBasis(scheme.tower), [], {}
+    for g in scheme.polys:
+        if any(g[1:]):
+            varying.append(g)
+        else:
+            fixed.insert(g[0])
+    for i, vals in enumerate(node_values(scheme, varying), 1):
+        if i != scheme.target:
+            basis = fixed.copy()
+            basis.extend(vals, scheme.ell)
+            ranks[i] = basis.dim
+    return ranks
 
 
 def metrics_weight(nf: NormalForm) -> MetricsReport:
@@ -363,14 +368,12 @@ def normalize(scheme: RepairScheme) -> NormalForm:
     uvecs = [[linalg.dot(t, v[j * a:(j + 1) * a], bb) for j in range(ell)] for v in ker]
     urows, _ = linalg.rref(t, uvecs)
     m = ell - len(urows)
-    ext = []
-    for idx in range(ell):
-        e = [0] * ell
-        e[idx] = 1
-        if linalg.rank(t, urows + ext + [e]) > len(urows) + len(ext):
-            ext.append(e)
-        if len(ext) == m:
-            break
+    # u -> sum u_j beta_j is a B-linear bijection B^ell -> F taking e_j to beta_j
+    beta = scheme.basis.beta
+    basis = linalg.EchelonBasis(t)
+    for u in urows:
+        basis.insert(linalg.dot(t, u, beta))
+    ext = [[int(c == b) for c in beta] for b in basis.extend(beta, ell)]
     M = ext + urows
     new_scheme = transform(scheme, M)
     support = _support_set(new_scheme, m)
@@ -395,8 +398,6 @@ def repair_node(scheme: RepairScheme, codeword, counter: AccessCounter | None = 
     if counter is None:
         counter = AccessCounter()
     w_star = [list(r) for r in repair_matrix(scheme, scheme.target)]
-    if linalg.rank(t, w_star) != ell:
-        raise SingularRepairMatrix("repair matrix at the target is singular")
     table = scheme.basis.phi_hat_table()
     phi = scheme.basis.phi_table()
     ranks = _rank_profile(scheme)
@@ -411,7 +412,10 @@ def repair_node(scheme: RepairScheme, codeword, counter: AccessCounter | None = 
         rhs = [t.add(a, b) for a, b in zip(rhs, y)]
         counter.record(i, positions, ranks[i])
     rhs = [t.neg(v) for v in rhs]
-    x = linalg.solve(t, w_star, rhs)
+    try:
+        x = linalg.solve(t, w_star, rhs)
+    except SingularMatrix:
+        raise SingularRepairMatrix("repair matrix at the target is singular") from None
     return scheme.basis.devectorize(x), counter
 
 

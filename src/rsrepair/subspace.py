@@ -116,11 +116,11 @@ class Subspace:
     __contains__ = contains
 
     def _reduce(self, digs: list[int]) -> list[int]:
-        t = self.tower
+        p = self.tower.p  # GF(p) digits: native arithmetic
         for row, pc in zip(self._rows, self._pivots):
             c = digs[pc]
             if c:
-                digs = [t.sub(a, t.mul(c, b)) for a, b in zip(digs, row)]
+                digs = [(a - c * b) % p for a, b in zip(digs, row)]
         return digs
 
     def __eq__(self, other) -> bool:

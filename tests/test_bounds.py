@@ -155,3 +155,35 @@ def test_bmin_guards():
         bmin_bruteforce(2, 4, 2, 2, 5)
     with pytest.raises(ParamViolation):
         bmin_bruteforce(2, 4, 2, 5, 2)
+
+
+def _r3cond_fraction_oracle(ell, d, m_max=None):
+    """The r3cond maximization with every value a Fraction, kept as the oracle."""
+    from fractions import Fraction
+    from itertools import combinations_with_replacement
+
+    hi = ell if m_max is None else min(ell, m_max)
+    best, argmax = None, []
+    for m in range(1, hi + 1):
+        for tp in range(1, m + 1):
+            for asc in combinations_with_replacement(range(m), tp):
+                desc = asc[::-1]
+                if sum(desc[: min(tp, ell - d + 2)]) > (ell - d + 1) * m:
+                    continue
+                value = Fraction(sum(2**ai for ai in desc) * 2**d, 2**m)
+                if best is None or value > best:
+                    best, argmax = value, [(tp, m, desc)]
+                elif value == best:
+                    argmax.append((tp, m, desc))
+    if best is not None and best.denominator == 1:
+        best = int(best)
+    return best, argmax
+
+
+def test_r3cond_matches_fraction_oracle():
+    for ell in range(1, 8):
+        for d in range(1, ell + 1):
+            for m_max in (None, 0, 1, ell // 2, ell - 1):
+                got = r3cond_max_bruteforce(ell, d, m_max)
+                want = _r3cond_fraction_oracle(ell, d, m_max)
+                assert got == want and type(got[0]) is type(want[0])

@@ -25,8 +25,9 @@ from rsrepair import (
     save_scheme,
     transform,
 )
-from rsrepair.errors import CrossCheckMismatch, InvalidScheme, SingularM
-from rsrepair.scheme import node_values
+from rsrepair import linalg
+from rsrepair.errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularRepairMatrix
+from rsrepair.scheme import _rank_profile, node_values
 from rsrepair.suites import _random_independent, random_normalized_scheme
 
 
@@ -332,3 +333,73 @@ def test_repair_with_a_constant_first():
         value, counter = repair_node(moved, cw, AccessCounter())
         assert value == cw[moved.target - 1]
         assert (counter.total_accessed, counter.total_transmitted) == (rep.io_cost, rep.bandwidth)
+
+
+def _rank_profile_cases():
+    rng = random.Random(17)
+    schemes = [random_normalized_scheme(rng, q=q)[0].scheme for q in (2, 3) for _ in range(6)]
+    schemes += [construction2(4, 6, 4, 0, 3, 2)[2], construction2(9, 4, 3, 0, 2, 2)[2]]
+    t = field_create(2, 1, 4)
+    bp = dual_basis([9, 15, 1, 5], t)
+    code = RSCode(Subspace.full_field(t), 14)
+    # no constant polynomial: m = ell
+    schemes.append(RepairScheme(code, bp, [[b, 1 + j] for j, b in enumerate(bp.beta)]))
+    # g_1(alpha) = beta_0 + alpha equals the constant beta_2 at alpha = beta_0 + beta_2
+    b = bp.beta
+    schemes.append(RepairScheme(code, bp, [[b[0], 1], [b[1], 1], [b[2]], [b[3]]]))
+    return schemes
+
+
+def test_rank_profile_matches_full_rank(monkeypatch):
+    calls = []
+    rref = linalg.rref
+    for scheme in _rank_profile_cases():
+        t = scheme.tower
+        monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
+        ranks = _rank_profile(scheme)
+        monkeypatch.undo()
+        want = {i: linalg.rank(t, [list(r) for r in repair_matrix(scheme, i)])
+                for i in range(1, scheme.code.n + 1) if i != scheme.target}
+        assert ranks == want
+    assert not calls
+    # the last scheme's rank drops where the varying value meets a constant
+    b = scheme.basis.beta
+    node = scheme.code.points.index(t.add(b[0], b[2])) + 1
+    assert ranks[node] == 3 and max(ranks.values()) == 4
+
+
+def test_repair_singular_target_raises():
+    t = field_create(2, 1, 4)
+    bp = dual_basis([9, 15, 1, 5], t)
+    code = RSCode(Subspace.full_field(t), 14)
+    g = bp.gamma
+    # g_1 and g_2 agree at alpha = 0 (node 1): the target values are dependent
+    scheme = RepairScheme(code, bp, [[g[0], 1], [g[0], 2], [g[2]], [g[3]]], target=1, check=False)
+    with pytest.raises(SingularRepairMatrix):
+        repair_node(scheme, code.random_codeword(0))
+
+
+def _greedy_extension(t, urows):
+    """The unit vectors e_idx that raise the B-rank, one rank per candidate."""
+    ext = []
+    for idx in range(t.ell):
+        e = [int(j == idx) for j in range(t.ell)]
+        if linalg.rank(t, urows + ext + [e]) > len(urows) + len(ext):
+            ext.append(e)
+    return ext
+
+
+def test_normalize_extension_matches_rank_greedy():
+    rng = random.Random(23)
+    for q in (2, 3, 2, 3, 2, 3):
+        nf, _ = random_normalized_scheme(rng, q=q)
+        t = nf.scheme.tower
+        ell = t.ell
+        bset = t.subfield_elements()
+        while True:  # a random invertible M mixes the constants into every row
+            M = [[rng.choice(bset) for _ in range(ell)] for _ in range(ell)]
+            if linalg.is_invertible(t, M):
+                break
+        got = normalize(transform(nf.scheme, M))
+        urows = got.transform[got.m:]
+        assert got.transform[: got.m] == _greedy_extension(t, urows)
