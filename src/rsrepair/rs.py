@@ -8,7 +8,6 @@ numerically rather than assuming it.
 
 from __future__ import annotations
 
-import operator
 import random
 
 from . import linalg
@@ -26,26 +25,27 @@ class RSCode:
         self.n = len(self.points)
         if not 1 <= self.k < self.n:
             raise ParamViolation(f"need 1 <= k < n, got k={k}, n={self.n}")
-        self._point_index = {a: i for i, a in enumerate(self.points)}
 
     @property
     def r(self) -> int:
         """Redundancy n - k; repair polynomials must have degree < r."""
         return self.n - self.k
 
-    def node_of_point(self, alpha: int) -> int:
-        """1-based node index of an evaluation point."""
-        return self._point_index[alpha] + 1
-
     def eval_poly(self, coeffs, x: int) -> int:
         """Evaluate sum coeffs[i] x^i (low to high) by Horner's rule."""
+        if not x:
+            return coeffs[0] if coeffs else 0
         t = self.tower
-        exp, log, order = t.exp, t.log, t.order
-        add = operator.xor if t.p == 2 else t.add
-        lx = log[x]
+        exp, log = t.exp, t.log
+        lx = log[x] - t.order  # log[acc] + lx < 0 indexes exp from the end: no %
         acc = 0
-        for c in reversed(coeffs):
-            acc = add(exp[(log[acc] + lx) % order] if acc and x else 0, c)
+        if t.p == 2:
+            for c in reversed(coeffs):
+                acc = (exp[log[acc] + lx] if acc else 0) ^ c
+        else:
+            add = t.add
+            for c in reversed(coeffs):
+                acc = add(exp[log[acc] + lx] if acc else 0, c)
         return acc
 
     def encode(self, coeffs) -> list[int]:

@@ -20,6 +20,7 @@ indices.  Metrics can then be read off the m x t upper blocks W_hat_i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -40,6 +41,7 @@ class RepairScheme:
         self.basis = basis
         self.target = int(target)
         self.normal_form = normal_form
+        self._plan = None  # built by the first repair_node call
         t = code.tower
         r = code.r
         padded = []
@@ -188,28 +190,26 @@ def node_values(scheme: RepairScheme, polys):
 
 
 def metrics_direct(scheme: RepairScheme) -> MetricsReport:
-    """Count nonzero columns and ranks of every W_i, no shortcuts."""
+    """Count nonzero columns and ranks of every W_i, no shortcuts: the
+    varying rows from Horner values, the constant rows resolved once."""
     code = scheme.code
     t = scheme.tower
+    q2 = t.q == 2
+    table = scheme.basis.phi_hat_bits() if q2 else scheme.basis.phi_hat_table()
+    varying = [p for p in scheme.polys if any(p[1:])]
+    fixed = [table[p[0]] for p in scheme.polys if not any(p[1:])]
     per_node = []
-    if t.q == 2:
-        bits = scheme.basis.phi_hat_bits()
-        varying = [p for p in scheme.polys if any(p[1:])]
-        fixed = [bits[p[0]] for p in scheme.polys if not any(p[1:])]
-        for i, alpha in enumerate(code.points, 1):
-            if i == scheme.target:
-                continue
-            rows = [bits[code.eval_poly(p, alpha)] for p in varying] + fixed
+    for i, alpha in enumerate(code.points, 1):
+        if i == scheme.target:
+            continue
+        rows = [table[code.eval_poly(p, alpha)] for p in varying] + fixed
+        if q2:
             mask = 0
             for r in rows:
                 mask |= r
             per_node.append((i, mask.bit_count(), linalg.rank_bits(rows)))
-    else:
-        for i in range(1, code.n + 1):
-            if i == scheme.target:
-                continue
-            rows = repair_matrix(scheme, i)
-            nz = sum(1 for s in range(t.ell) if any(r[s] for r in rows))
+        else:
+            nz = sum(1 for col in zip(*rows) if any(col))
             per_node.append((i, nz, linalg.rank(t, [list(r) for r in rows])))
     io = sum(nz for _, nz, _ in per_node)
     bw = sum(rk for _, _, rk in per_node)
@@ -386,37 +386,97 @@ def normalize(scheme: RepairScheme) -> NormalForm:
 # repair
 
 
-def repair_node(scheme: RepairScheme, codeword, counter: AccessCounter | None = None):
-    """Recover the target symbol from the helpers' subsymbols.
+def _split_bits(rows, width):
+    """Greedy in row order over GF(2), rows packed: R, the rows independent
+    of the earlier ones, and the tail of every other row (carried in the
+    bits past width)."""
+    pivots, sent, deps = {}, [], {}
+    for j, v in enumerate(rows):
+        v |= 1 << width + j
+        while (low := v & -v) >> width == 0 and low in pivots:
+            v ^= pivots[low]
+        if low >> width:
+            deps[j] = [v >> width + r & 1 for r in range(len(rows))]
+        else:
+            pivots[low] = v
+            sent.append(j)
+    return sent, deps
 
-    Solves W_{i*} phi(c_{i*})^T = -sum_i W_i phi(c_i)^T over B, reading only
-    the subsymbol positions in nonzero columns of each W_i.  Returns the
-    recovered element and the counter (accessed positions, transmitted units).
-    """
-    t = scheme.tower
-    ell = scheme.ell
-    if counter is None:
-        counter = AccessCounter()
-    w_star = [list(r) for r in repair_matrix(scheme, scheme.target)]
-    table = scheme.basis.phi_hat_table()
-    phi = scheme.basis.phi_table()
-    ranks = _rank_profile(scheme)
-    rhs = [0] * ell
+
+def _split(rows, t):
+    """_split_bits over B, rows as tuples."""
+    width, pivots, sent, deps = len(rows[0]), {}, [], {}
+    for j, row in enumerate(rows):
+        v = [*row, *(int(r == j) for r in range(len(rows)))]
+        while (col := next((s for s in range(width) if v[s]), None)) in pivots:
+            v = [t.sub(a, t.mul(v[col], b)) for a, b in zip(v, pivots[col])]
+        if col is None:
+            deps[j] = v[width:]
+        else:
+            pivots[col] = [t.mul(t.inv(v[col]), a) for a in v]
+            sent.append(j)
+    return sent, deps
+
+
+def _repair_plan(scheme: RepairScheme):
+    """The phi table, and per helper (node, positions, read mask (q = 2) or
+    columns, rows R_i of W_i, folds).  The tail of a row j outside R_i has
+    sum tail[r] row r = 0 and tail[j] = 1; fold r = h_r - sum_j tail_j[r] h_j
+    with h_j = -devectorize(W_{i*}^{-1} e_j), the target's share of row j."""
+    t, basis, ell = scheme.tower, scheme.basis, scheme.ell
+    target = [basis.vectorize_dual(scheme.code.eval_poly(g, scheme.target_point)) for g in scheme.polys]
+    try:
+        winv = linalg.inverse(t, target)
+    except SingularMatrix:
+        raise SingularRepairMatrix("repair matrix at the target is singular") from None
+    h = [t.neg(basis.devectorize(col)) for col in zip(*winv)]
+    q2 = t.q == 2
+    table = basis.phi_hat_bits() if q2 else basis.phi_hat_table()
+    helpers = []
     for i, vals in enumerate(node_values(scheme, scheme.polys), 1):
         if i == scheme.target:
             continue
         rows = [table[v] for v in vals]
-        positions = [s + 1 for s in range(ell) if any(r[s] for r in rows)]
-        read = [phi[codeword[i - 1]][s - 1] for s in positions]
-        y = [linalg.dot(t, [row[s - 1] for s in positions], read) for row in rows]
-        rhs = [t.add(a, b) for a, b in zip(rhs, y)]
-        counter.record(i, positions, ranks[i])
-    rhs = [t.neg(v) for v in rhs]
-    try:
-        x = linalg.solve(t, w_star, rhs)
-    except SingularMatrix:
-        raise SingularRepairMatrix("repair matrix at the target is singular") from None
-    return scheme.basis.devectorize(x), counter
+        if q2:
+            cols = functools.reduce(operator.or_, rows, 0)
+            positions = tuple(s + 1 for s in range(ell) if cols >> s & 1)
+            sent, deps = _split_bits(rows, ell)
+        else:
+            cols = [s for s, col in enumerate(zip(*rows)) if any(col)]
+            positions = tuple(s + 1 for s in cols)
+            rows = [tuple(r[s] for s in cols) for r in rows]
+            sent, deps = _split(rows, t)
+        folds = [h[r] for r in sent]
+        for j, tail in deps.items():
+            folds = [t.sub(f, t.mul(tail[r], h[j])) for r, f in zip(sent, folds)]
+        helpers.append((i, positions, cols, [rows[r] for r in sent], folds))
+    # packed phi is the swapped pair's phi_hat
+    return basis.swapped().phi_hat_bits() if q2 else basis.phi_table(), helpers
+
+
+def repair_node(scheme: RepairScheme, codeword, counter: AccessCounter | None = None):
+    """Recover the target symbol: helper i reads phi(c_i) at its positions
+    and sends the rank(W_i) inner products with its rows R_i, which the
+    target adds up times their folds.  Returns it and the counter
+    (positions read, symbols sent)."""
+    counter = counter or AccessCounter()
+    if scheme._plan is None:
+        scheme._plan = _repair_plan(scheme)
+    phi, helpers = scheme._plan
+    t, acc = scheme.tower, 0
+    if q2 := t.q == 2:
+        add, dot = operator.xor, lambda row, read: (row & read).bit_count() & 1
+    else:
+        add, dot = t.add, functools.partial(linalg.dot, t)
+    for i, positions, cols, rows, folds in helpers:
+        word = phi[codeword[i - 1]]
+        read = word & cols if q2 else [word[s] for s in cols]
+        sent = [dot(row, read) for row in rows]
+        for y, f in zip(sent, folds):
+            if y:
+                acc = add(acc, f if y == 1 else t.mul(y, f))
+        counter.record(i, positions, len(sent))
+    return acc, counter
 
 
 # ---------------------------------------------------------------------------

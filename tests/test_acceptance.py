@@ -109,7 +109,7 @@ def test_criterion_2_pinned_small_scheme():
         t.exp[10]: [[0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]],
     }
     for point, rows in frozen.items():
-        got = [list(r) for r in scheme.normal_form.w_hat(code.node_of_point(point))]
+        got = [list(r) for r in scheme.normal_form.w_hat(code.points.index(point) + 1)]
         if got != rows:
             problems.append(f"block at point {point}: {got}")
     rep = metrics_direct(scheme)

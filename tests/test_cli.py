@@ -271,6 +271,73 @@ def test_simulate(capsys, tmp_path):
     assert doc["io_cost"] == 44 and doc["bandwidth"] == 41
 
 
+def _pinned_doc(**kw):
+    return json.dumps(dict(kw, successes=7, target=1, trials=7), indent=2, sort_keys=True) + "\n"
+
+
+SIMULATE_PINS = {
+    ("c1", "--ell", "4"): _pinned_doc(bandwidth=41, d=4, ell=4, io_cost=44, k=13, m=4, n=16, q=2, r=3, t=4),
+    ("c2", "--q", "3", "--ell", "4", "--d", "3", "--s", "0", "--m", "2", "--r", "2"): _pinned_doc(
+        bandwidth=86, d=3, ell=4, io_cost=86, k=25, m=2, n=27, q=3, r=2, t=2),
+}
+
+
+@pytest.mark.parametrize("construct", sorted(SIMULATE_PINS))
+def test_simulate_pinned_stdout(capsys, tmp_path, construct):
+    path = str(tmp_path / "scheme.json")
+    assert _run(capsys, ["construct", *construct, "--out", path])[0] == 0
+    code, out, err = _run(capsys, ["simulate", path, "--trials", "7", "--seed", "3"])
+    assert (code, err) == (0, "")
+    assert out == SIMULATE_PINS[construct]
+
+
+# A broken repair plan: _split_bits (R_i and the tails of the other rows) is
+# corrupted at the first helper whose rows are dependent.  The repaired value
+# or the count of symbols sent goes wrong: a cross-check mismatch.
+_MUTATIONS = {
+    "dropped row": "lambda sent, deps: (sent[:-1], deps)",
+    "flipped coefficient":
+        "lambda sent, deps: (sent, {**deps, min(deps): [e ^ (r == sent[0]) for r, e in enumerate(deps[min(deps)])]})",
+}
+_MUTATE = (
+    "import rsrepair.scheme as S\n"
+    "split, mutate, done = S._split_bits, {}, []\n"
+    "def mutated(*args):\n"
+    "    sent, deps = split(*args)\n"
+    "    if done or not (sent and deps):\n"
+    "        return sent, deps\n"
+    "    done.append(1)\n"
+    "    return mutate(sent, deps)\n"
+)
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_simulate_broken_plan_exits_2(capsys, tmp_path, monkeypatch, mutation):
+    path = _saved_scheme(tmp_path, capsys)
+    namespace = {}
+    exec(_MUTATE.format(_MUTATIONS[mutation]), namespace)
+    monkeypatch.setattr("rsrepair.scheme._split_bits", namespace["mutated"])
+    code, out, err = _run(capsys, ["simulate", path, "--trials", "7", "--seed", "3"])
+    assert code == 2 and out == ""
+    assert "cross-check mismatch" in err
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_simulate_broken_plan_exits_2_under_O(capsys, tmp_path, mutation):
+    path = _saved_scheme(tmp_path, capsys)
+    script = _MUTATE.format(_MUTATIONS[mutation]) + "S._split_bits = mutated\n" + (
+        "import sys\nfrom rsrepair.cli import main\n"
+        "sys.exit(main(['simulate', sys.argv[1], '--trials', '7', '--seed', '3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_simulate_rejects_negative_trials(capsys, tmp_path):
     path = _saved_scheme(tmp_path, capsys)
     code, out, err = _run(capsys, ["simulate", path, "--trials", "-3"])

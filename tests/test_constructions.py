@@ -105,13 +105,13 @@ def test_pinned_scheme_helper_blocks(example1):
         t.exp[10]: [[0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]],
     }
     for point, rows in frozen.items():
-        block = nf.w_hat(code.node_of_point(point))
+        block = nf.w_hat(code.points.index(point) + 1)
         assert [list(r) for r in block] == rows
     rep = metrics_direct(scheme)
     assert (rep.io_cost, rep.bandwidth) == (44, 41)
     # exactly the three pinned helpers send less than they read
     saving = {node for node, nz, rank in rep.per_node if rank < nz}
-    assert saving == {code.node_of_point(p) for p in frozen}
+    assert saving == {code.points.index(p) + 1 for p in frozen}
 
 
 def _eta_lambda(scheme):

@@ -16,7 +16,7 @@ def test_points_and_encode(gf16):
     code = RSCode(A, 2)
     assert code.n == 4 and code.r == 2
     assert code.points[0] == 0
-    assert code.node_of_point(0) == 1
+    assert code.points.index(0) + 1 == 1
     # f(x) = 3x + 5
     cw = code.encode([5, 3])
     assert cw == [gf16.add(gf16.mul(3, a), 5) for a in code.points]
@@ -91,3 +91,26 @@ def test_random_codeword_seeded(gf16):
     code = RSCode(Subspace.full_field(gf16), 3)
     assert code.random_codeword(7) == code.random_codeword(7)
     assert code.random_codeword(7) != code.random_codeword(8)
+
+
+def _horner(t, coeffs, x):
+    """Test-local oracle: Horner's rule through the tower's mul and add."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = t.add(t.mul(acc, x), c)
+    return acc
+
+
+# GF(2), GF(3), GF(5) (degree-1 towers), GF(4^3), GF(9^2), GF(2^8)
+@pytest.mark.parametrize("params", [(2, 1, 1), (3, 1, 1), (5, 1, 1), (2, 2, 3), (3, 2, 2), (2, 1, 8)])
+def test_eval_poly_matches_horner(params):
+    t = field_create(*params)
+    code = RSCode(Subspace.full_field(t), max(1, t.size - 2))  # degree up to k - 1 = n - 3
+    rng = random.Random(sum(params))
+    polys = [[], [rng.randrange(1, t.size)]]
+    polys += [[rng.randrange(t.size) for _ in range(n)] for n in {2, code.k // 2 + 1, code.k}]
+    polys.append([0] * (code.k - 1) + [t.size - 1])  # a lone top coefficient
+    for coeffs in polys:
+        for x in range(t.size):
+            assert code.eval_poly(coeffs, x) == _horner(t, coeffs, x)
+            assert code.eval_poly(tuple(coeffs), x) == _horner(t, coeffs, x)

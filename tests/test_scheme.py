@@ -26,6 +26,7 @@ from rsrepair import (
     transform,
 )
 from rsrepair import linalg
+from rsrepair import scheme as scheme_mod
 from rsrepair.errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularRepairMatrix
 from rsrepair.scheme import _rank_profile, node_values
 from rsrepair.suites import _random_independent, random_normalized_scheme
@@ -377,6 +378,99 @@ def test_repair_singular_target_raises():
     scheme = RepairScheme(code, bp, [[g[0], 1], [g[0], 2], [g[2]], [g[3]]], target=1, check=False)
     with pytest.raises(SingularRepairMatrix):
         repair_node(scheme, code.random_codeword(0))
+    with pytest.raises(SingularRepairMatrix):  # no plan was cached
+        repair_node(scheme, code.random_codeword(1))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("c1", (4,)), ("c1", (8,)),
+    ("c2", (2, 6, 4, 0, 3, 2)), ("c2", (3, 6, 4, 0, 3, 2)), ("c2", (4, 6, 4, 0, 3, 2)), ("c2", (9, 4, 3, 0, 2, 2)),
+])
+def test_repair_sends_rank_symbols(kind, params):
+    # q = 4 and 9 take the tower path
+    scheme = construction1(*params)[1] if kind == "c1" else construction2(*params)[2]
+    rep = metrics_direct(scheme)
+    code = scheme.code
+    for seed in range(3):
+        cw = code.random_codeword(seed)
+        value, counter = repair_node(scheme, cw, AccessCounter())
+        assert value == cw[scheme.target - 1]
+        assert sorted(counter.per_helper) == [node for node, _, _ in rep.per_node]
+        for node, nz, rank in rep.per_node:
+            positions, sent = counter.per_helper[node]
+            assert (len(positions), sent) == (nz, rank)
+            rows = repair_matrix(scheme, node)
+            assert positions == tuple(s + 1 for s in range(scheme.ell) if any(r[s] for r in rows))
+
+
+def test_repair_plan_built_once(monkeypatch):
+    _, scheme = construction1(6)
+    walks, rrefs = [], []
+    walk, rref = scheme_mod.node_values, linalg.rref
+    monkeypatch.setattr(scheme_mod, "node_values", lambda *a: walks.append(1) or walk(*a))
+    monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
+    monkeypatch.setattr(scheme_mod, "_rank_profile", lambda s: pytest.fail("rank profile recomputed"))
+    for seed in range(5):
+        cw = scheme.code.random_codeword(seed)
+        assert repair_node(scheme, cw)[0] == cw[scheme.target - 1]
+    assert len(walks) == len(rrefs) == 1  # one node walk, one inverse of W_{i*}
+    # q = 2 reads packed tables only
+    assert scheme.basis._phi is None and scheme.basis._phi_hat is None
+
+
+def _corrupt_split(monkeypatch, name, mutate):
+    """Corrupt the split of the first helper whose rows are dependent."""
+    split, done = getattr(scheme_mod, name), []
+
+    def mutated(*args):
+        sent, deps = split(*args)
+        if done or not (sent and deps):
+            return sent, deps
+        done.append(1)
+        return mutate(sent, deps)
+
+    monkeypatch.setattr(scheme_mod, name, mutated)
+
+
+def _flip(p):
+    """Add 1 to one coefficient of the first dependent row's tail."""
+    def mutate(sent, deps):
+        j, r = min(deps), sent[0]
+        return sent, {**deps, j: [(e + (k == r)) % p for k, e in enumerate(deps[j])]}
+    return mutate
+
+
+def _drop(sent, deps):
+    return sent[:-1], deps
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("_split_bits", _drop), ("_split_bits", _flip(2)), ("_split", _drop), ("_split", _flip(3)),
+], ids=["bits-dropped-row", "bits-flipped-coefficient", "dropped-row", "flipped-coefficient"])
+def test_broken_repair_plan_gives_wrong_value(monkeypatch, name, mutate):
+    _corrupt_split(monkeypatch, name, mutate)
+    scheme = construction1(4)[1] if name == "_split_bits" else construction2(3, 4, 3, 0, 2, 2)[2]
+    code = scheme.code
+    cws = [code.random_codeword(seed) for seed in range(8)]
+    assert any(repair_node(scheme, cw)[0] != cw[scheme.target - 1] for cw in cws)
+
+
+def test_metrics_direct_resolves_constants_once(monkeypatch):
+    for scheme in (construction2(3, 6, 4, 0, 3, 2)[2], construction2(9, 4, 3, 0, 2, 2)[2]):
+        code, t = scheme.code, scheme.tower
+        calls = []
+        horner = RSCode.eval_poly
+        monkeypatch.setattr(RSCode, "eval_poly", lambda *a: calls.append(1) or horner(*a))
+        rep = metrics_direct(scheme)
+        monkeypatch.undo()
+        varying = sum(1 for g in scheme.polys if any(g[1:]))
+        assert len(calls) == (code.n - 1) * varying
+        want = []
+        for i in range(1, code.n + 1):
+            if i != scheme.target:
+                rows = [list(r) for r in repair_matrix(scheme, i)]
+                want.append((i, _nz_scan(rows), linalg.rank(t, rows)))
+        assert rep.per_node == tuple(want)
 
 
 def _greedy_extension(t, urows):
