@@ -55,9 +55,6 @@ class BasisPair:
     def devectorize(self, v) -> int:
         return linalg.dot(self.tower, v, self.beta)
 
-    def devectorize_dual(self, v) -> int:
-        return linalg.dot(self.tower, v, self.gamma)
-
     # -- cached full tables (hot paths) -------------------------------------
 
     def _table(self, vectorize) -> list[tuple[int, ...]]:

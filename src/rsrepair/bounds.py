@@ -139,12 +139,6 @@ def bandwidth_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto
     )
 
 
-def evaluate_bound(bq: BoundQuery, theorem: str = "auto") -> dict:
-    if bq.quantity == "io":
-        return io_lower_bound(bq.q, bq.ell, bq.d, bq.r, theorem)
-    return bandwidth_lower_bound(bq.q, bq.ell, bq.d, bq.r, theorem)
-
-
 def r3cond_max_bruteforce(ell: int, d: int, m_max: int | None = None):
     """Maximize 2^(d-m) sum_i 2^(a_i) over the constrained tuples.
 

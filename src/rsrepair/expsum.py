@@ -16,7 +16,7 @@ from .errors import (
     DegreeSharesCharacteristic,
     NonIntegerSum,
 )
-from .gf import FieldTower
+from .gf import FieldTower, span_walk
 from .scheme import node_values
 from .subspace import Subspace
 
@@ -96,31 +96,20 @@ def subspace_char_sum(G: Subspace, scale: int, tower: FieldTower) -> int:
 def _normal_form_tally(nf, rows) -> CharSum:
     """Tally chi(g_u(alpha) beta_s) over s in support, u in B^m.
 
-    Each row holds (g_1(alpha), ..., g_m(alpha)) for one alpha.  The q^m
-    values g_u(alpha) = sum_j u_j g_j(alpha) are enumerated by growing the
-    span one polynomial at a time: each new value is an earlier one plus
-    c g_j(alpha) for a nonzero c in B.  Every term is then multiplied by
-    beta_s through the log/exp tables and traced.
+    Each row holds (g_1(alpha), ..., g_m(alpha)) for one alpha; the q^m
+    values g_u(alpha) are their span walk.  Every term is then multiplied
+    by beta_s through the log/exp tables and traced.
     """
     scheme = nf.scheme
     t = scheme.tower
-    add, mul = t.add, t.mul
     exp, log, order = t.exp, t.log, t.order
     tr = t.absolute_trace_table()
     units = t.subfield_elements()[1:]
     log_betas = [log[scheme.basis.beta[s - 1]] for s in nf.support_set]
     nbetas = len(log_betas)
-    xor = t.p == 2
     counts = [0] * t.p
     for evals in rows:
-        values = [0]
-        for e in evals:
-            old = values
-            values = list(old)
-            for c in units:
-                ce = mul(c, e)
-                values += [v ^ ce for v in old] if xor else [add(v, ce) for v in old]
-        for v in values:
+        for v in span_walk([[t.mul(c, e) for c in units] for e in evals], t.add):
             if v == 0:
                 counts[0] += nbetas
                 continue

@@ -165,6 +165,20 @@ def spot_check(table, definition, what: str) -> None:
             raise CrossCheckMismatch(f"{what} table disagrees with its definition at {x}")
 
 
+def span_walk(steps, add, start=0) -> list:
+    """Every start + sum over k of steps[k][c_k], one add per element.
+
+    steps[k] lists the nonzero multiples c g_k of generator k, c in
+    enumeration order; start comes first and steps[0] is the lowest digit
+    of the index.  Elements may be anything add combines: field elements,
+    bit-packed rows, lists or tuples of values.
+    """
+    span = [start]
+    for mults in steps:
+        span += [add(v, m) for m in mults for v in span]
+    return span
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -202,6 +216,8 @@ class FieldTower:
                 raise NoIrreducible("supplied modulus is reducible")
         self.modulus = tuple(modulus)
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
+        if p == 2:  # bit-packed digits: XOR in place of the Zech methods
+            self.add = self.sub = operator.xor
         self._build_mul_tables()
         self.order = self.size - 1
         if a > 1:
@@ -288,8 +304,6 @@ class FieldTower:
     # -- ring operations ---------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
         if not (x and y):
             return x or y
         lx, order = self.log[x], self.order
@@ -302,8 +316,6 @@ class FieldTower:
         return self.exp[(self.log[x] + self.order // 2) % self.order]
 
     def sub(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
@@ -342,19 +354,11 @@ class FieldTower:
     # -- traces ------------------------------------------------------------
 
     def linear_table(self, images) -> list[int]:
-        """Table of the GF(p)-linear map p^k -> images[k]: the table over
-        the low k digits is extended by d * images[k], d in GF(p).  Values
-        add in F: XOR for p = 2, so bit-packed rows work too."""
-        table = [0]
-        for img in images:
-            if self.p == 2:
-                table += [v ^ img for v in table]
-                continue
-            mults = [img]
-            for _ in range(self.p - 2):
-                mults.append(self.add(mults[-1], img))
-            table += [self.add(v, m) for m in mults for v in table]
-        return table
+        """Table of the GF(p)-linear map p^k -> images[k]: the span walk of
+        the images over GF(p).  Values add in F: XOR for p = 2, so
+        bit-packed rows work too."""
+        steps = [[self.mul(d, img) for d in range(1, self.p)] for img in images]
+        return span_walk(steps, self.add)
 
     def _trace_table(self, step: int, count: int) -> list[int]:
         """Table of the trace x -> sum of x^(step^i), i in [0, count)."""
@@ -438,9 +442,6 @@ class FieldTower:
         for c in reversed(list(coords)):
             r = r * self.p + int(c) % self.p
         return r
-
-    def elements(self) -> range:
-        return range(self.size)
 
     # -- multiplicative structure -------------------------------------------
 

@@ -21,7 +21,6 @@ indices.  Metrics can then be read off the m x t upper blocks W_hat_i.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .basis import BasisPair
 from .errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularMatrix, SingularRepairMatrix
-from .gf import FieldTower, field_create
+from .gf import FieldTower, field_create, span_walk
 from .rs import RSCode
 from .subspace import Subspace, b_rank
 
@@ -159,9 +158,9 @@ def node_values(scheme: RepairScheme, polys):
     """Yield [g(alpha_i) for g in polys] for each node i, in node order.
 
     If all nonzero coefficients sit at exponent 0 or a power of q, g is a
-    constant plus a B-linear L: A is walked in Subspace.enumerate order
-    from L(b) per basis element b, one field addition per g and node.
-    Other polynomials go through Horner.
+    constant plus a B-linear L: A is span-walked in Subspace.enumerate order
+    from the multiples of L(b) per basis element b, one field addition per
+    g and node.  Other polynomials go through Horner.
     """
     code, t = scheme.code, scheme.tower
     qpows = {t.q**k for k in range(code.r.bit_length())}
@@ -170,21 +169,17 @@ def node_values(scheme: RepairScheme, polys):
             yield [code.eval_poly(g, alpha) for g in polys]
         return
     # lists, not tuples: freed tuples stay cached per size, raising peak RSS
-    add = operator.xor if t.p == 2 else t.add
-    steps = []  # per basis element b: [c L(b) for g in polys] per c in B
-    for b in code.A.b_basis():
+    add = t.add
+    vadd = lambda v, w: list(map(add, v, w))
+    steps = []  # lowest digit first: per basis element b, [c L(b) for g in polys] per unit c
+    for b in reversed(code.A.b_basis()):
         lb = [code.eval_poly([0, *g[1:]], b) for g in polys]
-        steps.append([[t.mul(c, x) for x in lb] for c in t.subfield_elements()])
-    k = len(steps)  # the last k positions: a tabulated block of q^k <= 256
+        steps.append([[t.mul(c, x) for x in lb] for c in t.subfield_elements()[1:]])
+    k = len(steps)  # the k lowest digits: a tabulated block of q^k <= 256
     while t.q**k > 256:
         k -= 1
-    low = [[0] * len(polys)]
-    for mults in steps[len(steps) - k:]:
-        low = [list(map(add, v, w)) for v in low for w in mults]
-    for high in itertools.product(*steps[: len(steps) - k]):
-        base = [g[0] for g in polys]
-        for w in high:
-            base = list(map(add, base, w))
+    low = span_walk(steps[:k], vadd, [0] * len(polys))
+    for base in span_walk(steps[k:], vadd, [g[0] for g in polys]):
         for v in low:
             yield list(map(add, base, v))
 
@@ -221,31 +216,23 @@ def nz_via_weight(rows, tower: FieldTower) -> int:
 
     nz(G) = sum over u in B^k of wt(uG), divided by q^(k-1)(q-1); the
     division must be exact, enforced in integer arithmetic.  The q^k
-    vectors uG are enumerated by growing the span one row at a time: each
-    new vector is an earlier one plus c * row_j for a nonzero c in B.  GF(2)
-    rows may come bit-packed (bit s = entry s).
+    vectors uG are the span walk of the rows.  GF(2) rows may come
+    bit-packed (bit s = entry s).
     """
     rows = list(rows)
     k = len(rows)
     if k == 0:
         return 0
     if tower.q == 2:
-        span = [0]
-        for row in rows:
-            packed = row if isinstance(row, int) else sum(1 << s for s, c in enumerate(row) if c)
-            span += [v ^ packed for v in span]
-        total = sum(v.bit_count() for v in span)
+        steps = [[row if isinstance(row, int) else sum(1 << s for s, c in enumerate(row) if c)]
+                 for row in rows]
+        total = sum(map(int.bit_count, span_walk(steps, tower.add)))
     else:
-        width = len(rows[0])
         add, mul = tower.add, tower.mul
         units = tower.subfield_elements()[1:]
-        span = [(0,) * width]
-        for row in rows:
-            old = span
-            span = list(old)
-            for c in units:
-                crow = [mul(c, g) for g in row]
-                span += [tuple(add(a, b) for a, b in zip(v, crow)) for v in old]
+        steps = [[tuple(mul(c, g) for g in row) for c in units] for row in rows]
+        width = len(rows[0])
+        span = span_walk(steps, lambda v, w: tuple(map(add, v, w)), (0,) * width)
         total = sum(width - v.count(0) for v in span)
     denom = tower.q ** (k - 1) * (tower.q - 1)
     if total % denom:
@@ -541,6 +528,10 @@ def load_scheme(path: str) -> RepairScheme:
     t = field_create(fspec["p"], fspec["a"], fspec["ell"])
     if list(t.modulus) != list(fspec["modulus"]):
         t = FieldTower.from_json(fspec)
+    vectors = [*doc["basis"]["beta"], *doc["basis"]["gamma"], *doc["evaluation_subspace"],
+               *(c for g in doc["polys"] for c in g)]
+    if any(len(v) != t.degree or not all(0 <= c < t.p for c in v) for v in vectors):
+        raise InvalidScheme(f"coordinate vectors must have {t.degree} digits in [0, {t.p})")
     bp = BasisPair.from_json(t, doc["basis"])
     A = Subspace.from_json(t, doc["evaluation_subspace"])
     polys = [[t.element(c) for c in p] for p in doc["polys"]]

@@ -10,11 +10,9 @@ in lexicographic order, so 0 always comes first.
 
 from __future__ import annotations
 
-import itertools
-
 from . import linalg
 from .errors import CrossCheckMismatch, TooLarge, WNotInImage, ZeroScalar
-from .gf import FieldTower, max_field_size
+from .gf import FieldTower, max_field_size, span_walk
 
 AMBIENT_FIELD = "field"
 
@@ -137,16 +135,24 @@ class Subspace:
     # -- enumeration -----------------------------------------------------------
 
     def enumerate(self) -> list:
-        """All q^dim members: B-coefficient vectors in lex order over b_basis.
+        """All q^dim members: B-coefficient vectors in lex order over b_basis,
+        the last basis element as the lowest digit.
 
-        First element is always 0.
+        First element is always 0; CrossCheckMismatch unless there are q^dim
+        distinct ones.
         """
         t = self.tower
         if t.q**self.dim > max_field_size():
             raise TooLarge(f"enumeration of q^{self.dim} elements exceeds budget")
-        basis = self.b_basis()
-        coeffs = itertools.product(t.subfield_elements(), repeat=self.dim)
-        return [linalg.dot(t, c, basis) for c in coeffs]
+        units = t.subfield_elements()[1:]
+        steps = [[t.mul(c, b) for c in units] for b in reversed(self.b_basis())]
+        points = span_walk(steps, t.add)
+        seen = bytearray(t.size)
+        for x in points:
+            seen[x] = 1
+        if points[0] != 0 or seen.count(1) != t.q**self.dim:
+            raise CrossCheckMismatch("subspace enumeration repeats an element")
+        return points
 
     # -- lattice operations -----------------------------------------------------
 

@@ -10,19 +10,25 @@ RUN_LARGE = os.environ.get("RSREPAIR_TEST_LARGE") == "1"
 
 
 def all_subspaces(tower):
-    """Every B-linear subspace of the tower, found by closure growth."""
+    """Every B-linear subspace of the tower, found by closure growth.
+
+    From each subspace, a candidate is spanned in only if no span made
+    from that subspace so far contains it; each span marks its elements.
+    """
     zero = Subspace.span(tower, [])
     seen = {zero}
     frontier = [zero]
     while frontier:
         nxt = []
         for sub in frontier:
-            elems = set(sub.enumerate())
             basis = list(sub.b_basis())
+            covered = bytearray(tower.size)
             for x in range(1, tower.size):
-                if x in elems:
+                if covered[x]:
                     continue
                 bigger = Subspace.span(tower, basis + [x])
+                for y in bigger.enumerate():
+                    covered[y] = 1
                 if bigger not in seen:
                     seen.add(bigger)
                     nxt.append(bigger)

@@ -85,14 +85,15 @@ def test_criterion_1_full_length_io():
     assert not bad, f"io mismatches: {bad}"
 
 
-@pytest.mark.skipif(not RUN_LARGE, reason="ell = 16 runs under RSREPAIR_TEST_LARGE=1")
-def test_criterion_1_ell16_by_all_routes():
-    _, scheme = construction1(16)
+@pytest.mark.skipif(not RUN_LARGE, reason="ell = 16 and 18 run under RSREPAIR_TEST_LARGE=1")
+@pytest.mark.parametrize("ell,bandwidth", [(16, 969_968), (18, 4_404_206)])
+def test_criterion_1_ell16_by_all_routes(ell, bandwidth):
+    _, scheme = construction1(ell)
     nf = scheme.normal_form
-    want = (2**16 - 1) * 16 - 2**16
-    got = {rep.method: rep.io_cost
+    want = ((2**ell - 1) * ell - 2**ell, bandwidth)
+    got = {rep.method: (rep.io_cost, rep.bandwidth)
            for rep in (metrics_direct(scheme), metrics_weight(nf), metrics_expsum(nf))}
-    print(f"criterion 1: io at ell=16 by route {got}")
+    print(f"criterion 1: (io, bandwidth) at ell={ell} by route {got}")
     assert set(got.values()) == {want}, got
 
 

@@ -9,7 +9,7 @@ from rsrepair import (
     io_lower_bound,
     r3cond_max_bruteforce,
 )
-from rsrepair.bounds import BoundQuery, evaluate_bound
+from rsrepair.bounds import BoundQuery
 from rsrepair.errors import BudgetExceeded, ParamViolation, UnsupportedRegime
 
 
@@ -99,8 +99,8 @@ def test_query_validation():
         io_lower_bound(6, 4, 4, 2)  # q not a prime power
     bq = BoundQuery(2, 6, 4, 2, quantity="bandwidth")
     assert bq.n == 16
-    assert evaluate_bound(bq)["value"] == 58
-    assert evaluate_bound(BoundQuery(2, 6, 4, 2))["value"] == 66
+    assert bandwidth_lower_bound(bq.q, bq.ell, bq.d, bq.r)["value"] == 58
+    assert io_lower_bound(2, 6, 4, 2)["value"] == 66
 
 
 def test_r3cond_closed_form():

@@ -1,6 +1,8 @@
 """Command line behavior, including the three documented exit codes."""
 
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -224,6 +226,24 @@ def test_construct_dimension_check_exits_2_under_O(tmp_path):
     assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_construct_dependent_basis_exits_2_under_O():
+    # the points of A are checked for being q^dim distinct by a check, not an assert
+    script = (
+        "import sys\n"
+        "from rsrepair.subspace import Subspace\n"
+        "from rsrepair.cli import main\n"
+        "Subspace.b_basis = lambda self: (1, 1)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script] + _C2_ARGS,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "repeats an element" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "doc", [{}, [], "scheme", {"field": {"p": 2, "a": 1, "ell": 4, "modulus": [1, 1, 0, 0, 1]}}]
 )
@@ -232,6 +252,27 @@ def test_metrics_rejects_malformed_document(capsys, tmp_path, doc):
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, ["metrics", str(path)])
     assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+# c1 at ell = 4 has 4-digit coordinate vectors over GF(2)
+@pytest.mark.parametrize("keys,value", [
+    (("evaluation_subspace", 0), [0, 0, 0, 0, 1]),
+    (("polys", 0, 0), [0, 0, 0, 0, 1]),
+    (("basis", "beta", 0), [0, 0, 0, 0, 1]),
+    (("evaluation_subspace", 0), [5, 5, 5, 5]),
+    (("evaluation_subspace", 0), [1, 1, 1, 2]),
+    (("polys", 0, 0), [-1, 0, 0, 0]),
+])
+def test_metrics_rejects_malformed_coordinates(capsys, tmp_path, keys, value):
+    path = tmp_path / "scheme.json"
+    _run(capsys, ["construct", "c1", "--ell", "4", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    *outer, last = keys
+    functools.reduce(operator.getitem, outer, doc)[last] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["metrics", str(path)])
+    assert code == 1 and out == "" and "Traceback" not in err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 

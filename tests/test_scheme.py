@@ -291,6 +291,8 @@ def test_node_values_affine_walk_matches_horner(monkeypatch):
         assert got == _horner_rows(scheme, scheme.polys)
         # the walk evaluates each polynomial once per B-basis element of A
         assert calls == scheme.code.A.dim * len(scheme.polys)
+        # g(x) = x walks A itself, in node order
+        assert list(node_values(scheme, [(0, 1)])) == [[a] for a in scheme.code.points]
 
 
 def test_node_values_random_schemes_match_horner(monkeypatch):

@@ -1,10 +1,12 @@
 """Subspace spans, trace kernels, and the intersection dimension identity."""
 
+import itertools
 import random
 
 import pytest
 
-from rsrepair import Subspace, field_create
+from rsrepair import Subspace, field_create, linalg
+from rsrepair.errors import CrossCheckMismatch
 from rsrepair.linalg import EchelonBasis
 from rsrepair.subspace import b_rank, rank_over_subfield
 
@@ -21,14 +23,22 @@ def test_span_basics(gf16):
     assert Subspace.span(gf16, [3, 1]).enumerate() == pts
 
 
-def test_enumerate_matches_combinations(gf9):
-    A = Subspace.span(gf9, [1, 3])
-    got = set(A.enumerate())
-    want = set()
-    for u in gf9.subfield_elements():
-        for v in gf9.subfield_elements():
-            want.add(gf9.add(gf9.mul(u, 1), gf9.mul(v, 3)))
-    assert got == want and len(got) == 9
+def test_enumerate_matches_combinations():
+    # the reference: coefficient vectors over B in lex order, one dot each
+    for p, a, ell, gens in ((2, 1, 4, [3, 5, 9]), (3, 1, 2, [1, 3]), (2, 2, 3, [1, 7, 19]), (3, 2, 2, [1, 10])):
+        t = field_create(p, a, ell)
+        A = Subspace.span(t, gens)
+        coeffs = itertools.product(t.subfield_elements(), repeat=A.dim)
+        want = [linalg.dot(t, c, A.b_basis()) for c in coeffs]
+        assert A.dim >= 2 and A.enumerate() == want
+        assert len(set(want)) == t.q**A.dim
+
+
+def test_enumerate_dependent_basis_raises(gf16, monkeypatch):
+    A = Subspace.span(gf16, [1, 2])
+    monkeypatch.setattr(Subspace, "b_basis", lambda self: (1, 1))
+    with pytest.raises(CrossCheckMismatch, match="repeats"):
+        A.enumerate()
 
 
 def test_full_field_and_zero(gf16):
