@@ -209,9 +209,9 @@ class FieldTower:
         if modulus is None:
             modulus = _smallest_irreducible(p, self.degree)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != self.degree + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree a*ell")
+            modulus = tuple(int(c) for c in modulus)
+            if len(modulus) != self.degree + 1 or modulus[-1] != 1 or not all(0 <= c < p for c in modulus):
+                raise ValueError(f"modulus must be monic of degree a*ell with digits in [0, {p})")
             if not _is_irreducible(list(modulus), p):
                 raise NoIrreducible("supplied modulus is reducible")
         self.modulus = tuple(modulus)

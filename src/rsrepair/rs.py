@@ -4,6 +4,14 @@ RS(A, k) = {(f(a_1), ..., f(a_n)) : deg f <= k - 1} with the a_i enumerated
 from the subspace A (so a_1 = 0 and n = q^dim A).  When A is B-linear the
 dual code is RS(A, n - k); dual_inner_product_check verifies that identity
 numerically rather than assuming it.
+
+evaluate (so encode) runs a remainder tree over the cosets of A, about
+(q - 1) n (d^2 / 4 + d) field steps against n k for Horner: for A_j =
+span(g_0..g_{j-1}), g in Subspace.enumerate's digit order, the subspace
+polynomial L_j is q-linearized with j + 1 terms, and the coset s + A_j has
+the product L_j - L_j(s).  encode spot-checks it against eval_poly (Horner),
+which stays the independent oracle of the metric routes, the repair plan's
+target rows and the dual codeword.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import random
 
 from . import linalg
 from .errors import DegreeTooHigh, ParamViolation
-from .gf import FieldTower
+from .gf import FieldTower, span_walk, spot_check
 from .subspace import Subspace
 
 
@@ -25,6 +33,7 @@ class RSCode:
         self.n = len(self.points)
         if not 1 <= self.k < self.n:
             raise ParamViolation(f"need 1 <= k < n, got k={k}, n={self.n}")
+        self._levels = None
 
     @property
     def r(self) -> int:
@@ -48,11 +57,61 @@ class RSCode:
                 acc = add(exp[log[acc] + lx] if acc else 0, c)
         return acc
 
+    def _build_levels(self) -> list:
+        """Per level j = d-1..0: q^j, the lower terms of the monic L_j as
+        (q^i, log(-c) - order), and L_j on the cosets of A_j in point order
+        as log - order (0 for 0)."""
+        t = self.tower
+        q, log = t.q, t.log
+        vals = self.A.b_basis()[::-1]  # L_j(g_k), k = 0..d-1
+        lam, levels = [1], []  # L_j = sum of lam[i] x^(q^i)
+        for j in range(len(vals)):
+            kap = span_walk([[t.mul(u, w) for u in t.subfield_elements()[1:]] for w in vals[j:]], t.add)
+            levels.append((q**j, [(q**i, log[t.neg(c)] - t.order) for i, c in enumerate(lam[:-1]) if c],
+                           [log[y] - t.order if y else 0 for y in kap]))
+            v = t.pow(vals[j], q - 1)  # L_{j+1} = L_j^q - L_j(g_j)^(q-1) L_j
+            vals = [t.sub(t.pow(w, q), t.mul(v, w)) for w in vals]
+            lam = [t.sub(t.pow(a, q), t.mul(v, b)) for a, b in zip([0, *lam], [*lam, 0])]
+        return levels[::-1]
+
+    def evaluate(self, coeffs) -> list[int]:
+        """f(a) at every point, in point order, for any f of degree < n."""
+        if len(coeffs) > self.n:
+            raise DegreeTooHigh(f"degree {len(coeffs) - 1} >= n = {self.n}")
+        if self._levels is None:
+            self._levels = self._build_levels()
+        t, n = self.tower, self.n
+        q, exp, log, add, W = t.q, t.exp, t.log, t.add, n // t.q
+        # r holds the remainders of the M cosets of A_(j+1), f alone at the
+        # top: coefficient x of coset b at x M + b
+        r = [*coeffs, *[0] * (n - len(coeffs))]
+        for D, low, kap in self._levels:
+            M = W // D
+            # digit s of r in powers of L_j: divide from the top in chunks of
+            # D - D/q coefficients, whose updates all land below the chunk
+            for s in range(1, q):
+                for hi in range(q * D, s * D, D // q - D):
+                    lo = max(s * D, hi - D + D // q)
+                    src = r[lo * M:hi * M]
+                    for e, le in low:
+                        a, b = (lo - D + e) * M, (hi - D + e) * M
+                        r[a:b] = [add(x, exp[log[y] + le]) if y else x for x, y in zip(r[a:b], src)]
+            new = [0] * n
+            for c in range(q):  # child c of coset b is coset b q + c: Horner in its L_j(s)
+                ks, acc = kap[c::q] * D, r[(q - 1) * W:]
+                for s in range(q - 2, -1, -1):
+                    acc = [add(x, exp[log[y] + k]) if y and k else x for x, y, k in zip(r[s * W:], acc, ks)]
+                new[c::q] = acc
+            r = new
+        return r
+
     def encode(self, coeffs) -> list[int]:
         coeffs = list(coeffs)
         if len(coeffs) > self.k:
             raise DegreeTooHigh(f"message degree {len(coeffs) - 1} >= k = {self.k}")
-        return [self.eval_poly(coeffs, a) for a in self.points]
+        values = self.evaluate(coeffs)
+        spot_check(values, lambda i: self.eval_poly(coeffs, self.points[i]), "remainder-tree codeword")
+        return values
 
     def random_codeword(self, seed: int) -> list[int]:
         """Seeded uniform codeword: k coefficients drawn from F."""

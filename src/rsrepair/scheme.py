@@ -526,12 +526,14 @@ def load_scheme(path: str) -> RepairScheme:
     _check_document(doc)
     fspec = doc["field"]
     t = field_create(fspec["p"], fspec["a"], fspec["ell"])
-    if list(t.modulus) != list(fspec["modulus"]):
-        t = FieldTower.from_json(fspec)
+    mod = fspec["modulus"]
     vectors = [*doc["basis"]["beta"], *doc["basis"]["gamma"], *doc["evaluation_subspace"],
                *(c for g in doc["polys"] for c in g)]
-    if any(len(v) != t.degree or not all(0 <= c < t.p for c in v) for v in vectors):
-        raise InvalidScheme(f"coordinate vectors must have {t.degree} digits in [0, {t.p})")
+    if len(mod) != t.degree + 1 or any(len(v) != t.degree for v in vectors) or not all(
+            0 <= c < t.p for v in (mod, *vectors) for c in v):
+        raise InvalidScheme(f"modulus and coordinate vectors need {t.degree + 1} and {t.degree} digits in [0, {t.p})")
+    if list(t.modulus) != mod:
+        t = FieldTower.from_json(fspec)
     bp = BasisPair.from_json(t, doc["basis"])
     A = Subspace.from_json(t, doc["evaluation_subspace"])
     polys = [[t.element(c) for c in p] for p in doc["polys"]]

@@ -7,6 +7,7 @@ from rsrepair.gf import FieldTower
 
 # ell = 12 and 14 table columns take a few seconds each; opt in via env
 RUN_LARGE = os.environ.get("RSREPAIR_TEST_LARGE") == "1"
+large = pytest.mark.skipif(not RUN_LARGE, reason="runs under RSREPAIR_TEST_LARGE=1")
 
 
 def all_subspaces(tower):

@@ -5,11 +5,12 @@ PASSED/FAILED is the per-criterion verdict.  Criteria 4 and 8 walk the same
 catalog of constructed schemes, built once and cached at module level.
 """
 
+import json
 import random
 
 import pytest
 
-from conftest import RUN_LARGE, all_subspaces
+from conftest import RUN_LARGE, all_subspaces, large
 
 from rsrepair import (
     AccessCounter,
@@ -31,6 +32,7 @@ from rsrepair import (
     subspace_char_sum,
 )
 from rsrepair.bounds import UnsupportedRegime
+from rsrepair.cli import main
 from rsrepair.subspace import b_rank
 
 _PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
@@ -85,7 +87,7 @@ def test_criterion_1_full_length_io():
     assert not bad, f"io mismatches: {bad}"
 
 
-@pytest.mark.skipif(not RUN_LARGE, reason="ell = 16 and 18 run under RSREPAIR_TEST_LARGE=1")
+@large
 @pytest.mark.parametrize("ell,bandwidth", [(16, 969_968), (18, 4_404_206)])
 def test_criterion_1_ell16_by_all_routes(ell, bandwidth):
     _, scheme = construction1(ell)
@@ -95,6 +97,14 @@ def test_criterion_1_ell16_by_all_routes(ell, bandwidth):
            for rep in (metrics_direct(scheme), metrics_weight(nf), metrics_expsum(nf))}
     print(f"criterion 1: (io, bandwidth) at ell={ell} by route {got}")
     assert set(got.values()) == {want}, got
+
+
+@large
+def test_criterion_1_ell20_direct():
+    _, scheme = construction1(20)
+    io = metrics_direct(scheme).io_cost
+    print(f"criterion 1: io {io} at ell=20 by the direct route")
+    assert io == (2**20 - 1) * 20 - 2**20 == 19_922_924
 
 
 def test_criterion_2_pinned_small_scheme():
@@ -215,6 +225,16 @@ def test_criterion_6_repair_simulation():
         f"200 erased symbols recovered with tallies matching"
     )
     assert not problems, problems[:5]
+
+
+@large
+def test_criterion_6_simulate_ell14(tmp_path, capsys):
+    path = str(tmp_path / "c1.json")
+    assert main(["construct", "c1", "--ell", "14", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["simulate", path, "--trials", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["successes"], doc["io_cost"], doc["bandwidth"]) == (3, 212_978, 209_714)
 
 
 def test_criterion_7_oracles():

@@ -11,8 +11,9 @@ import pytest
 
 import rsrepair
 from rsrepair.cli import main
+from rsrepair.errors import InvalidScheme
 from rsrepair.expsum import CharSum
-from rsrepair.scheme import MetricsReport
+from rsrepair.scheme import MetricsReport, load_scheme
 
 
 def _run(capsys, argv):
@@ -263,6 +264,10 @@ def test_metrics_rejects_malformed_document(capsys, tmp_path, doc):
     (("evaluation_subspace", 0), [5, 5, 5, 5]),
     (("evaluation_subspace", 0), [1, 1, 1, 2]),
     (("polys", 0, 0), [-1, 0, 0, 0]),
+    # the 5-digit modulus: read mod 2, the first two were [1, 1, 0, 0, 1] again
+    (("field", "modulus"), [3, 3, 0, 0, 3]),
+    (("field", "modulus"), [1, -1, 0, 0, 1]),
+    (("field", "modulus"), [1, 1, 0, 0, 1, 0]),
 ])
 def test_metrics_rejects_malformed_coordinates(capsys, tmp_path, keys, value):
     path = tmp_path / "scheme.json"
@@ -274,6 +279,8 @@ def test_metrics_rejects_malformed_coordinates(capsys, tmp_path, keys, value):
     code, out, err = _run(capsys, ["metrics", str(path)])
     assert code == 1 and out == "" and "Traceback" not in err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    with pytest.raises(InvalidScheme):
+        load_scheme(str(path))
 
 
 def test_metrics_rejects_document_missing_polys(capsys, tmp_path):

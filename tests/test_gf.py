@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import RUN_LARGE
+from conftest import large
 from rsrepair import field_create
 from rsrepair.errors import CrossCheckMismatch, NotPrime, ParamViolation, TooLarge
 from rsrepair.gf import FieldTower, spot_check, split_prime_power
@@ -165,6 +165,14 @@ def test_json_roundtrip():
     assert t2.mul(5, 7) == t.mul(5, 7)
 
 
+@pytest.mark.parametrize("modulus", [[3, 3, 0, 0, 3], [1, -1, 0, 0, 1], [1, 1, 0, 0, 1, 0], [1, 1, 0, 0, 0]])
+def test_supplied_modulus_digits_in_range(modulus):
+    # read mod 2, the first two would be x^4 + x + 1 again
+    with pytest.raises(ValueError, match="modulus"):
+        FieldTower(2, 1, 4, modulus=modulus)
+    assert FieldTower(2, 1, 4, modulus=[1, 1, 0, 0, 1]).modulus == (1, 1, 0, 0, 1)
+
+
 def test_split_prime_power():
     assert [split_prime_power(q) for q in (2, 3, 4, 8, 9, 25, 49, 97)] == [
         (2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (97, 1)]
@@ -229,7 +237,7 @@ def test_exp_walk_edge_towers():
     assert sorted(t.exp) == list(range(1, t.size))
 
 
-@pytest.mark.skipif(not RUN_LARGE, reason="GF(3^12) runs under RSREPAIR_TEST_LARGE=1")
+@large  # GF(3^12)
 def test_large_odd_tower_log_inverts_exp():
     t = field_create(3, 1, 12)
     assert all(t.log[v] == i for i, v in enumerate(t.exp))

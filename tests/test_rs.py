@@ -1,12 +1,18 @@
 """Codes on subspace points: evaluation, duality, distance."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import rsrepair
 from rsrepair import RSCode, Subspace, dual_basis, field_create
-from rsrepair.errors import DegreeTooHigh, ParamViolation
+from rsrepair.cli import main
+from rsrepair.errors import CrossCheckMismatch, DegreeTooHigh, ParamViolation
 
 from conftest import all_subspaces
 
@@ -114,3 +120,100 @@ def test_eval_poly_matches_horner(params):
         for x in range(t.size):
             assert code.eval_poly(coeffs, x) == _horner(t, coeffs, x)
             assert code.eval_poly(tuple(coeffs), x) == _horner(t, coeffs, x)
+
+
+# every tower with p in {2, 3, 5, 7}, a in {1, 2} and |F| <= 729
+SMALL_TOWERS = [(p, a, ell) for p in (2, 3, 5, 7) for a in (1, 2) for ell in range(1, 10) if p ** (a * ell) <= 729]
+
+
+def _random_subspace(t, dim, rng):
+    while True:
+        A = Subspace.span(t, [rng.randrange(t.size) for _ in range(dim)])
+        if A.dim == dim:
+            return A
+
+
+@pytest.mark.parametrize("params", SMALL_TOWERS, ids=lambda params: "-".join(map(str, params)))
+def test_evaluate_and_encode_match_horner(params):
+    """The remainder tree against per-point Horner at every point, over the
+    full field and a seeded random subspace of every dimension."""
+    t = field_create(*params)
+    rng = random.Random(str(params))
+    spaces = [Subspace.full_field(t)] + [_random_subspace(t, dim, rng) for dim in range(1, t.ell)]
+    for A in spaces:
+        n = t.q**A.dim
+        code = RSCode(A, rng.randrange(1, n))
+        points = code.points
+        lengths = sorted(m for m in {0, 1, t.q, t.q + 1, code.k, n} if m <= n)
+        polys = [[]]
+        for m in lengths[1:]:  # zero top coefficients at lengths q + 1 and k
+            top = 0 if m in (t.q + 1, code.k) else rng.randrange(1, t.size)
+            polys.append([rng.randrange(t.size) for _ in range(m - 1)] + [top])
+        for coeffs in polys:
+            want = [_horner(t, coeffs, a) for a in points]
+            assert code.evaluate(coeffs) == want, (params, A.dim, len(coeffs))
+            if len(coeffs) <= code.k:
+                assert code.encode(coeffs) == want, (params, A.dim, len(coeffs))
+        assert code.points == points == tuple(A.enumerate())
+        with pytest.raises(DegreeTooHigh):
+            code.evaluate([1] * (n + 1))
+
+
+def test_level_tables_built_lazily_once(monkeypatch, tmp_path, capsys):
+    builds = []
+    build = RSCode._build_levels
+    monkeypatch.setattr(RSCode, "_build_levels", lambda self: builds.append(self) or build(self))
+    path = str(tmp_path / "c1.json")
+    assert main(["construct", "c1", "--ell", "6", "--out", path]) == 0
+    assert main(["metrics", path]) == 0
+    code = RSCode(Subspace.full_field(field_create(3, 1, 3)), 20)
+    assert builds == []
+    first = code.encode(range(20))
+    assert code.encode(range(20)) == first and code.evaluate([1]) == [1] * 27
+    assert builds == [code]
+
+
+def _swap_last_points(build):
+    """A leaf level whose last two coset constants are swapped: the right
+    values in the wrong point order at the last two points."""
+    def swapped(self):
+        levels = build(self)
+        D, low, kap = levels[-1]
+        levels[-1] = (D, low, [*kap[:-2], kap[-1], kap[-2]])
+        return levels
+    return swapped
+
+
+def test_encode_catches_a_corrupted_level(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(RSCode, "_build_levels", _swap_last_points(RSCode._build_levels))
+    code = RSCode(Subspace.full_field(field_create(2, 1, 4)), 13)
+    with pytest.raises(CrossCheckMismatch, match="definition at 15"):
+        code.encode([1, 2, 3])
+    path = str(tmp_path / "c1.json")
+    assert main(["construct", "c1", "--ell", "4", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["simulate", path, "--trials", "7", "--seed", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cross-check mismatch") and len(err.splitlines()) == 1
+    paths = [os.path.dirname(os.path.dirname(rsrepair.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    script = (
+        "import sys\n"
+        "from rsrepair.rs import RSCode\n"
+        "from rsrepair.cli import main\n"
+        "from test_rs import _swap_last_points\n"
+        "RSCode._build_levels = _swap_last_points(RSCode._build_levels)\n"
+        "sys.exit(main(['simulate', sys.argv[1], '--trials', '7', '--seed', '3']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script, path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_duality_suite_catches_the_wrong_point_order(monkeypatch, capsys):
+    # with the spot check gone too, the Horner-side dual codeword still sees it
+    monkeypatch.setattr(RSCode, "_build_levels", _swap_last_points(RSCode._build_levels))
+    monkeypatch.setattr("rsrepair.rs.spot_check", lambda *args: None)
+    assert main(["verify", "--suite", "duality"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
