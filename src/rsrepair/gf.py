@@ -23,7 +23,6 @@ variable.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import os
 
@@ -272,7 +271,7 @@ class FieldTower:
 
     def _build_mul_tables(self) -> None:
         p, order = self.p, self.size - 1
-        factors = _factor(order) if order > 1 else []
+        factors = _factor(order)
         g = next((c for c in range(1, self.size)
                   if all(self._pow_raw(c, order // t) != 1 for t in factors)), None)
         if g is None:  # cannot happen for a true field
@@ -321,16 +320,11 @@ class FieldTower:
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        order = self.order
-        if order == 1:
-            return 1
-        return self.exp[(self.log[x] + self.log[y]) % order]
+        return self.exp[(self.log[x] + self.log[y]) % self.order]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroScalar("0 has no inverse")
-        if self.order == 1:
-            return 1
         return self.exp[-self.log[x] % self.order]
 
     def div(self, x: int, y: int) -> int:
@@ -343,8 +337,6 @@ class FieldTower:
             if e < 0:
                 raise ZeroScalar("0 has no negative powers")
             return 0
-        if self.order == 1:
-            return 1
         return self.exp[(self.log[x] * e) % self.order]
 
     def frobenius(self, x: int, k: int = 1) -> int:
@@ -399,16 +391,16 @@ class FieldTower:
     def subfield(self, size: int) -> tuple[tuple[int, ...], int]:
         """Elements and a generator of the subfield of the given size.
 
-        The size must be q^m with m dividing ell; the generator has
-        multiplicative order size - 1.
+        The size must be p^k with k dividing the degree (ValueError
+        otherwise); the generator has multiplicative order size - 1.
         """
         if size in self._subfield_cache:
             return self._subfield_cache[size]
-        if size == 2 and self.size == 2:
-            out = ((0, 1), 1)
-            self._subfield_cache[size] = out
-            return out
-        if size < 2 or (self.size - 1) % (size - 1) != 0:
+        try:
+            p, k = split_prime_power(size)
+        except ParamViolation:
+            p = k = 0
+        if p != self.p or self.degree % k:
             raise ValueError(f"no subfield of size {size} in field of size {self.size}")
         step = (self.size - 1) // (size - 1)
         gen = self.exp[step % self.order]
@@ -422,10 +414,7 @@ class FieldTower:
     def subfield_gfp_basis(self, size: int) -> tuple[int, ...]:
         """A GF(p)-basis of the subfield of the given size: generator powers."""
         _, gen = self.subfield(size)
-        dim = round(math.log(size, self.p))
-        if self.p**dim != size:
-            raise ValueError("subfield size is not a power of p")
-        return tuple(self.pow(gen, i) for i in range(dim))
+        return tuple(self.pow(gen, i) for i in range(split_prime_power(size)[1]))
 
     # -- encoding ----------------------------------------------------------
 
@@ -448,8 +437,6 @@ class FieldTower:
     def is_primitive(self, x: int) -> bool:
         if x == 0:
             return False
-        if self.order == 1:
-            return True
         return all(self.pow(x, self.order // t) != 1 for t in _factor(self.order))
 
     # -- serialization -------------------------------------------------------

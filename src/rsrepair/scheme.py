@@ -332,36 +332,17 @@ def _support_set(scheme: RepairScheme, m: int) -> tuple[int, ...]:
 def normalize(scheme: RepairScheme) -> NormalForm:
     """Bring a scheme to (m, t)-normal form.
 
-    U = {u in B^ell : sum u_j g_j is constant} is the kernel of the map to
-    the nonconstant coefficient block, solved over GF(p) digits; a basis of U
-    supplies the constant rows, greedily extended by standard unit vectors
-    (first independent index wins) to an invertible transform.
+    Split the rows (phi(g_j[1]), ..., phi(g_j[r-1])) over B: the tails of
+    the dependent rows span U = {u in B^ell : sum u_j g_j is constant}, whose
+    RREF supplies the constant rows, and the independent rows j give the unit
+    vectors e_j that extend it to an invertible transform (first independent
+    index wins).
     """
-    t = scheme.tower
-    ell = scheme.ell
-    a = t.a
-    r = scheme.code.r
-    bb = t.subfield_gfp_basis(t.q)
-    # constraint matrix over GF(p): unknown digits (j, d) -> nonconstant coeffs
-    cols = []
-    for j in range(ell):
-        for s in bb:
-            col = []
-            for c in range(1, r):
-                col.extend(t.coords(t.mul(s, scheme.polys[j][c])))
-            cols.append(col)
-    mat = [list(row) for row in zip(*cols)] if cols and cols[0] else []
-    ker = linalg.right_kernel(t, mat, ell * a) if mat else linalg.identity(ell * a)
-    uvecs = [[linalg.dot(t, v[j * a:(j + 1) * a], bb) for j in range(ell)] for v in ker]
-    urows, _ = linalg.rref(t, uvecs)
-    m = ell - len(urows)
-    # u -> sum u_j beta_j is a B-linear bijection B^ell -> F taking e_j to beta_j
-    beta = scheme.basis.beta
-    basis = linalg.EchelonBasis(t)
-    for u in urows:
-        basis.insert(linalg.dot(t, u, beta))
-    ext = [[int(c == b) for c in beta] for b in basis.extend(beta, ell)]
-    M = ext + urows
+    t, vec = scheme.tower, scheme.basis.vectorize
+    sent, deps = _split([tuple(c for g_c in g[1:] for c in vec(g_c)) for g in scheme.polys], t)
+    urows, _ = linalg.rref(t, list(deps.values()))
+    M = [[int(c == j) for c in range(scheme.ell)] for j in sent] + urows
+    m = len(sent)
     new_scheme = transform(scheme, M)
     support = _support_set(new_scheme, m)
     nf = NormalForm(scheme=new_scheme, m=m, t=len(support), support_set=support, transform=M)

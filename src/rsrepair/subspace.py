@@ -5,7 +5,9 @@ GF(p)-coordinate basis of a*dim_B rows, closed under multiplication by the
 subfield generator.  One elimination kernel then serves q prime and q = p^a
 alike.  A deterministic B-basis is derived from the GF(p) rows and used for
 enumeration and serialization; enumeration walks coefficient vectors over B
-in lexicographic order, so 0 always comes first.
+in lexicographic order, so 0 always comes first.  A scaled trace kernel
+{x : Tr(beta x) = 0} is one solve: the kernel of the GF(p) digit map
+x -> Tr(beta x).
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from . import linalg
 from .errors import CrossCheckMismatch, TooLarge, WNotInImage, ZeroScalar
 from .gf import FieldTower, max_field_size, span_walk
-
-AMBIENT_FIELD = "field"
 
 
 def _closure_rows(tower: FieldTower, elements, size: int) -> list[list[int]]:
@@ -45,14 +45,12 @@ def rank_over_subfield(tower: FieldTower, elements, subfield_size: int) -> int:
 class Subspace:
     """A B-linear subspace of F."""
 
-    def __init__(self, tower, ambient, width, rows, pivots):
+    def __init__(self, tower, rows, pivots):
         self.tower = tower
-        self.ambient = ambient
-        self.width = width  # GF(p) coordinates of F
         self._rows = [list(r) for r in rows]
         self._pivots = list(pivots)
         self._b_basis = None
-        if ambient == AMBIENT_FIELD and len(self._rows) % tower.a:
+        if len(self._rows) % tower.a:
             raise CrossCheckMismatch("GF(p)-dimension not divisible by a; not B-linear")
 
     # -- constructors ------------------------------------------------------
@@ -60,13 +58,13 @@ class Subspace:
     @classmethod
     def span(cls, tower: FieldTower, elements) -> "Subspace":
         """B-span of field elements."""
-        return cls(tower, AMBIENT_FIELD, tower.degree, *linalg.rref(tower, _closure_rows(tower, elements, tower.q)))
+        return cls(tower, *linalg.rref(tower, _closure_rows(tower, elements, tower.q)))
 
     @classmethod
     def solutions(cls, tower: FieldTower, rows) -> "Subspace":
         """{x in F : C . digits(x) = 0} for GF(p) rows C (F if there are none)."""
         ker = linalg.right_kernel(tower, rows, tower.degree)
-        return cls(tower, AMBIENT_FIELD, tower.degree, *linalg.rref(tower, ker))
+        return cls(tower, *linalg.rref(tower, ker))
 
     @classmethod
     def full_field(cls, tower: FieldTower) -> "Subspace":
@@ -75,17 +73,16 @@ class Subspace:
     @classmethod
     def trace_kernel(cls, tower: FieldTower) -> "Subspace":
         """K = {x in F : Tr_{F/B}(x) = 0}; B-dimension ell - 1."""
-        cols = [tower.coords(tower.trace_to_subfield(tower.p**k)) for k in range(tower.degree)]
-        return cls.solutions(tower, [list(row) for row in zip(*cols)])  # digits(x) -> digits(Tr x)
+        return cls.scaled_trace_kernel(1, tower)
 
     @classmethod
     def scaled_trace_kernel(cls, beta: int, tower: FieldTower) -> "Subspace":
         """beta^{-1} K = {x : Tr(beta x) = 0}."""
         if beta == 0:
             raise ZeroScalar("scaled trace kernel requires beta != 0")
-        binv = tower.inv(beta)
-        k = cls.trace_kernel(tower)
-        return cls.span(tower, [tower.mul(binv, e) for e in k.gfp_basis_elements()])
+        t = tower
+        cols = [t.coords(t.trace_to_subfield(t.mul(beta, t.p**k))) for k in range(t.degree)]
+        return cls.solutions(t, [list(row) for row in zip(*cols)])  # digits(x) -> digits(Tr(beta x))
 
     # -- basic queries -------------------------------------------------------
 
@@ -121,16 +118,15 @@ class Subspace:
                 digs = [(a - c * b) % p for a, b in zip(digs, row)]
         return digs
 
+    def _same_tower(self, other) -> bool:
+        s, o = self.tower, other.tower
+        return (s.p, s.a, s.ell, s.modulus) == (o.p, o.a, o.ell, o.modulus)
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.width == other.width
-            and self._rows == other._rows
-        )
+        return isinstance(other, Subspace) and self._same_tower(other) and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.ambient, self.width, tuple(map(tuple, self._rows))))
+        return hash(tuple(map(tuple, self._rows)))
 
     # -- enumeration -----------------------------------------------------------
 
@@ -158,20 +154,22 @@ class Subspace:
 
     def constraints(self) -> list[list[int]]:
         """GF(p) rows C with self = {x : C . digits(x) = 0}."""
-        return linalg.right_kernel(self.tower, self._rows, self.width)
+        return linalg.right_kernel(self.tower, self._rows, self.tower.degree)
 
     def intersect(self, *others) -> "Subspace":
         """Exact intersection via the kernel of stacked constraint systems."""
         stacked = self.constraints()
         for o in others:
-            if o.ambient != self.ambient or o.width != self.width:
-                raise ValueError("ambient mismatch in intersection")
+            if not self._same_tower(o):
+                raise ValueError("intersection of subspaces of different towers")
             stacked.extend(o.constraints())
         return Subspace.solutions(self.tower, stacked)
 
     def add(self, other: "Subspace") -> "Subspace":
         """Sum of subspaces (used to test dimension identities)."""
-        return Subspace(self.tower, self.ambient, self.width, *linalg.rref(self.tower, self._rows + other._rows))
+        if not self._same_tower(other):
+            raise ValueError("sum of subspaces of different towers")
+        return Subspace(self.tower, *linalg.rref(self.tower, self._rows + other._rows))
 
     # -- preimages ---------------------------------------------------------------
 
@@ -200,4 +198,4 @@ class Subspace:
         return cls.span(tower, [tower.element(r) for r in rows])
 
     def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+        return f"Subspace(dim={self.dim})"

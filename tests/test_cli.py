@@ -1,6 +1,7 @@
 """Command line behavior, including the three documented exit codes."""
 
 import functools
+import hashlib
 import json
 import operator
 import os
@@ -455,6 +456,32 @@ def test_verify_all(capsys):
     assert code == 0
     assert doc["suite"] == "all" and doc["passed"]
     assert {r["suite"] for r in doc["reports"]} >= {"char", "expsum", "weil"}
+
+
+def _c2(q, ell, d, s, m, r):
+    return ("construct", "c2", "--q", q, "--ell", ell, "--d", d, "--s", s, "--m", m, "--r", r)
+
+
+# SHA-256 of outputs that must stay byte-identical: the stdout of verify (its
+# expsum suite runs normalize) and saved c2 scheme files, which cover trace
+# kernels with s > 0 and towers with a > 1
+OUTPUT_DIGESTS = {
+    ("verify", "--suite", "all", "--seed", "0"):
+        "ac9ed81fcc28b15f2585b854333a2972f001d364f0b0d8e4bac3d49b5acac017",
+    _c2("3", "6", "5", "1", "3", "4"): "1f48a1c257ec6f35604e9fdd1a75aaa65ecd47dbc0003c1bfd2d5c6f2573a559",
+    _c2("2", "8", "7", "2", "4", "5"): "dd610896f9405b95512f8cc850f4545dea1142ab42d437379a5024ffddac5ac2",
+    _c2("9", "4", "3", "0", "2", "2"): "5c7b28a5dbb756bbfa66c70b6ddac36caa47dd30b79ec2e5ca848797e369f2d4",
+    _c2("4", "6", "4", "0", "3", "2"): "8817e95c67721ae7a93732058cbd9e2ad2769ac60354e8de936f1ae0a2c7435f",
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS))
+def test_output_digests_pinned(capsys, tmp_path, argv):
+    path = tmp_path / "scheme.json"
+    code, out, err = _run(capsys, [*argv, "--out", str(path)] if argv[0] == "construct" else list(argv))
+    assert (code, err) == (0, "")
+    data = path.read_bytes() if argv[0] == "construct" else out.encode()
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_DIGESTS[argv]
 
 
 def test_usage_errors_exit_1(capsys):

@@ -141,6 +141,51 @@ def test_subfield():
     assert gen in elems and t.pow(gen, 3) == 1 and gen != 1
 
 
+def _towers_up_to(size):
+    """(p, a, ell) of every tower with p^(a ell) <= size."""
+    primes = [p for p in range(2, size + 1) if all(p % f for f in range(2, p))]
+    return [(p, a, ell) for p in primes for a in range(1, 10) for ell in range(1, 10) if p ** (a * ell) <= size]
+
+
+def test_subfield_sizes_are_the_subfields():
+    # accepted exactly when size = p^k with k | degree, on every tower up to 729
+    for p, a, ell in _towers_up_to(729):
+        t = field_create(p, a, ell)
+        subfields = {p**k: k for k in range(1, t.degree + 1) if t.degree % k == 0}
+        for size in range(2, t.size + 1):
+            if size in subfields:
+                elems, gen = t.subfield(size)
+                assert len(elems) == size and t.is_primitive(gen) == (size == t.size)
+                assert len(t.subfield_gfp_basis(size)) == subfields[size]
+            else:
+                with pytest.raises(ValueError, match="no subfield"):
+                    t.subfield(size)
+                with pytest.raises(ValueError, match="no subfield"):
+                    t.subfield_gfp_basis(size)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_field_arithmetic_exhaustive(p):
+    # FieldTower(p, 1, 1) against the integers mod p, without special cases
+    t = FieldTower(p, 1, 1)
+    els = range(p)
+    for x in els:
+        for y in els:
+            assert t.add(x, y) == (x + y) % p and t.sub(x, y) == (x - y) % p
+            assert t.mul(x, y) == x * y % p == t.mul(y, x)
+            for z in els:
+                assert t.mul(x, t.add(y, z)) == t.add(t.mul(x, y), t.mul(x, z))
+                assert t.mul(t.mul(x, y), z) == t.mul(x, t.mul(y, z))
+        assert t.add(x, 0) == t.mul(x, 1) == x and t.add(x, t.neg(x)) == 0
+        if x:
+            assert t.inv(x) == pow(x, -1, p) and t.mul(x, t.inv(x)) == 1
+            assert all(t.pow(x, e) == pow(x, e, p) for e in range(-2 * p, 2 * p))
+            order = next(k for k in range(1, p) if pow(x, k, p) == 1)
+            assert t.is_primitive(x) == (order == p - 1)
+    assert not t.is_primitive(0) and t.pow(0, 0) == 1
+    assert t.subfield(p) == (tuple(els), t.generator) and t.subfield_gfp_basis(p) == (1,)
+
+
 def test_coords_roundtrip():
     for p, a, ell in [(2, 1, 4), (3, 1, 3)]:
         t = field_create(p, a, ell)

@@ -487,15 +487,26 @@ def _greedy_extension(t, urows):
 
 def test_normalize_extension_matches_rank_greedy():
     rng = random.Random(23)
-    for q in (2, 3, 2, 3, 2, 3):
-        nf, _ = random_normalized_scheme(rng, q=q)
-        t = nf.scheme.tower
+    schemes = [random_normalized_scheme(rng, q=q)[0].scheme for q in (2, 3, 2, 3, 2, 3)]
+    schemes += [construction2(4, 6, 4, 0, 3, 2)[2], construction2(9, 4, 3, 0, 2, 2)[2]] * 2  # a > 1
+    for scheme in schemes:
+        t = scheme.tower
         ell = t.ell
         bset = t.subfield_elements()
         while True:  # a random invertible M mixes the constants into every row
             M = [[rng.choice(bset) for _ in range(ell)] for _ in range(ell)]
             if linalg.is_invertible(t, M):
                 break
-        got = normalize(transform(nf.scheme, M))
+        mixed = transform(scheme, M)
+        got = normalize(mixed)
         urows = got.transform[got.m:]
         assert got.transform[: got.m] == _greedy_extension(t, urows)
+        # by definition: constant rows, m = B-rank of the nonconstant parts,
+        # unit vectors in ascending index order first
+        for g in linalg.mat_mul(t, urows, mixed.polys):
+            assert not any(g[1:])
+        varying = [[c for g_c in g[1:] for c in scheme.basis.vectorize(g_c)] for g in mixed.polys]
+        assert got.m == linalg.rank(t, varying) > 0
+        units = [row.index(1) for row in got.transform[: got.m]]
+        assert units == sorted(set(units))
+        assert got.transform[: got.m] == [[int(c == j) for c in range(ell)] for j in units]

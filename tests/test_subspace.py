@@ -58,11 +58,27 @@ def test_trace_kernel(p, a, ell):
 
 
 def test_scaled_trace_kernel_membership(gf16):
-    for beta in range(1, 16):
-        S = Subspace.scaled_trace_kernel(beta, gf16)
-        assert S.dim == 3
-        for x in range(16):
-            assert S.contains(x) == (gf16.trace_to_subfield(gf16.mul(beta, x)) == 0)
+    for t in (gf16, *(field_create(*ps) for ps in ((3, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2), (5, 1, 2)))):
+        K = Subspace.trace_kernel(t)
+        for beta in range(1, t.size):
+            S = Subspace.scaled_trace_kernel(beta, t)
+            assert S.dim == t.ell - 1
+            for x in range(t.size):
+                assert S.contains(x) == (t.trace_to_subfield(t.mul(beta, x)) == 0)
+            # the same subspace as beta^-1 K, re-spanned
+            binv = t.inv(beta)
+            assert S == Subspace.span(t, [t.mul(binv, e) for e in K.gfp_basis_elements()])
+
+
+def test_cross_tower_subspaces_raise():
+    # GF(2^4) and GF(4^2) share their GF(2) digits but not their B
+    f2, f4 = Subspace.full_field(field_create(2, 1, 4)), Subspace.full_field(field_create(2, 2, 2))
+    assert (f2.dim, f4.dim) == (4, 2) and f2 != f4
+    for other, this in ((f2, f4), (f4, f2)):
+        with pytest.raises(ValueError, match="different towers"):
+            this.intersect(other)
+        with pytest.raises(ValueError, match="different towers"):
+            this.add(other)
 
 
 def test_dimension_identity_single_beta_exhaustive():
