@@ -36,20 +36,18 @@ from .bounds import (
     r3cond_max_bruteforce,
 )
 from .constructions import (
-    ConstructionParams,
     QPolynomial,
     construction1,
     construction2,
     qpoly_annihilator,
 )
-from .tables import TableSpec, emit_table
+from .tables import emit_table
 from .suites import random_normalized_scheme, run_suite
 
 __all__ = [
     "AccessCounter",
     "BasisPair",
     "CharSum",
-    "ConstructionParams",
     "CrossCheckMismatch",
     "FieldTower",
     "MetricsReport",
@@ -59,7 +57,6 @@ __all__ = [
     "RSRepairError",
     "RepairScheme",
     "Subspace",
-    "TableSpec",
     "bandwidth_lower_bound",
     "bmin_bruteforce",
     "bmin_literal",

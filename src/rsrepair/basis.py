@@ -19,14 +19,14 @@ from .subspace import b_rank
 
 
 class BasisPair:
-    def __init__(self, tower: FieldTower, beta, gamma, check: bool = True):
+    def __init__(self, tower: FieldTower, beta, gamma):
         self.tower = tower
         self.beta = tuple(beta)
         self.gamma = tuple(gamma)
         if len(self.beta) != tower.ell or len(self.gamma) != tower.ell:
             raise DependentBasis("basis length must equal ell")
         idx = range(tower.ell)
-        if check and [self.vectorize_dual(g) for g in self.gamma] != [tuple(int(i == j) for j in idx) for i in idx]:
+        if [self.vectorize_dual(g) for g in self.gamma] != [tuple(int(i == j) for j in idx) for i in idx]:
             raise DependentBasis("claimed dual pair fails Tr(gamma_i beta_j) = delta_ij")
         self._phi = None
         self._phi_hat = None
@@ -38,7 +38,7 @@ class BasisPair:
 
     def swapped(self) -> "BasisPair":
         """The pair with the roles of beta and gamma exchanged."""
-        return BasisPair(self.tower, self.gamma, self.beta, check=False)
+        return BasisPair(self.tower, self.gamma, self.beta)
 
     # -- vectorization -----------------------------------------------------
 

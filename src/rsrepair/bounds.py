@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -26,27 +25,14 @@ from .errors import (
 from .gf import split_prime_power
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    q: int
-    ell: int
-    d: int
-    r: int
-    quantity: str = "io"
-
-    def __post_init__(self):
-        if not 1 <= self.d <= self.ell:
-            raise ParamViolation(f"need 1 <= d <= ell, got d={self.d}, ell={self.ell}")
-        if self.r < 2:
-            raise ParamViolation("bounds assume r >= 2")
-        if self.q < 2:
-            raise ParamViolation("q must be a prime power >= 2")
-        if self.quantity not in ("io", "bandwidth"):
-            raise ParamViolation(f"unknown quantity {self.quantity!r}")
-
-    @property
-    def n(self) -> int:
-        return self.q**self.d
+def _check_query(q: int, ell: int, d: int, r: int) -> int:
+    """The characteristic of q; ParamViolation unless q is a prime power,
+    1 <= d <= ell and r >= 2."""
+    if not 1 <= d <= ell:
+        raise ParamViolation(f"need 1 <= d <= ell, got d={d}, ell={ell}")
+    if r < 2:
+        raise ParamViolation("bounds assume r >= 2")
+    return split_prime_power(q)[0]
 
 
 def io_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto") -> dict:
@@ -58,8 +44,8 @@ def io_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto") -> d
     integer square root, so for odd ell the bound is rounded up to the next
     integer (valid, since the cost is an integer).
     """
-    bq = BoundQuery(q, ell, d, r)
-    n = bq.n
+    p = _check_query(q, ell, d, r)
+    n = q**d
     candidates = []
     if r == 2:
         value = (n - 1) * ell - (ell - d + 1) * q ** (d - 1)
@@ -70,7 +56,6 @@ def io_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto") -> d
         value = (n - 1) * ell - (ell - d + 2) * 2 ** (d - 1)
         tight = d == ell or ell % (ell - d + 2) == 0
         candidates.append({"theorem": "thm6", "value": value, "tight_known": tight})
-    p, _ = split_prime_power(q)
     if d == ell and 2 <= r <= p:
         c = (r - 2) * (q - 1)
         value = (n - 1) * ell - q ** (ell - 1) - math.isqrt(c * c * q ** (ell - 2))
@@ -98,8 +83,8 @@ def bandwidth_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto
     or ell-d+2 | ell.  Fractional power terms are evaluated exactly and the
     whole expression rounded up.
     """
-    bq = BoundQuery(q, ell, d, r, quantity="bandwidth")
-    n = bq.n
+    _check_query(q, ell, d, r)
+    n = q**d
     if theorem not in ("auto", "thm5", "thm8"):
         raise UnsupportedRegime(f"unknown bandwidth route {theorem!r}")
     if r == 2 and theorem in ("auto", "thm5"):

@@ -13,10 +13,8 @@ every helper block W_hat_i is diagonal; I/O cost and bandwidth coincide at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
-from .basis import BasisPair, dual_basis
+from .basis import dual_basis
 from .errors import (
     CrossCheckMismatch,
     DependentBetas,
@@ -197,41 +195,6 @@ def _check_c2_params(q: int, ell: int, d: int, s: int, m: int, r: int) -> tuple[
     if q**d - r < 1:
         raise ParamViolation("need k = q^d - r >= 1")
     return p, a
-
-
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Validated parameter bundle for either construction.
-
-    cons1 uses ell and theta_strategy (q is fixed at 2, d at ell, r at 3);
-    cons2 uses the full (q, ell, d, s, m, r) tuple.  Invalid combinations
-    are rejected when the bundle is created, not when it is built.
-    """
-
-    which: str
-    q: int = 2
-    ell: int = 4
-    d: int | None = None
-    s: int = 0
-    m: int | None = None
-    r: int | None = None
-    theta_strategy: str = "auto"
-
-    def __post_init__(self):
-        if self.which == "cons1":
-            _check_c1_params(self.ell, self.theta_strategy)
-        elif self.which == "cons2":
-            for name in ("d", "m", "r"):
-                if getattr(self, name) is None:
-                    raise ParamViolation(f"cons2 requires {name}")
-            _check_c2_params(self.q, self.ell, self.d, self.s, self.m, self.r)
-        else:
-            raise ParamViolation(f"unknown construction {self.which!r}")
-
-    def build(self):
-        if self.which == "cons1":
-            return construction1(self.ell, theta_strategy=self.theta_strategy)
-        return construction2(self.q, self.ell, self.d, self.s, self.m, self.r)
 
 
 def construction2(q: int, ell: int, d: int, s: int, m: int, r: int):

@@ -45,10 +45,6 @@ class SingularM(RSRepairError):
     """Change-of-basis matrix is not invertible over the subfield."""
 
 
-class SingularRepairMatrix(RSRepairError):
-    """Repair matrix at the target node is singular; cannot solve."""
-
-
 class SingularMatrix(RSRepairError):
     """Matrix inversion or solve on a singular system."""
 

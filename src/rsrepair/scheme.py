@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .basis import BasisPair
-from .errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularMatrix, SingularRepairMatrix
+from .errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularMatrix
 from .gf import FieldTower, field_create, span_walk
 from .rs import RSCode
 from .subspace import Subspace, b_rank
@@ -35,7 +35,7 @@ from .subspace import Subspace, b_rank
 
 class RepairScheme:
     def __init__(self, code: RSCode, basis: BasisPair, polys, target: int = 1,
-                 normal_form=None, check: bool = True):
+                 normal_form=None):
         self.code = code
         self.basis = basis
         self.target = int(target)
@@ -55,17 +55,16 @@ class RepairScheme:
                 p = p[:r]
             padded.append(tuple(p + [0] * (r - len(p))))
         self.polys = tuple(padded)
-        if check:
-            if len(self.polys) != t.ell:
-                raise InvalidScheme(f"need ell = {t.ell} polynomials, got {len(self.polys)}")
-            if not 1 <= self.target <= code.n:
-                raise InvalidScheme(f"target {self.target} outside [1, {code.n}]")
-            evals = [code.eval_poly(p, self.target_point) for p in self.polys]
-            if b_rank(t, evals) != t.ell:
-                raise InvalidScheme(
-                    "values g_j(alpha_target) do not span F over B; "
-                    "the scheme cannot determine the lost symbol"
-                )
+        if len(self.polys) != t.ell:
+            raise InvalidScheme(f"need ell = {t.ell} polynomials, got {len(self.polys)}")
+        if not 1 <= self.target <= code.n:
+            raise InvalidScheme(f"target {self.target} outside [1, {code.n}]")
+        evals = [code.eval_poly(p, self.target_point) for p in self.polys]
+        if b_rank(t, evals) != t.ell:
+            raise InvalidScheme(
+                "values g_j(alpha_target) do not span F over B; "
+                "the scheme cannot determine the lost symbol"
+            )
 
     @property
     def tower(self) -> FieldTower:
@@ -262,7 +261,8 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
     """Metrics from the weight identity on the m x t blocks.
 
     io per helper = (ell - t) + nz(W_hat_i); ranks come from the t = m block
-    decomposition when it applies, else from the full matrices.
+    decomposition when it applies, else from _rank_profile (the B-rank of
+    the values g_j(alpha_i)).
     """
     scheme = nf.scheme
     t = scheme.tower
@@ -396,7 +396,8 @@ def _repair_plan(scheme: RepairScheme):
     try:
         winv = linalg.inverse(t, target)
     except SingularMatrix:
-        raise SingularRepairMatrix("repair matrix at the target is singular") from None
+        # every scheme is checked to span F at the target on construction
+        raise CrossCheckMismatch("repair matrix at the target is singular") from None
     h = [t.neg(basis.devectorize(col)) for col in zip(*winv)]
     q2 = t.q == 2
     table = basis.phi_hat_bits() if q2 else basis.phi_hat_table()

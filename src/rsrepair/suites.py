@@ -13,7 +13,7 @@ import random
 
 from .basis import dual_basis
 from .bounds import r3cond_max_bruteforce
-from .errors import InvalidScheme, RSRepairError
+from .errors import InvalidScheme, ParamViolation, RSRepairError
 from .expsum import CharSum, char_sum, subspace_char_sum, weil_check
 from .gf import field_create
 from .linalg import EchelonBasis
@@ -233,6 +233,8 @@ _SUITES = {
 
 def run_suite(name, seed=0, size=None):
     """Run one named suite, or every suite under the name "all"."""
+    if size is not None and size < 0:
+        raise ParamViolation(f"suite size must be non-negative, got {size}")
     if name == "all":
         reports = [run_suite(s, seed, size) for s in SUITE_NAMES]
         return {

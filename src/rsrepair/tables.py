@@ -8,7 +8,6 @@ rows for our constructions are computed live.  Output is
 deterministic, so repeated emission is byte-identical.
 """
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
 
@@ -51,36 +50,6 @@ _TABLE4_REFERENCE = ("94.4%", "92.9%", "92.7%", "84.8%", "85.8%", "81.0%")
 _WHICH = ("table3_bandwidth", "table3_io", "table4")
 
 
-@dataclass(frozen=True)
-class TableSpec:
-    """Selects a table and, optionally, a subset of its columns.
-
-    For the two table3 variants a column is an even ell >= 4; for
-    table4 a column is an (ell, d, s, m, r) tuple.  Omitting columns
-    selects the full table.
-    """
-
-    which: str
-    columns: tuple = None
-
-    def __post_init__(self):
-        if self.which not in _WHICH:
-            raise ParamViolation("unknown table %r" % (self.which,))
-        if self.columns is None:
-            default = TABLE4_PARAMS if self.which == "table4" else TABLE3_ELLS
-            object.__setattr__(self, "columns", default)
-        else:
-            object.__setattr__(self, "columns", tuple(self.columns))
-        if not self.columns:
-            raise ParamViolation("table needs at least one column")
-        for col in self.columns:
-            if self.which == "table4":
-                if col not in TABLE4_PARAMS:
-                    raise ParamViolation("unknown table4 column %r" % (col,))
-            elif col not in TABLE3_ELLS:
-                raise ParamViolation("unknown table3 column %r" % (col,))
-
-
 @lru_cache(maxsize=None)
 def _construction1_metrics(ell):
     _, scheme = construction1(ell)
@@ -98,30 +67,24 @@ def _construction2_ratio(params):
     return percent.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
 
 
-def _table3_rows(spec):
-    idx = [TABLE3_ELLS.index(ell) for ell in spec.columns]
-    header = ["n"] + ["2^%d" % ell for ell in spec.columns]
-    rows = []
-    for label, values in _REFERENCE_ROWS[spec.which]:
-        rows.append([label] + [str(values[i]) for i in idx])
+def _table3_rows(which):
+    header = ["n"] + ["2^%d" % ell for ell in TABLE3_ELLS]
+    rows = [[label] + [str(v) for v in values] for label, values in _REFERENCE_ROWS[which]]
     live = []
-    for ell in spec.columns:
+    for ell in TABLE3_ELLS:
         io, bandwidth = _construction1_metrics(ell)
-        live.append(str(bandwidth if spec.which == "table3_bandwidth" else io))
+        live.append(str(bandwidth if which == "table3_bandwidth" else io))
     rows.append(["construction 1"] + live)
     return header, rows
 
 
-def _table4_rows(spec):
-    idx = [TABLE4_PARAMS.index(col) for col in spec.columns]
-    header = ["scheme"]
-    for ell, d, s, m, r in spec.columns:
-        header.append("n=2^%d r=%d" % (d, r))
+def _table4_rows():
+    header = ["scheme"] + ["n=2^%d r=%d" % (d, r) for ell, d, s, m, r in TABLE4_PARAMS]
     rows = [
-        [REF_IO_LABEL] + [_TABLE4_REFERENCE[i] for i in idx],
-        ["construction 2 ell"] + [str(col[0]) for col in spec.columns],
+        [REF_IO_LABEL] + list(_TABLE4_REFERENCE),
+        ["construction 2 ell"] + [str(col[0]) for col in TABLE4_PARAMS],
         ["construction 2"]
-        + ["%s%%" % _construction2_ratio(col) for col in spec.columns],
+        + ["%s%%" % _construction2_ratio(col) for col in TABLE4_PARAMS],
     ]
     return header, rows
 
@@ -147,13 +110,12 @@ def _render_markdown(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def emit_table(spec, format="markdown"):
-    """Render the selected table as csv or markdown text."""
+def emit_table(which, format="markdown"):
+    """Render table3_bandwidth, table3_io or table4 as csv or markdown text."""
+    if which not in _WHICH:
+        raise ParamViolation("unknown table %r" % (which,))
     if format not in ("csv", "markdown"):
         raise ParamViolation("unknown table format %r" % (format,))
-    if spec.which == "table4":
-        header, rows = _table4_rows(spec)
-    else:
-        header, rows = _table3_rows(spec)
+    header, rows = _table4_rows() if which == "table4" else _table3_rows(which)
     render = _render_csv if format == "csv" else _render_markdown
     return render(header, rows)

@@ -9,7 +9,6 @@ from rsrepair import (
     io_lower_bound,
     r3cond_max_bruteforce,
 )
-from rsrepair.bounds import BoundQuery
 from rsrepair.errors import BudgetExceeded, ParamViolation, UnsupportedRegime
 
 
@@ -87,19 +86,12 @@ def test_bandwidth_unsupported():
 
 
 def test_query_validation():
-    with pytest.raises(ParamViolation):
-        BoundQuery(2, 4, 5, 2)
-    with pytest.raises(ParamViolation):
-        BoundQuery(2, 4, 4, 1)
-    with pytest.raises(ParamViolation):
-        BoundQuery(1, 4, 4, 2)
-    with pytest.raises(ParamViolation):
-        BoundQuery(2, 4, 4, 2, quantity="weight")
-    with pytest.raises(ParamViolation):
-        io_lower_bound(6, 4, 4, 2)  # q not a prime power
-    bq = BoundQuery(2, 6, 4, 2, quantity="bandwidth")
-    assert bq.n == 16
-    assert bandwidth_lower_bound(bq.q, bq.ell, bq.d, bq.r)["value"] == 58
+    # d > ell, r < 2, q = 1, q not a prime power: rejected by both bounds
+    for bad in ((2, 4, 5, 2), (2, 4, 4, 1), (1, 4, 4, 2), (6, 4, 4, 2)):
+        for bound in (io_lower_bound, bandwidth_lower_bound):
+            with pytest.raises(ParamViolation):
+                bound(*bad)
+    assert bandwidth_lower_bound(2, 6, 4, 2)["value"] == 58
     assert io_lower_bound(2, 6, 4, 2)["value"] == 66
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import rsrepair
 from rsrepair.cli import main
-from rsrepair.errors import InvalidScheme
+from rsrepair.errors import InvalidScheme, SingularMatrix
 from rsrepair.expsum import CharSum
 from rsrepair.scheme import MetricsReport, load_scheme
 
@@ -387,6 +387,18 @@ def test_simulate_broken_plan_exits_2_under_O(capsys, tmp_path, mutation):
     assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_simulate_singular_target_exits_2(capsys, tmp_path, monkeypatch):
+    path = _saved_scheme(tmp_path, capsys)
+
+    def singular(*args):
+        raise SingularMatrix("patched")
+
+    monkeypatch.setattr("rsrepair.linalg.inverse", singular)
+    code, out, err = _run(capsys, ["simulate", path, "--trials", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("cross-check mismatch") and len(err.strip().splitlines()) == 1
+
+
 def test_simulate_rejects_negative_trials(capsys, tmp_path):
     path = _saved_scheme(tmp_path, capsys)
     code, out, err = _run(capsys, ["simulate", path, "--trials", "-3"])
@@ -502,3 +514,11 @@ def test_validation_errors_exit_1(capsys):
     assert code == 1 and "prime power" in err
     code, _, err = _run(capsys, ["construct", "c1", "--ell", "5"])
     assert code == 1 and "even" in err
+    code, out, err = _run(capsys, ["verify", "--size", "-1"])
+    assert code == 1 and out == ""
+    assert "non-negative" in err and len(err.strip().splitlines()) == 1
+    for quantity in ("io", "bandwidth"):
+        argv = ["bounds", "--q", "6", "--ell", "4", "--d", "4", "--r", "2", "--quantity", quantity]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "error: q = 6 is not a prime power\n"

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from rsrepair import (
-    ConstructionParams,
     QPolynomial,
     Subspace,
     construction1,
@@ -289,26 +288,6 @@ def test_diagonal_scheme_meets_bound():
         assert metrics_direct(scheme).io_cost == io_lower_bound(q, ell, d, r)["value"]
     _, _, scheme = construction2(2, 6, 5, 1, 3, 3)
     assert metrics_direct(scheme).io_cost == io_lower_bound(2, 6, 5, 3)["value"]
-
-
-def test_params_bundle():
-    _, scheme = ConstructionParams("cons1", ell=4).build()
-    assert metrics_direct(scheme).io_cost == 44
-    _, _, scheme = ConstructionParams(
-        "cons2", q=2, ell=6, d=4, s=0, m=3, r=2
-    ).build()
-    assert metrics_direct(scheme).io_cost == 66
-    # bad combinations are rejected at bundle creation
-    with pytest.raises(ParamViolation):
-        ConstructionParams("cons1", ell=5)
-    with pytest.raises(ParamViolation):
-        ConstructionParams("cons1", ell=6, theta_strategy="paper_example")
-    with pytest.raises(ParamViolation):
-        ConstructionParams("cons2", q=2, ell=6, d=4, s=0, m=4, r=2)
-    with pytest.raises(ParamViolation):
-        ConstructionParams("cons2", q=2, ell=6, d=4, s=0, m=3)
-    with pytest.raises(ParamViolation):
-        ConstructionParams("cons3")
 
 
 def test_construction2_validation():

@@ -27,7 +27,7 @@ from rsrepair import (
 )
 from rsrepair import linalg
 from rsrepair import scheme as scheme_mod
-from rsrepair.errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularRepairMatrix
+from rsrepair.errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularMatrix
 from rsrepair.scheme import _rank_profile, node_values
 from rsrepair.suites import _random_independent, random_normalized_scheme
 
@@ -210,6 +210,9 @@ def test_invalid_schemes():
         RepairScheme(code, bp, [[0, 0, 0, 1]] + [[g] for g in bp.gamma[1:]])  # degree r
     with pytest.raises(InvalidScheme):
         RepairScheme(code, bp, [[1], [1], [2], [4]])  # constants do not span
+    g = bp.gamma
+    with pytest.raises(InvalidScheme):  # g_1 and g_2 agree at alpha = 0 (node 1)
+        RepairScheme(code, bp, [[g[0], 1], [g[0], 2], [g[2]], [g[3]]], target=1)
     with pytest.raises(InvalidScheme):
         RepairScheme(code, bp, [[g] for g in bp.gamma], target=17)
 
@@ -371,17 +374,23 @@ def test_rank_profile_matches_full_rank(monkeypatch):
     assert ranks[node] == 3 and max(ranks.values()) == 4
 
 
-def test_repair_singular_target_raises():
-    t = field_create(2, 1, 4)
-    bp = dual_basis([9, 15, 1, 5], t)
-    code = RSCode(Subspace.full_field(t), 14)
-    g = bp.gamma
-    # g_1 and g_2 agree at alpha = 0 (node 1): the target values are dependent
-    scheme = RepairScheme(code, bp, [[g[0], 1], [g[0], 2], [g[2]], [g[3]]], target=1, check=False)
-    with pytest.raises(SingularRepairMatrix):
-        repair_node(scheme, code.random_codeword(0))
-    with pytest.raises(SingularRepairMatrix):  # no plan was cached
-        repair_node(scheme, code.random_codeword(1))
+def test_repair_singular_target_raises(monkeypatch):
+    # every scheme spans F at its target, so a singular W_{i*} is an arithmetic bug
+    _, scheme = construction1(4)
+    calls = []
+
+    def singular(*args):
+        calls.append(1)
+        raise SingularMatrix("patched")
+
+    monkeypatch.setattr(linalg, "inverse", singular)
+    for seed in range(2):
+        with pytest.raises(CrossCheckMismatch):
+            repair_node(scheme, scheme.code.random_codeword(seed))
+    assert len(calls) == 2 and scheme._plan is None  # no plan was cached
+    monkeypatch.undo()
+    cw = scheme.code.random_codeword(2)
+    assert repair_node(scheme, cw)[0] == cw[scheme.target - 1]
 
 
 @pytest.mark.parametrize("kind, params", [

@@ -2,25 +2,19 @@
 
 import pytest
 
-from rsrepair import TableSpec, emit_table
+from rsrepair import emit_table
 from rsrepair.errors import ParamViolation
 
 
 def test_spec_validation():
     with pytest.raises(ParamViolation):
-        TableSpec("table9")
+        emit_table("table9")
     with pytest.raises(ParamViolation):
-        TableSpec("table3_io", columns=(5,))
-    with pytest.raises(ParamViolation):
-        TableSpec("table4", columns=((4, 3, 0, 2, 9),))
-    with pytest.raises(ParamViolation):
-        TableSpec("table3_io", columns=())
-    with pytest.raises(ParamViolation):
-        emit_table(TableSpec("table4"), format="html")
+        emit_table("table4", format="html")
 
 
 def test_bandwidth_table_rows():
-    out = emit_table(TableSpec("table3_bandwidth"), format="csv")
+    out = emit_table("table3_bandwidth", format="csv")
     lines = out.strip().splitlines()
     assert lines[0] == "n,2^4,2^6,2^8,2^10,2^12,2^14"
     cells = [line.split(",") for line in lines[1:]]
@@ -31,7 +25,7 @@ def test_bandwidth_table_rows():
 
 
 def test_io_table_rows():
-    out = emit_table(TableSpec("table3_io"), format="csv")
+    out = emit_table("table3_io", format="csv")
     cells = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert cells[0][1:] == ["56", "372", "2032", "10220", "49128", "229348"]
     assert cells[1][1:] == ["44", "314", "1784", "9206", "45044", "212978"]
@@ -40,7 +34,7 @@ def test_io_table_rows():
 
 
 def test_ratio_table_rows():
-    out = emit_table(TableSpec("table4"), format="csv")
+    out = emit_table("table4", format="csv")
     lines = out.strip().splitlines()
     assert lines[0].split(",")[1] == "n=2^3 r=2"
     cells = [line.split(",") for line in lines[1:]]
@@ -49,12 +43,10 @@ def test_ratio_table_rows():
     assert cells[2][1:] == ["83.3%", "78.6%", "76.7%", "79.3%", "77.0%", "77.2%"]
 
 
-def test_column_subset_and_determinism():
-    spec = TableSpec("table3_bandwidth", columns=(4, 8))
-    out = emit_table(spec, format="csv")
-    assert out.strip().splitlines()[0] == "n,2^4,2^8"
-    assert out == emit_table(spec, format="csv")
-    md = emit_table(TableSpec("table4"))
+def test_determinism_and_markdown():
+    out = emit_table("table3_bandwidth", format="csv")
+    assert out == emit_table("table3_bandwidth", format="csv")
+    md = emit_table("table4")
     lines = md.splitlines()
     assert lines[0].startswith("| scheme")
     assert set(lines[1]) <= {"|", "-", " "}
