@@ -27,12 +27,15 @@ from .gf import split_prime_power
 
 def _check_query(q: int, ell: int, d: int, r: int) -> int:
     """The characteristic of q; ParamViolation unless q is a prime power,
-    1 <= d <= ell and r >= 2."""
+    1 <= d <= ell, r >= 2 and the code has dimension k = q^d - r >= 1."""
     if not 1 <= d <= ell:
         raise ParamViolation(f"need 1 <= d <= ell, got d={d}, ell={ell}")
     if r < 2:
         raise ParamViolation("bounds assume r >= 2")
-    return split_prime_power(q)[0]
+    p = split_prime_power(q)[0]
+    if q**d - r < 1:
+        raise ParamViolation(f"need k = q^d - r >= 1, got q^d = {q**d}, r = {r}")
+    return p
 
 
 def io_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto") -> dict:
@@ -58,7 +61,7 @@ def io_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto") -> d
         candidates.append({"theorem": "thm6", "value": value, "tight_known": tight})
     if d == ell and 2 <= r <= p:
         c = (r - 2) * (q - 1)
-        value = (n - 1) * ell - q ** (ell - 1) - math.isqrt(c * c * q ** (ell - 2))
+        value = (n - 1) * ell - q ** (ell - 1) - math.isqrt(c * c * q**ell // q**2)
         candidates.append({"theorem": "coro11", "value": value, "tight_known": r == 2})
     if theorem != "auto":
         for cand in candidates:

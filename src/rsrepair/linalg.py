@@ -5,9 +5,12 @@ Because GF(p) and B embed in F as subsets closed under the tower's ops, the
 same elimination code serves prime-field coordinate vectors, matrices over B
 and matrices over F.  When every entry is below p the matrix lies in GF(p),
 whose elements are encoded as themselves, and rref eliminates on native ints
-(XOR for p = 2); otherwise it goes through the tower's add/mul.  Ranks over B
-of field elements come from EchelonBasis, an incremental echelon basis of
-their GF(p)-closure; rank_bits is a bit-packed GF(2) rank for hot loops.
+(XOR for p = 2); otherwise it goes through the tower's add/mul.  split
+reads the greedy dependency split of a list of rows off the rref of their
+transpose, sharing its kernel step with right_kernel.  Ranks over B of field
+elements come from EchelonBasis, an incremental echelon basis of their
+GF(p)-closure; rank_bits and split_bits are the bit-packed GF(2) forms of
+rank and split for hot loops.
 """
 
 from __future__ import annotations
@@ -57,18 +60,32 @@ def rank(tower, rows) -> int:
     return len(rref(tower, rows)[0])
 
 
-def right_kernel(tower, rows: list[list[int]], width: int) -> list[list[int]]:
-    """Basis of {v : M v = 0} for the matrix with the given rows."""
-    red, pivots = rref(tower, rows)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
+def _kernel(tower, red, pivots, width) -> dict[int, list[int]]:
+    """{free column c: the kernel vector of the rref red with v_c = 1},
+    nonzero only at c and at the pivot columns before it."""
+    basis = {}
+    for fc in (c for c in range(width) if c not in pivots):
         v = [0] * width
         v[fc] = 1
         for r, pc in zip(red, pivots):
             v[pc] = tower.neg(r[fc])
-        basis.append(v)
+        basis[fc] = v
     return basis
+
+
+def right_kernel(tower, rows: list[list[int]], width: int) -> list[list[int]]:
+    """Basis of {v : M v = 0} for the matrix with the given rows."""
+    return list(_kernel(tower, *rref(tower, rows), width).values())
+
+
+def split(tower, rows) -> tuple[list[int], dict[int, list[int]]]:
+    """B-dependency split of rows, greedy in row order: the indices of the
+    rows independent of the earlier ones, and for every other row j its
+    tail u, with u_j = 1, sum u_r rows[r] = 0 and u nonzero only at j and
+    the independent rows before it.  These are the pivots and the right
+    kernel of the transposed rows."""
+    red, pivots = rref(tower, list(zip(*rows)))
+    return pivots, _kernel(tower, red, pivots, len(rows))
 
 
 def mat_mul(tower, A, B):
@@ -187,3 +204,19 @@ def rank_bits(rows: list[int]) -> int:
                 basis[low] = row
                 break
     return len(basis)
+
+
+def split_bits(rows: list[int], width: int) -> tuple[list[int], dict[int, list[int]]]:
+    """split over GF(2), rows packed as ints (bit i = column i < width);
+    each row's tail is carried in the bits past width."""
+    pivots, sent, deps = {}, [], {}
+    for j, v in enumerate(rows):
+        v |= 1 << width + j
+        while (low := v & -v) >> width == 0 and low in pivots:
+            v ^= pivots[low]
+        if low >> width:
+            deps[j] = [v >> width + r & 1 for r in range(len(rows))]
+        else:
+            pivots[low] = v
+            sent.append(j)
+    return sent, deps

@@ -16,6 +16,10 @@ An (m, t)-normalized scheme has g_j constant for j > m, no constant
 combination among the first m, and the constants' supports under phi_hat
 covering all but t coordinates; the support_set lists the t uncovered column
 indices.  Metrics can then be read off the m x t upper blocks W_hat_i.
+
+Each metric route yields (node, nz, rank) per helper, and MetricsReport
+sums them.  Elimination lives in linalg: normalize and the repair plan take
+their B-dependency splits from linalg.split (linalg.split_bits at q = 2).
 """
 
 from __future__ import annotations
@@ -81,18 +85,22 @@ class RepairScheme:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    io_cost: int
-    bandwidth: int
+    """One route's (node, nz, rank) per helper, and their sums."""
+
     method: str
     per_node: tuple  # (node, nz, rank) for each helper, in node order
 
     def __post_init__(self):
-        if self.io_cost != sum(nz for _, nz, _ in self.per_node):
-            raise CrossCheckMismatch(f"{self.method}: io cost is not the sum over helpers")
-        if self.bandwidth != sum(rk for _, _, rk in self.per_node):
-            raise CrossCheckMismatch(f"{self.method}: bandwidth is not the sum over helpers")
         if self.bandwidth > self.io_cost:
             raise CrossCheckMismatch(f"{self.method}: bandwidth exceeds io cost")
+
+    @functools.cached_property
+    def io_cost(self) -> int:
+        return sum(nz for _, nz, _ in self.per_node)
+
+    @functools.cached_property
+    def bandwidth(self) -> int:
+        return sum(rk for _, _, rk in self.per_node)
 
 
 @dataclass
@@ -205,9 +213,7 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
         else:
             nz = sum(1 for col in zip(*rows) if any(col))
             per_node.append((i, nz, linalg.rank(t, [list(r) for r in rows])))
-    io = sum(nz for _, nz, _ in per_node)
-    bw = sum(rk for _, _, rk in per_node)
-    return MetricsReport(io_cost=io, bandwidth=bw, method="direct", per_node=tuple(per_node))
+    return MetricsReport(method="direct", per_node=tuple(per_node))
 
 
 def nz_via_weight(rows, tower: FieldTower) -> int:
@@ -284,9 +290,7 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
         nz = (ell - nf.t) + nz_via_weight(what, t)
         rk = (ell - nf.m) + rank(what) if rank_by_node is None else rank_by_node[i]
         per_node.append((i, nz, rk))
-    io = sum(nz for _, nz, _ in per_node)
-    bw = sum(rk for _, _, rk in per_node)
-    return MetricsReport(io_cost=io, bandwidth=bw, method="weight_formula", per_node=tuple(per_node))
+    return MetricsReport(method="weight_formula", per_node=tuple(per_node))
 
 
 def metrics_expsum(nf: NormalForm) -> MetricsReport:
@@ -298,9 +302,7 @@ def metrics_expsum(nf: NormalForm) -> MetricsReport:
     zcols = per_node_zero_columns(nf)
     ranks = _rank_profile(scheme)
     per_node = tuple((i, ell - zcols[i], ranks[i]) for i in sorted(ranks))
-    io = sum(nz for _, nz, _ in per_node)
-    bw = sum(rk for _, _, rk in per_node)
-    return MetricsReport(io_cost=io, bandwidth=bw, method="expsum", per_node=per_node)
+    return MetricsReport(method="expsum", per_node=per_node)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +334,14 @@ def _support_set(scheme: RepairScheme, m: int) -> tuple[int, ...]:
 def normalize(scheme: RepairScheme) -> NormalForm:
     """Bring a scheme to (m, t)-normal form.
 
-    Split the rows (phi(g_j[1]), ..., phi(g_j[r-1])) over B: the tails of
-    the dependent rows span U = {u in B^ell : sum u_j g_j is constant}, whose
-    RREF supplies the constant rows, and the independent rows j give the unit
-    vectors e_j that extend it to an invertible transform (first independent
-    index wins).
+    linalg.split splits the rows (phi(g_j[1]), ..., phi(g_j[r-1])) over B:
+    the tails of the dependent rows span U = {u in B^ell : sum u_j g_j is
+    constant}, whose RREF supplies the constant rows, and the independent
+    rows j give the unit vectors e_j that extend it to an invertible
+    transform (first independent index wins).
     """
     t, vec = scheme.tower, scheme.basis.vectorize
-    sent, deps = _split([tuple(c for g_c in g[1:] for c in vec(g_c)) for g in scheme.polys], t)
+    sent, deps = linalg.split(t, [tuple(c for g_c in g[1:] for c in vec(g_c)) for g in scheme.polys])
     urows, _ = linalg.rref(t, list(deps.values()))
     M = [[int(c == j) for c in range(scheme.ell)] for j in sent] + urows
     m = len(sent)
@@ -352,38 +354,6 @@ def normalize(scheme: RepairScheme) -> NormalForm:
 
 # ---------------------------------------------------------------------------
 # repair
-
-
-def _split_bits(rows, width):
-    """Greedy in row order over GF(2), rows packed: R, the rows independent
-    of the earlier ones, and the tail of every other row (carried in the
-    bits past width)."""
-    pivots, sent, deps = {}, [], {}
-    for j, v in enumerate(rows):
-        v |= 1 << width + j
-        while (low := v & -v) >> width == 0 and low in pivots:
-            v ^= pivots[low]
-        if low >> width:
-            deps[j] = [v >> width + r & 1 for r in range(len(rows))]
-        else:
-            pivots[low] = v
-            sent.append(j)
-    return sent, deps
-
-
-def _split(rows, t):
-    """_split_bits over B, rows as tuples."""
-    width, pivots, sent, deps = len(rows[0]), {}, [], {}
-    for j, row in enumerate(rows):
-        v = [*row, *(int(r == j) for r in range(len(rows)))]
-        while (col := next((s for s in range(width) if v[s]), None)) in pivots:
-            v = [t.sub(a, t.mul(v[col], b)) for a, b in zip(v, pivots[col])]
-        if col is None:
-            deps[j] = v[width:]
-        else:
-            pivots[col] = [t.mul(t.inv(v[col]), a) for a in v]
-            sent.append(j)
-    return sent, deps
 
 
 def _repair_plan(scheme: RepairScheme):
@@ -409,12 +379,12 @@ def _repair_plan(scheme: RepairScheme):
         if q2:
             cols = functools.reduce(operator.or_, rows, 0)
             positions = tuple(s + 1 for s in range(ell) if cols >> s & 1)
-            sent, deps = _split_bits(rows, ell)
+            sent, deps = linalg.split_bits(rows, ell)
         else:
             cols = [s for s, col in enumerate(zip(*rows)) if any(col)]
             positions = tuple(s + 1 for s in cols)
             rows = [tuple(r[s] for s in cols) for r in rows]
-            sent, deps = _split(rows, t)
+            sent, deps = linalg.split(t, rows)
         folds = [h[r] for r in sent]
         for j, tail in deps.items():
             folds = [t.sub(f, t.mul(tail[r], h[j])) for r, f in zip(sent, folds)]

@@ -26,6 +26,10 @@ def test_io_values_frozen():
     out = io_lower_bound(3, 3, 3, 3)
     assert out["value"] == 66 and out["theorem"] == "coro11"
     assert not out["tight_known"]
+    # ell = 1: coro11's root term is isqrt(c^2 // q); 2*1 - 1 - 0 = 1 at
+    # q = 3, r = 2 and 4*1 - 1 - isqrt(16 // 5) = 2 at q = 5, r = 3
+    assert [c["value"] for c in io_lower_bound(3, 1, 1, 2)["candidates"]] == [1, 1]
+    assert io_lower_bound(5, 1, 1, 3, theorem="coro11")["value"] == 2
 
 
 def test_io_auto_is_max_of_candidates():
@@ -86,8 +90,10 @@ def test_bandwidth_unsupported():
 
 
 def test_query_validation():
-    # d > ell, r < 2, q = 1, q not a prime power: rejected by both bounds
-    for bad in ((2, 4, 5, 2), (2, 4, 4, 1), (1, 4, 4, 2), (6, 4, 4, 2)):
+    # d > ell, r < 2, q = 1, q not a prime power, no code (k = q^d - r < 1):
+    # rejected by both bounds
+    for bad in ((2, 4, 5, 2), (2, 4, 4, 1), (1, 4, 4, 2), (6, 4, 4, 2),
+                (2, 1, 1, 2), (2, 4, 1, 3), (2, 4, 2, 4), (3, 4, 1, 3)):
         for bound in (io_lower_bound, bandwidth_lower_bound):
             with pytest.raises(ParamViolation):
                 bound(*bad)

@@ -160,7 +160,7 @@ def test_metrics_mismatch_exits_2(capsys, tmp_path, monkeypatch):
         rep = metrics_weight(nf)
         node, nz, rank = rep.per_node[0]
         per_node = ((node, nz + 1, rank),) + rep.per_node[1:]
-        return MetricsReport(rep.io_cost + 1, rep.bandwidth, "weight", per_node)
+        return MetricsReport("weight", per_node)
 
     monkeypatch.setattr("rsrepair.cli.metrics_weight", skewed)
     code, _, err = _run(capsys, ["metrics", path])
@@ -340,8 +340,8 @@ def test_simulate_pinned_stdout(capsys, tmp_path, construct):
     assert out == SIMULATE_PINS[construct]
 
 
-# A broken repair plan: _split_bits (R_i and the tails of the other rows) is
-# corrupted at the first helper whose rows are dependent.  The repaired value
+# A broken repair plan: linalg.split_bits (R_i and the tails of the other
+# rows) is corrupted at the first helper whose rows are dependent.  The repaired value
 # or the count of symbols sent goes wrong: a cross-check mismatch.
 _MUTATIONS = {
     "dropped row": "lambda sent, deps: (sent[:-1], deps)",
@@ -349,8 +349,8 @@ _MUTATIONS = {
         "lambda sent, deps: (sent, {**deps, min(deps): [e ^ (r == sent[0]) for r, e in enumerate(deps[min(deps)])]})",
 }
 _MUTATE = (
-    "import rsrepair.scheme as S\n"
-    "split, mutate, done = S._split_bits, {}, []\n"
+    "import rsrepair.linalg as L\n"
+    "split, mutate, done = L.split_bits, {}, []\n"
     "def mutated(*args):\n"
     "    sent, deps = split(*args)\n"
     "    if done or not (sent and deps):\n"
@@ -365,7 +365,7 @@ def test_simulate_broken_plan_exits_2(capsys, tmp_path, monkeypatch, mutation):
     path = _saved_scheme(tmp_path, capsys)
     namespace = {}
     exec(_MUTATE.format(_MUTATIONS[mutation]), namespace)
-    monkeypatch.setattr("rsrepair.scheme._split_bits", namespace["mutated"])
+    monkeypatch.setattr("rsrepair.linalg.split_bits", namespace["mutated"])
     code, out, err = _run(capsys, ["simulate", path, "--trials", "7", "--seed", "3"])
     assert code == 2 and out == ""
     assert "cross-check mismatch" in err
@@ -374,7 +374,7 @@ def test_simulate_broken_plan_exits_2(capsys, tmp_path, monkeypatch, mutation):
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
 def test_simulate_broken_plan_exits_2_under_O(capsys, tmp_path, mutation):
     path = _saved_scheme(tmp_path, capsys)
-    script = _MUTATE.format(_MUTATIONS[mutation]) + "S._split_bits = mutated\n" + (
+    script = _MUTATE.format(_MUTATIONS[mutation]) + "L.split_bits = mutated\n" + (
         "import sys\nfrom rsrepair.cli import main\n"
         "sys.exit(main(['simulate', sys.argv[1], '--trials', '7', '--seed', '3']))\n"
     )
@@ -475,8 +475,12 @@ def _c2(q, ell, d, s, m, r):
 
 
 # SHA-256 of outputs that must stay byte-identical: the stdout of verify (its
-# expsum suite runs normalize) and saved c2 scheme files, which cover trace
-# kernels with s > 0 and towers with a > 1
+# expsum suite runs normalize), saved c2 scheme files, which cover trace
+# kernels with s > 0 and towers with a > 1, and the stdout of commands that
+# read a scheme file.  There a construct argv stands for the file it saves,
+# stripped of its normal form when it ends in _STRIPPED (metrics then runs
+# normalize); odd-q simulate goes through linalg.split.
+_STRIPPED = "strip normal form"
 OUTPUT_DIGESTS = {
     ("verify", "--suite", "all", "--seed", "0"):
         "ac9ed81fcc28b15f2585b854333a2972f001d364f0b0d8e4bac3d49b5acac017",
@@ -484,13 +488,32 @@ OUTPUT_DIGESTS = {
     _c2("2", "8", "7", "2", "4", "5"): "dd610896f9405b95512f8cc850f4545dea1142ab42d437379a5024ffddac5ac2",
     _c2("9", "4", "3", "0", "2", "2"): "5c7b28a5dbb756bbfa66c70b6ddac36caa47dd30b79ec2e5ca848797e369f2d4",
     _c2("4", "6", "4", "0", "3", "2"): "8817e95c67721ae7a93732058cbd9e2ad2769ac60354e8de936f1ae0a2c7435f",
+    ("metrics", ("construct", "c1", "--ell", "8")):
+        "dc5f9b05c6c422057c03eee127d7d33f1697aa8cb289005e467248b425bc3d2d",
+    ("metrics", (*_c2("9", "4", "3", "0", "2", "2"), _STRIPPED)):
+        "0db1c8ef36bd8cce10c141b7b7f696726d4b0814d67ff980055d99022f622f8d",
+    ("simulate", _c2("3", "6", "4", "0", "3", "2"), "--trials", "3"):
+        "36d86d7f9d1363c73328c5abccebb6d34ee9421b101d79c47dca8cc369e63b7a",
+    ("simulate", _c2("4", "6", "4", "0", "3", "2"), "--trials", "3"):
+        "442401e36ebf5b9125d2f0bf63bb4655abec21f10c5eba151b26b533db4fbbc8",
 }
 
 
 @pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS))
 def test_output_digests_pinned(capsys, tmp_path, argv):
     path = tmp_path / "scheme.json"
-    code, out, err = _run(capsys, [*argv, "--out", str(path)] if argv[0] == "construct" else list(argv))
+    cmd = list(argv)
+    if argv[0] == "construct":
+        cmd += ["--out", str(path)]
+    elif isinstance(argv[1], tuple):
+        construct = [a for a in argv[1] if a != _STRIPPED]
+        assert _run(capsys, [*construct, "--out", str(path)])[0] == 0
+        if _STRIPPED in argv[1]:
+            doc = json.loads(path.read_text())
+            del doc["normal_form"]
+            path.write_text(json.dumps(doc))
+        cmd[1] = str(path)
+    code, out, err = _run(capsys, cmd)
     assert (code, err) == (0, "")
     data = path.read_bytes() if argv[0] == "construct" else out.encode()
     assert hashlib.sha256(data).hexdigest() == OUTPUT_DIGESTS[argv]
@@ -522,3 +545,11 @@ def test_validation_errors_exit_1(capsys):
         code, out, err = _run(capsys, argv)
         assert code == 1 and out == ""
         assert err == "error: q = 6 is not a prime power\n"
+        # no RS code has k = q^d - r < 1
+        argv = ["bounds", "--q", "2", "--ell", "1", "--d", "1", "--r", "2", "--quantity", quantity]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "error: need k = q^d - r >= 1, got q^d = 2, r = 2\n"
+    # ell = 1 is valid when k >= 1: coro11 takes an exact integer square root
+    code, out, err = _run(capsys, ["bounds", "--q", "3", "--ell", "1", "--d", "1", "--r", "2"])
+    assert (code, err, json.loads(out)["value"]) == (0, "", 1)

@@ -73,6 +73,39 @@ def test_rref_tower_path_matches(params):
     assert linalg.rref(t, []) == ([], []) and linalg.rref(t, [[], []]) == ([], [])
 
 
+def _greedy_split(tower, rows):
+    """The dependency split row by row, each row reduced by the pivots of the
+    earlier independent ones and carrying its tail: the oracle."""
+    width, pivots, sent, deps = len(rows[0]), {}, [], {}
+    for j, row in enumerate(rows):
+        v = [*row, *(int(r == j) for r in range(len(rows)))]
+        while (col := next((s for s in range(width) if v[s]), None)) in pivots:
+            v = [tower.sub(a, tower.mul(v[col], b)) for a, b in zip(v, pivots[col])]
+        if col is None:
+            deps[j] = v[width:]
+        else:
+            pivots[col] = [tower.mul(tower.inv(v[col]), a) for a in v]
+            sent.append(j)
+    return sent, deps
+
+
+@pytest.mark.parametrize("params", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 2)])
+def test_split_matches_greedy(params):
+    # B-valued rows at q = 2, 3, 4, 5, 9, plus zero-width rows
+    t = field_create(*params)
+    rng = random.Random(t.q)
+    for _ in range(15):
+        for rows in _matrices(rng, t.subfield_elements()) + [[[] for _ in range(3)]]:
+            sent, deps = linalg.split(t, rows)
+            assert (sent, deps) == _greedy_split(t, rows)
+            for j, tail in deps.items():
+                assert tail[j] == 1 and not any(tail[r] for r in range(j + 1, len(rows)))
+                assert linalg.mat_mul(t, [tail], rows) in ([[0] * len(rows[0])], [[]])
+            if t.q == 2:
+                packed = [sum(c << s for s, c in enumerate(row)) for row in rows]
+                assert linalg.split_bits(packed, len(rows[0])) == (sent, deps)
+
+
 def test_solve_unique_singular_inconsistent():
     t = field_create(3, 1, 2)
     assert linalg.solve(t, [[1, 2], [0, 1]], [1, 2]) == [0, 2]

@@ -54,13 +54,11 @@ def test_weight_formula_oracle_500():
         assert nz_via_weight(rows, t) == _nz_scan(rows)
 
 
-@pytest.mark.parametrize(
-    "io, bw, per_node",
-    [(5, 3, ((2, 4, 3),)), (4, 2, ((2, 4, 3),)), (2, 3, ((2, 2, 3),))],
-)
-def test_metrics_report_rejects_inconsistent_totals(io, bw, per_node):
-    with pytest.raises(CrossCheckMismatch):
-        MetricsReport(io, bw, "direct", per_node)
+def test_metrics_report_totals_from_per_node():
+    rep = MetricsReport("direct", ((2, 4, 3), (5, 1, 1)))
+    assert (rep.io_cost, rep.bandwidth) == (5, 4)
+    with pytest.raises(CrossCheckMismatch, match="bandwidth exceeds io cost"):
+        MetricsReport("direct", ((2, 2, 3),))
 
 
 def _toy_scheme(seed=0, target=1):
@@ -431,7 +429,7 @@ def test_repair_plan_built_once(monkeypatch):
 
 def _corrupt_split(monkeypatch, name, mutate):
     """Corrupt the split of the first helper whose rows are dependent."""
-    split, done = getattr(scheme_mod, name), []
+    split, done = getattr(linalg, name), []
 
     def mutated(*args):
         sent, deps = split(*args)
@@ -440,7 +438,7 @@ def _corrupt_split(monkeypatch, name, mutate):
         done.append(1)
         return mutate(sent, deps)
 
-    monkeypatch.setattr(scheme_mod, name, mutated)
+    monkeypatch.setattr(linalg, name, mutated)
 
 
 def _flip(p):
@@ -456,11 +454,11 @@ def _drop(sent, deps):
 
 
 @pytest.mark.parametrize("name, mutate", [
-    ("_split_bits", _drop), ("_split_bits", _flip(2)), ("_split", _drop), ("_split", _flip(3)),
+    ("split_bits", _drop), ("split_bits", _flip(2)), ("split", _drop), ("split", _flip(3)),
 ], ids=["bits-dropped-row", "bits-flipped-coefficient", "dropped-row", "flipped-coefficient"])
 def test_broken_repair_plan_gives_wrong_value(monkeypatch, name, mutate):
     _corrupt_split(monkeypatch, name, mutate)
-    scheme = construction1(4)[1] if name == "_split_bits" else construction2(3, 4, 3, 0, 2, 2)[2]
+    scheme = construction1(4)[1] if name == "split_bits" else construction2(3, 4, 3, 0, 2, 2)[2]
     code = scheme.code
     cws = [code.random_codeword(seed) for seed in range(8)]
     assert any(repair_node(scheme, cw)[0] != cw[scheme.target - 1] for cw in cws)
