@@ -3,7 +3,8 @@
 Subcommands: field, construct, metrics, simulate, bounds, tables, verify.
 Results are printed as JSON (tables as csv or markdown text).  Exit codes:
 0 on success, 1 when inputs fail validation, 2 when two independent
-computations of the same quantity disagree, which is always a bug.
+computations of the same quantity disagree, which is always a bug; metrics
+and simulate compare per-helper reports with scheme.cross_check.
 """
 
 import argparse
@@ -17,6 +18,7 @@ from .errors import CrossCheckMismatch, ParamViolation, RSRepairError
 from .gf import field_create, split_prime_power
 from .scheme import (
     AccessCounter,
+    cross_check,
     load_scheme,
     metrics_direct,
     metrics_expsum,
@@ -96,15 +98,7 @@ def _metrics_all(scheme):
     """Cross-check the three computations; any disagreement is fatal."""
     direct = metrics_direct(scheme)
     nf = scheme.normal_form or normalize(scheme)
-    weight = metrics_weight(nf)
-    expsum = metrics_expsum(nf)
-    for other in (weight, expsum):
-        if direct.per_node != other.per_node:
-            raise CrossCheckMismatch(
-                f"direct gives ({direct.io_cost}, {direct.bandwidth}) but "
-                f"{other.method} gives ({other.io_cost}, {other.bandwidth})"
-            )
-    return direct
+    return cross_check(direct, metrics_weight(nf), metrics_expsum(nf))
 
 
 def _cmd_metrics(args):
@@ -121,7 +115,7 @@ def _cmd_metrics(args):
         method=args.method or "direct+weight+expsum",
         io_cost=report.io_cost,
         bandwidth=report.bandwidth,
-        per_node=[list(entry) for entry in report.per_node],
+        per_node=report.per_node,
     )
     _emit(doc)
     return 0
@@ -143,16 +137,7 @@ def _cmd_simulate(args):
                 f"trial {trial}: repaired {value}, codeword holds "
                 f"{codeword[scheme.target - 1]}"
             )
-        if counter.total_accessed != report.io_cost:
-            raise CrossCheckMismatch(
-                f"trial {trial}: read {counter.total_accessed} subsymbols, "
-                f"metrics say {report.io_cost}"
-            )
-        if counter.total_transmitted != report.bandwidth:
-            raise CrossCheckMismatch(
-                f"trial {trial}: transmitted {counter.total_transmitted}, "
-                f"metrics say {report.bandwidth}"
-            )
+        cross_check(report, counter.report(f"repair trial {trial}"))
     doc = _scheme_summary(scheme)
     doc.update(
         trials=args.trials,

@@ -102,6 +102,14 @@ def _cube_root_of_unity(tower: FieldTower) -> int:
     return min(tower.exp[step], tower.exp[2 * step])
 
 
+def _claim_normal_form(scheme: RepairScheme, m: int) -> None:
+    """Attach the claimed (m, m) normal form, checking its support is 1..m."""
+    nf = NormalForm(scheme, m)
+    if nf.support_set != tuple(range(1, m + 1)):
+        raise CrossCheckMismatch(f"derived support set {nf.support_set} is not the claimed 1..{m}")
+    scheme.normal_form = nf
+
+
 THETA_STRATEGIES = ("auto", "paper_example", "search")
 
 
@@ -169,10 +177,7 @@ def construction1(ell: int, theta_strategy: str = "auto"):
     polys += [[gamma[j]] for j in range(4, ell)]
     code = RSCode(Subspace.full_field(t), 2**ell - 3)
     scheme = RepairScheme(code, bp, polys, target=1)
-    scheme.normal_form = NormalForm(
-        scheme=scheme, m=4, t=4, support_set=(1, 2, 3, 4),
-        transform=linalg.identity(ell),
-    )
+    _claim_normal_form(scheme, 4)
     return bp, scheme
 
 
@@ -245,8 +250,5 @@ def construction2(q: int, ell: int, d: int, s: int, m: int, r: int):
     polys += [[gamma[j]] for j in range(m, ell)]
     code = RSCode(A, q**d - r)
     scheme = RepairScheme(code, bp, polys, target=1)
-    scheme.normal_form = NormalForm(
-        scheme=scheme, m=m, t=m, support_set=tuple(range(1, m + 1)),
-        transform=linalg.identity(ell),
-    )
+    _claim_normal_form(scheme, m)
     return bp, A, scheme

@@ -172,14 +172,14 @@ def weil_check(coeffs, tower: FieldTower) -> dict:
         raise DegreeSharesCharacteristic(
             f"degree {max(e, 0)} shares a factor with p = {tower.p}"
         )
-    cs = CharSum(tower.p)
-    tr = tower.absolute_trace
-    for alpha in range(tower.size):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = tower.add(tower.mul(acc, alpha), c)
-        cs.tally(tr(acc))
-    value = cs.complex_value()
+    def values():
+        for alpha in range(tower.size):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = tower.add(tower.mul(acc, alpha), c)
+            yield acc
+
+    value = char_sum(values(), tower).complex_value()
     bound = (e - 1) * math.sqrt(tower.size)
     return {
         "sum": value,

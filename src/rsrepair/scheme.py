@@ -14,17 +14,20 @@ and transmits rank(W_i) combinations of them, so
 
 An (m, t)-normalized scheme has g_j constant for j > m, no constant
 combination among the first m, and the constants' supports under phi_hat
-covering all but t coordinates; the support_set lists the t uncovered column
-indices.  Metrics can then be read off the m x t upper blocks W_hat_i.
+covering all but t coordinates; NormalForm derives the support_set, the t
+uncovered column indices, from (scheme, m).  Metrics can then be read off
+the m x t upper blocks W_hat_i.
 
 Each metric route yields (node, nz, rank) per helper, and MetricsReport
-sums them.  Elimination lives in linalg: normalize and the repair plan take
+sums them; cross_check names the first node where two reports differ.
+Elimination lives in linalg: normalize and the repair plan take
 their B-dependency splits from linalg.split (linalg.split_bits at q = 2).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -38,12 +41,11 @@ from .subspace import Subspace, b_rank
 
 
 class RepairScheme:
-    def __init__(self, code: RSCode, basis: BasisPair, polys, target: int = 1,
-                 normal_form=None):
+    def __init__(self, code: RSCode, basis: BasisPair, polys, target: int = 1):
         self.code = code
         self.basis = basis
         self.target = int(target)
-        self.normal_form = normal_form
+        self.normal_form = None
         self._plan = None  # built by the first repair_node call
         t = code.tower
         r = code.r
@@ -103,25 +105,43 @@ class MetricsReport:
         return sum(rk for _, _, rk in self.per_node)
 
 
+def cross_check(reference: MetricsReport, *others: MetricsReport) -> MetricsReport:
+    """reference, if every other report matches it node by node; else raise
+    CrossCheckMismatch naming the first differing (node, nz, rank) entries."""
+    for other in others:
+        if other.per_node != reference.per_node:
+            pairs = itertools.zip_longest(reference.per_node, other.per_node, fillvalue="nothing")
+            a, b = next((a, b) for a, b in pairs if a != b)
+            raise CrossCheckMismatch(f"{reference.method} gives {a} but {other.method} gives {b}")
+    return reference
+
+
 @dataclass
 class NormalForm:
     """(m, t)-normalized scheme together with the transform that produced it."""
 
     scheme: RepairScheme
     m: int
-    t: int
-    support_set: tuple[int, ...]  # 1-based columns missed by every constant
-    transform: list
+    transform: list = None  # defaults to the identity
+    t: int = field(init=False)
+    support_set: tuple[int, ...] = field(init=False)  # 1-based columns missed by every constant
 
     def __post_init__(self):
-        ell = self.scheme.ell
-        if not (0 <= self.t <= self.m <= ell):
-            raise InvalidScheme(f"normal form needs t <= m <= ell, got ({self.m}, {self.t})")
-        if len(self.support_set) != self.t:
-            raise InvalidScheme("support set size must equal t")
+        scheme, ell = self.scheme, self.scheme.ell
+        if not 0 <= self.m <= ell:
+            raise InvalidScheme(f"normal form needs 0 <= m <= ell, got m = {self.m}")
+        covered = set()
         for j in range(self.m, ell):
-            if any(self.scheme.polys[j][1:]):
+            if any(scheme.polys[j][1:]):
                 raise InvalidScheme(f"polynomial {j + 1} must be constant in normal form")
+            w = scheme.basis.vectorize_dual(scheme.polys[j][0])
+            covered.update(s for s, c in enumerate(w, 1) if c)
+        self.support_set = tuple(s for s in range(1, ell + 1) if s not in covered)
+        self.t = len(self.support_set)
+        if self.t > self.m:
+            # ell - m independent constants cover at least ell - m columns
+            raise CrossCheckMismatch(f"normal form has t = {self.t} > m = {self.m}")
+        self.transform = self.transform or linalg.identity(ell)
 
     def w_hat(self, i: int) -> list[tuple[int, ...]]:
         """Upper m x t block of W_i: rows 1..m, columns in support_set."""
@@ -147,6 +167,9 @@ class AccessCounter:
     @property
     def total_transmitted(self) -> int:
         return sum(tr for _, tr in self.per_helper.values())
+
+    def report(self, method: str) -> MetricsReport:
+        return MetricsReport(method, tuple((i, len(p), tr) for i, (p, tr) in self.per_helper.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +345,6 @@ def transform(scheme: RepairScheme, M) -> RepairScheme:
     return RepairScheme(scheme.code, scheme.basis, new_polys, scheme.target)
 
 
-def _support_set(scheme: RepairScheme, m: int) -> tuple[int, ...]:
-    """1-based columns that no constant g_{m+1}..g_ell covers under phi_hat."""
-    covered = set()
-    for j in range(m, scheme.ell):
-        w = scheme.basis.vectorize_dual(scheme.polys[j][0])
-        covered |= {s + 1 for s, cval in enumerate(w) if cval}
-    return tuple(s for s in range(1, scheme.ell + 1) if s not in covered)
-
-
 def normalize(scheme: RepairScheme) -> NormalForm:
     """Bring a scheme to (m, t)-normal form.
 
@@ -344,10 +358,8 @@ def normalize(scheme: RepairScheme) -> NormalForm:
     sent, deps = linalg.split(t, [tuple(c for g_c in g[1:] for c in vec(g_c)) for g in scheme.polys])
     urows, _ = linalg.rref(t, list(deps.values()))
     M = [[int(c == j) for c in range(scheme.ell)] for j in sent] + urows
-    m = len(sent)
     new_scheme = transform(scheme, M)
-    support = _support_set(new_scheme, m)
-    nf = NormalForm(scheme=new_scheme, m=m, t=len(support), support_set=support, transform=M)
+    nf = NormalForm(new_scheme, len(sent), M)
     new_scheme.normal_form = nf
     return nf
 
@@ -496,14 +508,8 @@ def load_scheme(path: str) -> RepairScheme:
     scheme = RepairScheme(code, bp, polys, target=doc.get("target", 1))
     nfspec = doc.get("normal_form")
     if nfspec:
-        nf = NormalForm(
-            scheme=scheme,
-            m=nfspec["m"],
-            t=nfspec["t"],
-            support_set=tuple(nfspec["support_set"]),
-            transform=linalg.identity(t.ell),
-        )
-        if _support_set(scheme, nf.m) != nf.support_set:
-            raise InvalidScheme("stored support set does not match the constants")
+        nf = NormalForm(scheme, nfspec["m"])
+        if (nfspec["t"], nfspec["support_set"]) != (nf.t, list(nf.support_set)):
+            raise InvalidScheme("stored t or support set does not match the constants")
         scheme.normal_form = nf
     return scheme

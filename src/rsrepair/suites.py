@@ -6,20 +6,20 @@ the package relies on.  A suite returns a JSON friendly report
     {"suite": name, "cases": N, "failures": [...], "passed": bool}
 
 and never raises on a failed property, so the caller can print the whole
-report before deciding the exit status.
+report before deciding the exit status; expsum records a scheme.cross_check
+mismatch as a failure.
 """
 
 import random
 
 from .basis import dual_basis
 from .bounds import r3cond_max_bruteforce
-from .errors import InvalidScheme, ParamViolation, RSRepairError
+from .errors import CrossCheckMismatch, InvalidScheme, ParamViolation, RSRepairError
 from .expsum import CharSum, char_sum, subspace_char_sum, weil_check
 from .gf import field_create
 from .linalg import EchelonBasis
 from .rs import RSCode
-from .scheme import metrics_direct, metrics_expsum, metrics_weight
-from .scheme import RepairScheme, normalize
+from .scheme import RepairScheme, cross_check, metrics_direct, metrics_expsum, metrics_weight, normalize
 from .subspace import Subspace, b_rank
 
 SUITE_NAMES = ("char", "duality", "expsum", "lemma5", "r3cond", "weil")
@@ -109,16 +109,11 @@ def suite_expsum(seed=0, cases=25):
     failures = []
     for i in range(cases):
         nf, params = random_normalized_scheme(rng)
-        direct = metrics_direct(nf.scheme)
-        weight = metrics_weight(nf)
-        expsum = metrics_expsum(nf)
-        if not direct.per_node == weight.per_node == expsum.per_node:
-            failures.append(
-                "case %d %r: direct (%d, %d), weight (%d, %d), expsum (%d, %d)"
-                % (i, params, direct.io_cost, direct.bandwidth,
-                   weight.io_cost, weight.bandwidth,
-                   expsum.io_cost, expsum.bandwidth)
-            )
+        reports = metrics_direct(nf.scheme), metrics_weight(nf), metrics_expsum(nf)
+        try:
+            cross_check(*reports)
+        except CrossCheckMismatch as e:
+            failures.append(f"case {i} {params}: {e}")
     return _report("expsum", cases, failures)
 
 

@@ -1,5 +1,7 @@
 """Closed-form cost bounds against hand-derived values and brute force."""
 
+import random
+
 import pytest
 
 from rsrepair import (
@@ -7,7 +9,9 @@ from rsrepair import (
     bmin_bruteforce,
     bmin_literal,
     io_lower_bound,
+    metrics_direct,
     r3cond_max_bruteforce,
+    random_normalized_scheme,
 )
 from rsrepair.errors import BudgetExceeded, ParamViolation, UnsupportedRegime
 
@@ -185,3 +189,31 @@ def test_r3cond_matches_fraction_oracle():
                 got = r3cond_max_bruteforce(ell, d, m_max)
                 want = _r3cond_fraction_oracle(ell, d, m_max)
                 assert got == want and type(got[0]) is type(want[0])
+
+
+def test_bounds_never_beaten_by_random_schemes():
+    # soundness: no scheme beats a bound that covers it.  The bandwidth
+    # bounds (thm5, thm8) assume a scheme that meets the io bound exactly.
+    rng = random.Random(12345)
+    covered = meets = bw_checked = 0
+    for _ in range(400):
+        nf, p = random_normalized_scheme(rng)
+        query = (p["q"], p["ell"], p["d"], p["r"])
+        rep = metrics_direct(nf.scheme)
+        try:
+            io = io_lower_bound(*query)["value"]
+        except UnsupportedRegime:
+            continue
+        covered += 1
+        assert rep.io_cost >= io, (p, rep.io_cost, io)
+        if rep.io_cost != io:
+            continue
+        meets += 1
+        try:
+            bw = bandwidth_lower_bound(*query)["value"]
+        except UnsupportedRegime:
+            continue
+        bw_checked += 1
+        assert rep.bandwidth >= bw, (p, rep.bandwidth, bw)
+    # pinned, so a drift in the generator cannot empty the test
+    assert (covered, meets, bw_checked) == (332, 38, 35)

@@ -168,6 +168,26 @@ def test_metrics_mismatch_exits_2(capsys, tmp_path, monkeypatch):
     assert "cross-check mismatch" in err
 
 
+def test_metrics_mismatch_names_first_node(capsys, tmp_path, monkeypatch):
+    # the routes agree in total but not per helper: one unit of nz moves
+    # from the first helper to the next
+    from rsrepair.scheme import metrics_direct, metrics_weight
+
+    path = _saved_scheme(tmp_path, capsys)
+
+    def shifted(nf):
+        rep = metrics_weight(nf)
+        (a, nz_a, rk_a), (b, nz_b, rk_b), *rest = rep.per_node
+        return MetricsReport(rep.method, ((a, nz_a - 1, rk_a), (b, nz_b + 1, rk_b), *rest))
+
+    monkeypatch.setattr("rsrepair.cli.metrics_weight", shifted)
+    node, nz, rk = metrics_direct(load_scheme(path)).per_node[0]
+    code, out, err = _run(capsys, ["metrics", path])
+    assert code == 2 and out == ""
+    assert err == (f"cross-check mismatch: direct gives {(node, nz, rk)} "
+                   f"but weight_formula gives {(node, nz - 1, rk)}\n")
+
+
 def test_metrics_uncollapsed_tally_exits_2(capsys, tmp_path, monkeypatch):
     # a character sum that is no rational integer is an arithmetic bug inside
     # the expsum route, not a validation failure
@@ -299,6 +319,19 @@ def test_metrics_rejects_document_missing_polys(capsys, tmp_path):
     assert code == 1 and "wrong type" in err
 
 
+def test_metrics_rejects_edited_t(capsys, tmp_path):
+    # t follows from the constants, so a file whose t alone was edited is invalid
+    path = tmp_path / "scheme.json"
+    assert _run(capsys, ["construct", "c1", "--ell", "6", "--out", str(path)])[0] == 0
+    doc = json.loads(path.read_text())
+    assert doc["normal_form"]["t"] == 4
+    doc["normal_form"]["t"] = 3
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["metrics", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_metrics_missing_file(capsys, tmp_path):
     code, _, err = _run(capsys, ["metrics", str(tmp_path / "nope.json")])
     assert code == 1 and "error" in err
@@ -385,6 +418,50 @@ def test_simulate_broken_plan_exits_2_under_O(capsys, tmp_path, mutation):
     )
     assert proc.returncode == 2, proc.stderr
     assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# A repair plan that credits the first helper's first read position to the
+# second helper: the value and the totals stay right, the per-helper counts
+# do not.
+_MISATTRIBUTE = (
+    "import rsrepair.scheme as S\n"
+    "plan = S._repair_plan\n"
+    "def misattributed(scheme):\n"
+    "    phi, ((i, pos_i, *rest_i), (j, pos_j, *rest_j), *others) = plan(scheme)\n"
+    "    return phi, [(i, pos_i[1:], *rest_i), (j, pos_j + pos_i[:1], *rest_j), *others]\n"
+)
+
+
+def _misattributed_message(path):
+    from rsrepair.scheme import metrics_direct
+
+    node, nz, rk = metrics_direct(load_scheme(path)).per_node[0]
+    return f"cross-check mismatch: direct gives {(node, nz, rk)} but repair trial 0 gives {(node, nz - 1, rk)}\n"
+
+
+def test_simulate_misattributed_read_exits_2(capsys, tmp_path, monkeypatch):
+    path = _saved_scheme(tmp_path, capsys)
+    namespace = {}
+    exec(_MISATTRIBUTE, namespace)
+    monkeypatch.setattr("rsrepair.scheme._repair_plan", namespace["misattributed"])
+    code, out, err = _run(capsys, ["simulate", path, "--trials", "7", "--seed", "3"])
+    assert code == 2 and out == ""
+    assert err == _misattributed_message(path)
+
+
+def test_simulate_misattributed_read_exits_2_under_O(capsys, tmp_path):
+    path = _saved_scheme(tmp_path, capsys)
+    script = _MISATTRIBUTE + "S._repair_plan = misattributed\n" + (
+        "import sys\nfrom rsrepair.cli import main\n"
+        "sys.exit(main(['simulate', sys.argv[1], '--trials', '7', '--seed', '3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == _misattributed_message(path)
 
 
 def test_simulate_singular_target_exits_2(capsys, tmp_path, monkeypatch):

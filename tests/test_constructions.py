@@ -6,6 +6,7 @@ import pytest
 
 from rsrepair import (
     QPolynomial,
+    RepairScheme,
     Subspace,
     construction1,
     construction2,
@@ -14,7 +15,7 @@ from rsrepair import (
     metrics_direct,
     qpoly_annihilator,
 )
-from rsrepair.errors import DependentBetas, ParamViolation
+from rsrepair.errors import CrossCheckMismatch, DependentBetas, ParamViolation
 from rsrepair.subspace import b_rank
 
 
@@ -304,3 +305,22 @@ def test_construction2_validation():
     for params in cases:
         with pytest.raises(ParamViolation):
             construction2(*params)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construction1(6),
+    lambda: construction2(2, 6, 4, 0, 3, 2),
+    lambda: construction2(3, 6, 4, 0, 3, 2),
+])
+def test_derived_support_must_match_claim(monkeypatch, build):
+    # each construction claims support 1..m; adding gamma_1 to the last
+    # constant keeps the scheme valid but covers column 1 as well
+    def mutated(code, bp, polys, target):
+        polys = [*polys[:-1], [code.tower.add(polys[-1][0], bp.gamma[0])]]
+        return RepairScheme(code, bp, polys, target)
+
+    nf = build()[-1].normal_form
+    assert nf.support_set == tuple(range(1, nf.m + 1))
+    monkeypatch.setattr("rsrepair.constructions.RepairScheme", mutated)
+    with pytest.raises(CrossCheckMismatch, match="derived support set"):
+        build()

@@ -7,6 +7,7 @@ import pytest
 from rsrepair import (
     AccessCounter,
     MetricsReport,
+    NormalForm,
     RSCode,
     RepairScheme,
     Subspace,
@@ -192,6 +193,11 @@ def test_random_normalized_targets_vary():
     for _ in range(30):
         nf, params = random_normalized_scheme(rng)
         targets.add(params["target"])
+        # NormalForm derives the support set; the oracle reads the constant
+        # rows m+1..ell of a helper's repair matrix
+        fixed = repair_matrix(nf.scheme, 1 + nf.scheme.target % nf.scheme.code.n)[nf.m:]
+        want = tuple(s for s in range(1, nf.scheme.ell + 1) if not any(row[s - 1] for row in fixed))
+        assert NormalForm(nf.scheme, nf.m).support_set == nf.support_set == want
         cw = nf.scheme.code.random_codeword(rng.getrandbits(16))
         value, _ = repair_node(nf.scheme, cw, AccessCounter())
         assert value == cw[nf.scheme.target - 1]

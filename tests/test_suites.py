@@ -1,8 +1,10 @@
 """The randomized suites themselves: shape, seeding, pass on defaults."""
 
+import random
+
 import pytest
 
-from rsrepair import run_suite
+from rsrepair import MetricsReport, metrics_direct, metrics_weight, random_normalized_scheme, run_suite
 from rsrepair.errors import RSRepairError
 from rsrepair.suites import SUITE_NAMES
 
@@ -30,3 +32,19 @@ def test_seed_determinism():
 def test_unknown_suite():
     with pytest.raises(RSRepairError):
         run_suite("primes")
+
+
+def test_expsum_failure_names_first_node(monkeypatch):
+    def shifted(nf):
+        rep = metrics_weight(nf)
+        (a, nz_a, rk_a), (b, nz_b, rk_b), *rest = rep.per_node
+        return MetricsReport(rep.method, ((a, nz_a - 1, rk_a), (b, nz_b + 1, rk_b), *rest))
+
+    monkeypatch.setattr("rsrepair.suites.metrics_weight", shifted)
+    report = run_suite("expsum", seed=0, size=2)
+    nf, params = random_normalized_scheme(random.Random(0))
+    node, nz, rk = metrics_direct(nf.scheme).per_node[0]
+    assert not report["passed"] and len(report["failures"]) == 2
+    assert report["failures"][0] == (
+        f"case 0 {params}: direct gives {(node, nz, rk)} but weight_formula gives {(node, nz - 1, rk)}"
+    )
