@@ -13,7 +13,7 @@ devectorizing phi(alpha) against beta returns alpha.
 from __future__ import annotations
 
 from . import linalg
-from .errors import DependentBasis
+from .errors import ParamViolation
 from .gf import FieldTower, spot_check
 from .subspace import b_rank
 
@@ -24,10 +24,10 @@ class BasisPair:
         self.beta = tuple(beta)
         self.gamma = tuple(gamma)
         if len(self.beta) != tower.ell or len(self.gamma) != tower.ell:
-            raise DependentBasis("basis length must equal ell")
+            raise ParamViolation("basis length must equal ell")
         idx = range(tower.ell)
         if [self.vectorize_dual(g) for g in self.gamma] != [tuple(int(i == j) for j in idx) for i in idx]:
-            raise DependentBasis("claimed dual pair fails Tr(gamma_i beta_j) = delta_ij")
+            raise ParamViolation("claimed dual pair fails Tr(gamma_i beta_j) = delta_ij")
         self._phi = None
         self._phi_hat = None
         self._phi_hat_bits = None
@@ -80,7 +80,7 @@ class BasisPair:
         """q = 2 only: phi_hat rows packed into ints (bit s = coordinate s)."""
         t = self.tower
         if t.q != 2:
-            raise ValueError("bit-packed vectorization requires q = 2")
+            raise ParamViolation("bit-packed vectorization requires q = 2")
         if self._phi_hat_bits is None:
             def packed(x):
                 return sum(c << s for s, c in enumerate(self.vectorize_dual(x)))
@@ -116,7 +116,7 @@ def dual_basis(beta, tower: FieldTower) -> BasisPair:
     """
     beta = tuple(beta)
     if len(beta) != tower.ell or b_rank(tower, beta) != tower.ell:
-        raise DependentBasis("elements do not form a basis of F over B")
+        raise ParamViolation("elements do not form a basis of F over B")
     tr = tower.trace_to_subfield
     gram = [[tr(tower.mul(bi, bj)) for bj in beta] for bi in beta]
     ginv = linalg.inverse(tower, gram)

@@ -16,12 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import (
-    BudgetExceeded,
-    Infeasible,
-    ParamViolation,
-    UnsupportedRegime,
-)
+from .errors import ParamViolation, UnsupportedRegime
 from .gf import split_prime_power
 
 
@@ -137,7 +132,7 @@ def r3cond_max_bruteforce(ell: int, d: int, m_max: int | None = None):
     cannot sneak past an integer maximum.
     """
     if ell > 10:
-        raise BudgetExceeded("enumeration over partitions is sized for ell <= 10")
+        raise ParamViolation("enumeration over partitions is sized for ell <= 10")
     if not 1 <= d <= ell:
         raise ParamViolation(f"need 1 <= d <= ell, got d={d}, ell={ell}")
     hi = ell if m_max is None else min(ell, m_max)
@@ -190,7 +185,7 @@ def bmin_bruteforce(q: int, ell: int, d: int, m: int, r: int) -> int:
     """
     count, budget = _bmin_budget(q, ell, d, m, r)
     if count > budget:
-        raise Infeasible("even b_i = m for every helper exceeds the budget")
+        raise ParamViolation("even b_i = m for every helper exceeds the budget")
     if m == 0:
         return 0
     best = count * m
@@ -208,7 +203,7 @@ def bmin_literal(q: int, ell: int, d: int, m: int, r: int) -> int:
     """Same minimum by enumerating level counts; cross-check for n <= 16."""
     count, budget = _bmin_budget(q, ell, d, m, r)
     if q**d > 16:
-        raise BudgetExceeded("literal enumeration is sized for n <= 16")
+        raise ParamViolation("literal enumeration is sized for n <= 16")
 
     def splits(total, parts):
         if parts == 1:
@@ -226,5 +221,5 @@ def bmin_literal(q: int, ell: int, d: int, m: int, r: int) -> int:
         if best is None or total < best:
             best = total
     if best is None:
-        raise Infeasible("even b_i = m for every helper exceeds the budget")
+        raise ParamViolation("even b_i = m for every helper exceeds the budget")
     return best

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from . import linalg
 from .basis import dual_basis
-from .errors import (
-    CrossCheckMismatch,
-    DependentBetas,
-    NoSolution,
-    NoSuitableTheta,
-    ParamViolation,
-)
+from .errors import CrossCheckMismatch, ParamViolation
 from .gf import FieldTower, field_create, split_prime_power
 from .rs import RSCode
 from .scheme import NormalForm, RepairScheme
@@ -76,11 +70,11 @@ def qpoly_annihilator(betas, tower: FieldTower) -> QPolynomial:
     if not 1 <= t < tower.ell:
         raise ParamViolation(f"need 1 <= t < ell, got t = {t}")
     if b_rank(tower, betas) != t:
-        raise DependentBetas("the beta_i must be independent over B")
+        raise ParamViolation("the beta_i must be independent over B")
     rows = [[tower.frobenius(b, j) for j in range(t + 1)] for b in betas]
     ker = linalg.right_kernel(tower, rows, t + 1)
     if len(ker) != 1 or ker[0][0] == 0:
-        raise NoSolution("Moore system kernel is not the expected line")
+        raise CrossCheckMismatch("Moore system kernel is not the expected line")
     scale = tower.inv(ker[0][0])
     v = [tower.mul(scale, entry) for entry in ker[0]]
     theta = [0] * (t + 1)
@@ -93,7 +87,7 @@ def _extend_basis(tower: FieldTower, fixed) -> list[int]:
     """Greedily grow a B-basis of F from the given elements, in int order."""
     eb = linalg.EchelonBasis(tower)
     if not all(eb.insert(x) for x in fixed):
-        raise DependentBetas("starting elements are dependent over B")
+        raise ParamViolation("starting elements are dependent over B")
     return list(fixed) + eb.extend(range(1, tower.size), tower.ell)
 
 
@@ -148,7 +142,7 @@ def construction1(ell: int, theta_strategy: str = "auto"):
                  if t.add(t.add(t.mul(x, x), x), zeta) == 0]
         roots = [x for x in roots if t.is_primitive(x)]
         if not roots:
-            raise NoSuitableTheta("no primitive root of x^2 + x + zeta")
+            raise ParamViolation("no primitive root of x^2 + x + zeta")
         theta = min(roots)
     else:
         theta = None
@@ -157,7 +151,7 @@ def construction1(ell: int, theta_strategy: str = "auto"):
                 theta = x
                 break
         if theta is None:
-            raise NoSuitableTheta("no primitive element gives independent betas")
+            raise ParamViolation("no primitive element gives independent betas")
 
     beta = _extend_basis(t, betas_of(theta))
     bp = dual_basis(beta, t)

@@ -15,11 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (
-    CrossCheckMismatch,
-    DegreeSharesCharacteristic,
-    NonIntegerSum,
-)
+from .errors import CrossCheckMismatch, ParamViolation
 from .gf import FieldTower, span_walk
 from .scheme import node_values
 from .subspace import Subspace
@@ -39,7 +35,7 @@ class CharSum:
         self.p = p
         self.counts = [0] * p if counts is None else list(counts)
         if len(self.counts) != p:
-            raise ValueError("need one count per residue")
+            raise ParamViolation("need one count per residue")
 
     def tally(self, residue: int, mult: int = 1) -> None:
         self.counts[residue % self.p] += mult
@@ -48,8 +44,10 @@ class CharSum:
         return len(set(self.counts[1:])) <= 1
 
     def as_integer(self) -> int:
+        """The sum's value; CrossCheckMismatch if it does not collapse, as
+        every caller sums over a set where it must."""
         if not self.is_rational_integer():
-            raise NonIntegerSum(f"counts {self.counts} do not collapse to an integer")
+            raise CrossCheckMismatch(f"counts {self.counts} do not collapse to an integer")
         return self.counts[0] - (self.counts[1] if self.p > 1 else 0)
 
     def complex_value(self) -> complex:
@@ -117,13 +115,8 @@ def _normal_form_tally(nf, rows) -> CharSum:
 
 
 def _collapse(cs: CharSum, qm: int) -> int:
-    """A normal-form tally divided by q^m; both steps must be exact.
-
-    Inside a metric route a tally that fails to collapse is an arithmetic
-    bug, so it is reported as a cross-check mismatch.
-    """
-    if not cs.is_rational_integer():
-        raise CrossCheckMismatch(f"character sum counts {cs.counts} do not collapse to an integer")
+    """A normal-form tally divided by q^m; both steps must be exact, so a
+    miss is an arithmetic bug (CrossCheckMismatch)."""
     total = cs.as_integer()
     if total % qm:
         raise CrossCheckMismatch("u-sum failed to collapse; arithmetic bug")
@@ -169,9 +162,7 @@ def weil_check(coeffs, tower: FieldTower) -> dict:
         coeffs.pop()
     e = len(coeffs) - 1
     if e < 1 or e % tower.p == 0:
-        raise DegreeSharesCharacteristic(
-            f"degree {max(e, 0)} shares a factor with p = {tower.p}"
-        )
+        raise ParamViolation(f"degree {max(e, 0)} shares a factor with p = {tower.p}")
     def values():
         for alpha in range(tower.size):
             acc = 0

@@ -26,7 +26,7 @@ import functools
 import operator
 import os
 
-from .errors import CrossCheckMismatch, NoIrreducible, NotPrime, ParamViolation, TooLarge, ZeroScalar
+from .errors import CrossCheckMismatch, ParamViolation
 
 DEFAULT_MAX_FIELD_BITS = 20
 
@@ -74,16 +74,6 @@ def _ptrim(f: list[int]) -> list[int]:
         f.pop()
     return f
 
-
-def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
 
 def _pmod(f: list[int], m: list[int], p: int) -> list[int]:
     f = list(f)
@@ -153,7 +143,7 @@ def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
         coeffs.append(1)
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
-    raise NoIrreducible(f"no irreducible of degree {degree} over GF({p})")
+    raise CrossCheckMismatch(f"no irreducible of degree {degree} over GF({p})")
 
 
 def spot_check(table, definition, what: str) -> None:
@@ -191,9 +181,9 @@ class FieldTower:
 
     def __init__(self, p: int, a: int, ell: int, modulus=None):
         if not _is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
+            raise ParamViolation(f"p = {p} is not prime")
         if a < 1 or ell < 1:
-            raise ValueError("a and ell must be positive")
+            raise ParamViolation("a and ell must be positive")
         self.p = p
         self.a = a
         self.ell = ell
@@ -201,7 +191,7 @@ class FieldTower:
         self.degree = a * ell
         self.size = p**self.degree
         if self.size > max_field_size():
-            raise TooLarge(
+            raise ParamViolation(
                 f"field size {p}^{self.degree} exceeds budget "
                 f"(raise RSREPAIR_MAX_FIELD_BITS to override)"
             )
@@ -210,9 +200,9 @@ class FieldTower:
         else:
             modulus = tuple(int(c) for c in modulus)
             if len(modulus) != self.degree + 1 or modulus[-1] != 1 or not all(0 <= c < p for c in modulus):
-                raise ValueError(f"modulus must be monic of degree a*ell with digits in [0, {p})")
+                raise ParamViolation(f"modulus must be monic of degree a*ell with digits in [0, {p})")
             if not _is_irreducible(list(modulus), p):
-                raise NoIrreducible("supplied modulus is reducible")
+                raise ParamViolation("supplied modulus is reducible")
         self.modulus = tuple(modulus)
         self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         if p == 2:  # bit-packed digits: XOR in place of the Zech methods
@@ -230,11 +220,16 @@ class FieldTower:
     # -- construction internals ------------------------------------------
 
     def _mul_raw(self, x: int, y: int) -> int:
-        """Table-free product, used only while building the exp table."""
+        """Table-free product, used only while building the exp table: the
+        digits y_k of y weight the walk x X^k (X the polynomial variable)."""
         if self.p == 2:
             walk = self._x_walk(x, y.bit_length())
             return functools.reduce(operator.xor, (v for k, v in enumerate(walk) if y >> k & 1), 0)
-        return self.element(_pmod(_pmul(self.coords(x), self.coords(y), self.p), self.modulus, self.p))
+        acc = [0] * self.degree
+        for d, v in zip(self.coords(y), self._x_walk(x, self.degree)):
+            if d:
+                acc = [s + d * c for s, c in zip(acc, self.coords(v))]
+        return self.element(acc)
 
     def _pow_raw(self, x: int, e: int) -> int:
         r = 1
@@ -275,7 +270,7 @@ class FieldTower:
         g = next((c for c in range(1, self.size)
                   if all(self._pow_raw(c, order // t) != 1 for t in factors)), None)
         if g is None:  # cannot happen for a true field
-            raise NoIrreducible("no primitive element found; modulus not irreducible?")
+            raise CrossCheckMismatch("no primitive element found; modulus not irreducible?")
         self.generator = g
         if self.degree == 1:  # the modulus may be x itself: x = 0, no walk
             exp = [pow(g, i, p) for i in range(max(order, 1))]
@@ -324,7 +319,7 @@ class FieldTower:
 
     def inv(self, x: int) -> int:
         if x == 0:
-            raise ZeroScalar("0 has no inverse")
+            raise ParamViolation("0 has no inverse")
         return self.exp[-self.log[x] % self.order]
 
     def div(self, x: int, y: int) -> int:
@@ -335,7 +330,7 @@ class FieldTower:
             if e == 0:
                 return 1
             if e < 0:
-                raise ZeroScalar("0 has no negative powers")
+                raise ParamViolation("0 has no negative powers")
             return 0
         return self.exp[(self.log[x] * e) % self.order]
 
@@ -391,7 +386,7 @@ class FieldTower:
     def subfield(self, size: int) -> tuple[tuple[int, ...], int]:
         """Elements and a generator of the subfield of the given size.
 
-        The size must be p^k with k dividing the degree (ValueError
+        The size must be p^k with k dividing the degree (ParamViolation
         otherwise); the generator has multiplicative order size - 1.
         """
         if size in self._subfield_cache:
@@ -401,12 +396,12 @@ class FieldTower:
         except ParamViolation:
             p = k = 0
         if p != self.p or self.degree % k:
-            raise ValueError(f"no subfield of size {size} in field of size {self.size}")
+            raise ParamViolation(f"no subfield of size {size} in field of size {self.size}")
         step = (self.size - 1) // (size - 1)
         gen = self.exp[step % self.order]
         els = {0, *self.exp[::step]}
         if len(els) != size:
-            raise ValueError(f"no subfield of size {size} (generator order mismatch)")
+            raise ParamViolation(f"no subfield of size {size} (generator order mismatch)")
         out = (tuple(sorted(els)), gen)
         self._subfield_cache[size] = out
         return out

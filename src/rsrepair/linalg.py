@@ -15,7 +15,7 @@ rank and split for hot loops.
 
 from __future__ import annotations
 
-from .errors import CrossCheckMismatch, NoSolution, SingularMatrix
+from .errors import CrossCheckMismatch, SingularMatrix
 
 
 def rref(tower, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -119,14 +119,14 @@ def inverse(tower, rows) -> list[list[int]]:
 
 def solve(tower, rows, b) -> list[int]:
     """The unique solution of M x = b: SingularMatrix if the columns of M
-    are dependent, NoSolution if the system is inconsistent."""
+    are dependent or the system is inconsistent."""
     width = len(rows[0])
     aug = [list(r) + [b[i]] for i, r in enumerate(rows)]
     red, pivots = rref(tower, aug)
     if pivots[:width] != list(range(width)):
         raise SingularMatrix("matrix columns are dependent; no unique solution")
     if width in pivots:
-        raise NoSolution("inconsistent linear system")
+        raise SingularMatrix("inconsistent linear system")
     return [r[-1] for r in red[:width]]
 
 

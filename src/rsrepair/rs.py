@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 from . import linalg
-from .errors import DegreeTooHigh, ParamViolation
+from .errors import ParamViolation
 from .gf import FieldTower, span_walk, spot_check
 from .subspace import Subspace
 
@@ -77,7 +77,7 @@ class RSCode:
     def evaluate(self, coeffs) -> list[int]:
         """f(a) at every point, in point order, for any f of degree < n."""
         if len(coeffs) > self.n:
-            raise DegreeTooHigh(f"degree {len(coeffs) - 1} >= n = {self.n}")
+            raise ParamViolation(f"degree {len(coeffs) - 1} >= n = {self.n}")
         if self._levels is None:
             self._levels = self._build_levels()
         t, n = self.tower, self.n
@@ -108,7 +108,7 @@ class RSCode:
     def encode(self, coeffs) -> list[int]:
         coeffs = list(coeffs)
         if len(coeffs) > self.k:
-            raise DegreeTooHigh(f"message degree {len(coeffs) - 1} >= k = {self.k}")
+            raise ParamViolation(f"message degree {len(coeffs) - 1} >= k = {self.k}")
         values = self.evaluate(coeffs)
         spot_check(values, lambda i: self.eval_poly(coeffs, self.points[i]), "remainder-tree codeword")
         return values

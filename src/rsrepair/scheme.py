@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .basis import BasisPair
-from .errors import CrossCheckMismatch, InvalidScheme, SingularM, SingularMatrix
+from .errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
 from .gf import FieldTower, field_create, span_walk
 from .rs import RSCode
 from .subspace import Subspace, b_rank
@@ -338,9 +338,9 @@ def transform(scheme: RepairScheme, M) -> RepairScheme:
     M = [list(r) for r in M]
     bset = set(t.subfield_elements())
     if any(e not in bset for r in M for e in r):
-        raise SingularM("transform entries must lie in B")
+        raise ParamViolation("transform entries must lie in B")
     if not linalg.is_invertible(t, M):
-        raise SingularM("transform matrix is singular over B")
+        raise ParamViolation("transform matrix is singular over B")
     new_polys = linalg.mat_mul(t, M, scheme.polys)
     return RepairScheme(scheme.code, scheme.basis, new_polys, scheme.target)
 

@@ -13,7 +13,7 @@ x -> Tr(beta x).
 from __future__ import annotations
 
 from . import linalg
-from .errors import CrossCheckMismatch, TooLarge, WNotInImage, ZeroScalar
+from .errors import CrossCheckMismatch, ParamViolation
 from .gf import FieldTower, max_field_size, span_walk
 
 
@@ -79,7 +79,7 @@ class Subspace:
     def scaled_trace_kernel(cls, beta: int, tower: FieldTower) -> "Subspace":
         """beta^{-1} K = {x : Tr(beta x) = 0}."""
         if beta == 0:
-            raise ZeroScalar("scaled trace kernel requires beta != 0")
+            raise ParamViolation("scaled trace kernel requires beta != 0")
         t = tower
         cols = [t.coords(t.trace_to_subfield(t.mul(beta, t.p**k))) for k in range(t.degree)]
         return cls.solutions(t, [list(row) for row in zip(*cols)])  # digits(x) -> digits(Tr(beta x))
@@ -139,7 +139,7 @@ class Subspace:
         """
         t = self.tower
         if t.q**self.dim > max_field_size():
-            raise TooLarge(f"enumeration of q^{self.dim} elements exceeds budget")
+            raise ParamViolation(f"enumeration of q^{self.dim} elements exceeds budget")
         units = t.subfield_elements()[1:]
         steps = [[t.mul(c, b) for c in units] for b in reversed(self.b_basis())]
         points = span_walk(steps, t.add)
@@ -161,14 +161,14 @@ class Subspace:
         stacked = self.constraints()
         for o in others:
             if not self._same_tower(o):
-                raise ValueError("intersection of subspaces of different towers")
+                raise ParamViolation("intersection of subspaces of different towers")
             stacked.extend(o.constraints())
         return Subspace.solutions(self.tower, stacked)
 
     def add(self, other: "Subspace") -> "Subspace":
         """Sum of subspaces (used to test dimension identities)."""
         if not self._same_tower(other):
-            raise ValueError("sum of subspaces of different towers")
+            raise ParamViolation("sum of subspaces of different towers")
         return Subspace(self.tower, *linalg.rref(self.tower, self._rows + other._rows))
 
     # -- preimages ---------------------------------------------------------------
@@ -176,7 +176,7 @@ class Subspace:
     def preimage(self, lmap) -> "Subspace":
         """{x in F : L(x) in self} for a B-linear map with a .gfp_matrix().
 
-        Raises WNotInImage if self is not contained in the image of L, so a
+        Raises ParamViolation if self is not contained in the image of L, so a
         dimension count dim(self) + dim(ker L) is guaranteed for the result.
         """
         t = self.tower
@@ -185,7 +185,7 @@ class Subspace:
         cols = [list(c) for c in zip(*m)]
         img_rank = linalg.rank(t, cols)
         if linalg.rank(t, cols + self._rows) != img_rank:
-            raise WNotInImage("subspace is not contained in the image of the map")
+            raise ParamViolation("subspace is not contained in the image of the map")
         return Subspace.solutions(t, linalg.mat_mul(t, self.constraints(), m))
 
     # -- serialization -------------------------------------------------------------

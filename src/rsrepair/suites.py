@@ -100,7 +100,7 @@ def random_normalized_scheme(rng, q=None, ell=None, d=None, r=None):
             "m": nf.m, "t": nf.t, "target": scheme.target,
         }
         return nf, params
-    raise RSRepairError("no valid scheme found; generator parameters too tight")
+    raise ParamViolation("no valid scheme found; generator parameters too tight")
 
 
 def suite_expsum(seed=0, cases=25):
@@ -233,7 +233,7 @@ def run_suite(name, seed=0, size=None):
             "reports": reports,
         }
     if name not in _SUITES:
-        raise RSRepairError(f"unknown suite {name!r}; pick from {('all',) + SUITE_NAMES}")
+        raise ParamViolation(f"unknown suite {name!r}; pick from {('all',) + SUITE_NAMES}")
     if size is None:
         return _SUITES[name](seed=seed)
     return _SUITES[name](seed=seed, cases=size)

@@ -13,7 +13,7 @@ from rsrepair import (
     r3cond_max_bruteforce,
     random_normalized_scheme,
 )
-from rsrepair.errors import BudgetExceeded, ParamViolation, UnsupportedRegime
+from rsrepair.errors import ParamViolation, UnsupportedRegime
 
 
 def test_io_values_frozen():
@@ -119,7 +119,7 @@ def test_r3cond_m_cap_and_budget():
     full, _ = r3cond_max_bruteforce(6, 4)
     capped, _ = r3cond_max_bruteforce(6, 4, m_max=2)
     assert capped <= full
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(ParamViolation, match="sized for ell <= 10"):
         r3cond_max_bruteforce(11, 4)
     with pytest.raises(ParamViolation):
         r3cond_max_bruteforce(6, 0)
@@ -149,7 +149,7 @@ def test_bmin_frozen_shifts():
 
 
 def test_bmin_guards():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(ParamViolation, match="sized for n <= 16"):
         bmin_literal(2, 6, 5, 3, 2)  # n = 32
     with pytest.raises(UnsupportedRegime):
         bmin_bruteforce(3, 4, 2, 2, 3)

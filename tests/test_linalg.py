@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rsrepair import field_create, linalg
-from rsrepair.errors import NoSolution, SingularMatrix
+from rsrepair.errors import SingularMatrix
 from rsrepair.linalg import EchelonBasis
 
 
@@ -113,7 +113,7 @@ def test_solve_unique_singular_inconsistent():
         linalg.solve(t, [[1, 2], [2, 1]], [1, 2])  # row 2 = 2 * row 1
     with pytest.raises(SingularMatrix):
         linalg.solve(t, [[1, 2], [2, 1]], [1, 1])  # singular and inconsistent
-    with pytest.raises(NoSolution):
+    with pytest.raises(SingularMatrix, match="inconsistent linear system"):
         linalg.solve(t, [[1, 0], [0, 1], [1, 1]], [1, 1, 0])
 
 
