@@ -1,23 +1,43 @@
-"""Exact additive character sums.
+"""Exact additive character sums, and the expsum metric route.
 
 chi(x) = zeta_p ** absolute_trace(x) takes values among the p-th roots of
 unity, so any sum of chi values is stored as an integer count per root.
 Everything stays in integer arithmetic; floats appear only when a sum is
 compared against an analytic bound.
 
-The expsum metric route keeps one tally: per_node_zero_columns collapses one
-normal-form character sum per node, and io_cost_expsum is (n - 1) ell minus
-the sum of those per-node zero columns.
+The expsum route sums over the evaluation set A first.  For j <= m,
+g_j = c_j + L_j with L_j B-linear (scheme.affine_parts); b_1..b_d =
+reversed(A.b_basis()) weight the digits of a node index; per support
+column s, M_s[j][k] = Tr_{F/B}(beta_s L_j(b_k)) and a_s[j] =
+Tr_{F/B}(beta_s c_j).  Column s of helper alpha = sum x_k b_k is zero iff
+M_s x = -a_s, and the sum of chi(beta_s g_u(alpha)) over A is
+q^d chi(beta_s c_u) if u M_s = 0, else 0.  So all nodes hold
+
+    q^(d-m) * sum over s, and u in B^m with u M_s = 0, of chi(beta_s c_u)
+
+zero columns (one CharSum), and io_cost_expsum is (n - 1) ell minus that.
+Per node: each V_s = {x in B^d : M_s x = -a_s} is a particular solution
+plus the span of a kernel (one rref), walked over node indices by XOR at
+q = 2 and a B-digit add otherwise; a node's count is the number of V_s
+holding it.  The |V_s| must add up to the closed form, and the target
+(whose literal tally is taken too) lies in none.  Ranks: theta_1..theta_m,
+a B-basis of C^perp = {theta : Tr(theta c_j) = 0 for j > m}, map
+F / span(constants) onto B^m, so rank(W_i) = (ell - m) + rank(T_i),
+T_i[j][k] = Tr_{F/B}(theta_k g_j(alpha_i)), affine in alpha and walked
+like the nodes.  Polynomials that are not B-affine take their values from
+scheme.node_values and are tallied node by node.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 
+from . import linalg
 from .errors import CrossCheckMismatch, ParamViolation
-from .gf import FieldTower, span_walk
-from .scheme import node_values
+from .gf import FieldTower, span_iter, span_walk
+from .scheme import affine_parts, node_values
 from .subspace import Subspace
 
 
@@ -123,32 +143,144 @@ def _collapse(cs: CharSum, qm: int) -> int:
     return total // qm
 
 
+def _trace_system(t: FieldTower, beta: int, consts, images) -> tuple[int, list, list]:
+    """(beta_s, M_s, a_s) of the support column with dual basis element beta."""
+    tr, mul = t.trace_to_subfield, t.mul
+    M = [[tr(mul(beta, lb[j])) for lb in images] for j in range(len(consts))]
+    return beta, M, [tr(mul(beta, c)) for c in consts]
+
+
+def _trace_systems(nf, parts) -> list[tuple[int, list, list]]:
+    return [_trace_system(nf.scheme.tower, nf.scheme.basis.beta[s - 1], *parts) for s in nf.support_set]
+
+
+def _closed_form_zero_columns(nf, consts, systems) -> int:
+    """Zero columns of all n nodes from the sums over A: q^d chi(beta_s c_u)
+    per s and u in the left kernel of M_s, one CharSum over q^m."""
+    t = nf.scheme.tower
+    tr = t.absolute_trace_table()
+    units = t.subfield_elements()[1:]
+    qd = t.q**nf.scheme.code.A.dim
+    cs = CharSum(t.p)
+    for beta, M, _ in systems:
+        kernel = linalg.right_kernel(t, [list(col) for col in zip(*M)], nf.m)
+        cus = [linalg.dot(t, u, consts) for u in kernel]
+        for cu in span_walk([[t.mul(c, x) for c in units] for x in cus], t.add):
+            cs.tally(tr[t.mul(beta, cu)], qd)
+    return _collapse(cs, t.q**nf.m)
+
+
+def _index_walk(t: FieldTower, x0, kernel) -> list[int]:
+    """0-based node indices of x0 + span(kernel) in B^d: digit k of an
+    index is the position of x_k in subfield_elements()."""
+    if t.q == 2:
+        pack = lambda x: sum(c << k for k, c in enumerate(x))
+        return span_walk([[pack(v)] for v in kernel], operator.xor, pack(x0))
+    q, els = t.q, t.subfield_elements()
+    pos = {x: k for k, x in enumerate(els)}
+    digit_sum = [[pos[t.add(x, y)] for y in els] for x in els]
+    pack = lambda x: sum(pos[c] * q**k for k, c in enumerate(x))
+
+    def add(i, j):
+        out, place = 0, 1
+        while i or j:
+            (i, a), (j, b) = divmod(i, q), divmod(j, q)
+            out += digit_sum[a][b] * place
+            place *= q
+        return out
+
+    steps = [[pack([t.mul(c, e) for e in v]) for c in els[1:]] for v in kernel]
+    return span_walk(steps, add, pack(x0))
+
+
 def io_cost_expsum(nf) -> int:
     """I/O cost of an (m, t)-normalized scheme from exact character sums:
-    (n - 1) ell minus the helpers' zero columns."""
+    (n - 1) ell minus the zero columns, in closed form when B-affine."""
     scheme = nf.scheme
-    return (scheme.code.n - 1) * scheme.ell - sum(per_node_zero_columns(nf).values())
+    parts = affine_parts(scheme, scheme.polys[: nf.m])
+    if parts is None:
+        zeros = sum(per_node_zero_columns(nf).values())
+    else:
+        zeros = _closed_form_zero_columns(nf, parts[0], _trace_systems(nf, parts))
+    return (scheme.code.n - 1) * scheme.ell - zeros
 
 
 def per_node_zero_columns(nf) -> dict[int, int]:
-    """Zero-column count of each helper's W_hat block, via character sums.
+    """Zero-column count of each helper's W_hat block.
 
-    For helper i the (s, u)-tally of chi(g_u(alpha_i) beta_s) collapses per
-    s to q^m or 0, so it equals q^m times the number of support columns
-    where W_hat_i vanishes.  The target must contribute zero, since its
-    repair matrix has no zero column.
+    B-affine polynomials: the number of affine sets V_s holding the node,
+    checked against the closed form.  Otherwise one tally per node: the
+    (s, u)-tally of chi(g_u(alpha_i) beta_s) collapses per s to q^m or 0.
+    Either way the target must have no zero column, since its repair
+    matrix spans F.
     """
     scheme = nf.scheme
-    qm = scheme.tower.q**nf.m
-    out = {}
-    for i, vals in enumerate(node_values(scheme, scheme.polys[: nf.m]), 1):
-        z = _collapse(_normal_form_tally(nf, [vals]), qm)
-        if i == scheme.target:
-            if z:
-                raise CrossCheckMismatch("target repair matrix has a zero column")
-        else:
-            out[i] = z
-    return out
+    t, n, target = scheme.tower, scheme.code.n, scheme.target
+    qm = t.q**nf.m
+    parts = affine_parts(scheme, scheme.polys[: nf.m])
+    if parts is None:
+        rows = node_values(scheme, scheme.polys[: nf.m])
+        zcols = [_collapse(_normal_form_tally(nf, [vals]), qm) for vals in rows]
+    else:
+        systems = _trace_systems(nf, parts)
+        total = _closed_form_zero_columns(nf, parts[0], systems)
+        zcols = [0] * n
+        for _, M, a in systems:
+            vs = linalg.solution_set(t, M, [t.neg(c) for c in a])
+            for i in _index_walk(t, *vs) if vs else ():
+                zcols[i] += 1
+        if sum(zcols) != total:
+            raise CrossCheckMismatch(
+                f"affine sets hold {sum(zcols)} zero columns, the closed form {total}")
+        at_target = [scheme.code.eval_poly(g, scheme.target_point) for g in scheme.polys[: nf.m]]
+        zcols[target - 1] += _collapse(_normal_form_tally(nf, [at_target]), qm)
+    if zcols[target - 1]:
+        raise CrossCheckMismatch("target repair matrix has a zero column")
+    return {i: z for i, z in enumerate(zcols, 1) if i != target}
+
+
+def _residue_functionals(nf) -> tuple[int, ...]:
+    """A B-basis of C^perp = the intersection of the scaled trace kernels
+    of the constants g_j, j > m (F when m = ell)."""
+    t = nf.scheme.tower
+    kernels = [Subspace.scaled_trace_kernel(g[0], t) for g in nf.scheme.polys[nf.m:]]
+    return (kernels[0].intersect(*kernels[1:]) if kernels else Subspace.full_field(t)).b_basis()
+
+
+def per_node_ranks(nf) -> dict[int, int]:
+    """rank(W_i) = (ell - m) + rank(T_i), T_i[j][k] = Tr_{F/B}(theta_k
+    g_j(alpha_i)), memoized per distinct T_i (packed into an int at q = 2)."""
+    scheme, m = nf.scheme, nf.m
+    t = scheme.tower
+    tr, mul = t.trace_to_subfield, t.mul
+    thetas = _residue_functionals(nf)
+    if len(thetas) != m or any(tr(mul(th, g[0])) for th in thetas for g in scheme.polys[m:]):
+        raise CrossCheckMismatch(f"C^perp basis {thetas} is not {m} functionals killing the constants")
+    if t.q == 2:
+        pack = lambda vals: sum(tr(mul(th, v)) << j * m + k
+                                for j, v in enumerate(vals) for k, th in enumerate(thetas))
+        add, zero, mask = operator.xor, 0, (1 << m) - 1
+        rank = lambda T: linalg.rank_bits([T >> j * m & mask for j in range(m)])
+    else:
+        pack = lambda vals: tuple(tr(mul(th, v)) for v in vals for th in thetas)
+        add, zero = (lambda T, U: tuple(map(t.add, T, U))), (0,) * m * m
+        rank = lambda T: linalg.rank(t, [list(T[j * m:(j + 1) * m]) for j in range(m)])
+    parts = affine_parts(scheme, scheme.polys[:m])
+    if parts is None:
+        walk = map(pack, node_values(scheme, scheme.polys[:m]))
+    else:
+        consts, images = parts
+        units = t.subfield_elements()[1:]
+        walk = span_iter([[pack([mul(c, x) for x in lb]) for c in units] for lb in images],
+                         add, pack(consts), zero)
+    memo = {}
+    ranks = {}
+    for i, T in enumerate(walk, 1):
+        if i != scheme.target:
+            if T not in memo:
+                memo[T] = (scheme.ell - m) + rank(T)
+            ranks[i] = memo[T]
+    return ranks
 
 
 def weil_check(coeffs, tower: FieldTower) -> dict:

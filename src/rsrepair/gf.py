@@ -168,6 +168,20 @@ def span_walk(steps, add, start=0) -> list:
     return span
 
 
+def span_iter(steps, add, start, zero, block=256):
+    """span_walk(steps, add, start), lazily and in the same order: a table
+    of the lowest digits, at most block elements walked from zero, added
+    to each element of the walk of the other digits."""
+    k, size = 0, 1
+    while k < len(steps) and size * (len(steps[k]) + 1) <= block:
+        size *= len(steps[k]) + 1
+        k += 1
+    low = span_walk(steps[:k], add, zero)
+    for base in span_walk(steps[k:], add, start):
+        for v in low:
+            yield add(base, v)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -400,8 +414,8 @@ class FieldTower:
         step = (self.size - 1) // (size - 1)
         gen = self.exp[step % self.order]
         els = {0, *self.exp[::step]}
-        if len(els) != size:
-            raise ParamViolation(f"no subfield of size {size} (generator order mismatch)")
+        if len(els) != size:  # only a corrupted exp table gets here
+            raise CrossCheckMismatch(f"no subfield of size {size} (generator order mismatch)")
         out = (tuple(sorted(els)), gen)
         self._subfield_cache[size] = out
         return out

@@ -7,10 +7,11 @@ and matrices over F.  When every entry is below p the matrix lies in GF(p),
 whose elements are encoded as themselves, and rref eliminates on native ints
 (XOR for p = 2); otherwise it goes through the tower's add/mul.  split
 reads the greedy dependency split of a list of rows off the rref of their
-transpose, sharing its kernel step with right_kernel.  Ranks over B of field
-elements come from EchelonBasis, an incremental echelon basis of their
-GF(p)-closure; rank_bits and split_bits are the bit-packed GF(2) forms of
-rank and split for hot loops.
+transpose, sharing its kernel step with right_kernel and solution_set (the
+affine solution set of M x = b).  Ranks over B of field elements come from
+EchelonBasis, an incremental echelon basis of their GF(p)-closure;
+rank_bits and split_bits are the bit-packed GF(2) forms of rank and split
+for hot loops.
 """
 
 from __future__ import annotations
@@ -86,6 +87,19 @@ def split(tower, rows) -> tuple[list[int], dict[int, list[int]]]:
     kernel of the transposed rows."""
     red, pivots = rref(tower, list(zip(*rows)))
     return pivots, _kernel(tower, red, pivots, len(rows))
+
+
+def solution_set(tower, rows, rhs):
+    """{x : M x = rhs} as (a particular solution, a basis of the kernel of
+    M) from one rref of [M | rhs]; None when the system is inconsistent."""
+    width = len(rows[0])
+    red, pivots = rref(tower, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if width in pivots:
+        return None
+    x0 = [0] * width
+    for r, pc in zip(red, pivots):
+        x0[pc] = r[width]
+    return x0, list(_kernel(tower, red, pivots, width).values())
 
 
 def mat_mul(tower, A, B):

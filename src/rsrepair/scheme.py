@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .basis import BasisPair
 from .errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
-from .gf import FieldTower, field_create, span_walk
+from .gf import FieldTower, field_create, span_iter, span_walk
 from .rs import RSCode
 from .subspace import Subspace, b_rank
 
@@ -184,34 +184,41 @@ def repair_matrix(scheme: RepairScheme, i: int) -> list[tuple[int, ...]]:
     return [table[code.eval_poly(p, alpha)] for p in scheme.polys]
 
 
-def node_values(scheme: RepairScheme, polys):
-    """Yield [g(alpha_i) for g in polys] for each node i, in node order.
-
-    If all nonzero coefficients sit at exponent 0 or a power of q, g is a
-    constant plus a B-linear L: A is span-walked in Subspace.enumerate order
-    from the multiples of L(b) per basis element b, one field addition per
-    g and node.  Other polynomials go through Horner.
-    """
+def affine_parts(scheme: RepairScheme, polys):
+    """(constants, images) when every g in polys is a constant plus a
+    B-linear L, i.e. all nonzero coefficients sit at exponent 0 or a power
+    of q: constants = [g[0] for g in polys] and images[k] = [L(b_k) for g in
+    polys], b_k = reversed(A.b_basis())[k] weighting digit k of a node
+    index.  None for other polynomials."""
     code, t = scheme.code, scheme.tower
     qpows = {t.q**k for k in range(code.r.bit_length())}
     if any(c for g in polys for e, c in enumerate(g) if e and e not in qpows):
+        return None
+    images = [[code.eval_poly([0, *g[1:]], b) for g in polys] for b in reversed(code.A.b_basis())]
+    return [g[0] for g in polys], images
+
+
+def node_values(scheme: RepairScheme, polys):
+    """Yield [g(alpha_i) for g in polys] for each node i, in node order.
+
+    For B-affine polynomials (affine_parts), A is span-walked in
+    Subspace.enumerate order from the multiples of L(b) per basis element
+    b, one field addition per g and node.  Other polynomials go through
+    Horner.
+    """
+    code, t = scheme.code, scheme.tower
+    parts = affine_parts(scheme, polys)
+    if parts is None:
         for alpha in code.points:
             yield [code.eval_poly(g, alpha) for g in polys]
         return
+    consts, images = parts
     # lists, not tuples: freed tuples stay cached per size, raising peak RSS
     add = t.add
     vadd = lambda v, w: list(map(add, v, w))
-    steps = []  # lowest digit first: per basis element b, [c L(b) for g in polys] per unit c
-    for b in reversed(code.A.b_basis()):
-        lb = [code.eval_poly([0, *g[1:]], b) for g in polys]
-        steps.append([[t.mul(c, x) for x in lb] for c in t.subfield_elements()[1:]])
-    k = len(steps)  # the k lowest digits: a tabulated block of q^k <= 256
-    while t.q**k > 256:
-        k -= 1
-    low = span_walk(steps[:k], vadd, [0] * len(polys))
-    for base in span_walk(steps[k:], vadd, [g[0] for g in polys]):
-        for v in low:
-            yield list(map(add, base, v))
+    units = t.subfield_elements()[1:]
+    steps = [[[t.mul(c, x) for x in lb] for c in units] for lb in images]  # lowest digit first
+    yield from span_iter(steps, vadd, consts, [0] * len(polys))
 
 
 def metrics_direct(scheme: RepairScheme) -> MetricsReport:
@@ -317,13 +324,13 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
 
 
 def metrics_expsum(nf: NormalForm) -> MetricsReport:
-    """Metrics with io from exact character sums, one tally per node."""
-    from .expsum import per_node_zero_columns
+    """Metrics by the paper's exponential sums (expsum.py): zero columns
+    from the affine sets V_s, ranks from trace functionals on C^perp."""
+    from .expsum import per_node_ranks, per_node_zero_columns
 
-    scheme = nf.scheme
-    ell = scheme.ell
+    ell = nf.scheme.ell
     zcols = per_node_zero_columns(nf)
-    ranks = _rank_profile(scheme)
+    ranks = per_node_ranks(nf)
     per_node = tuple((i, ell - zcols[i], ranks[i]) for i in sorted(ranks))
     return MetricsReport(method="expsum", per_node=per_node)
 

@@ -60,12 +60,6 @@ def _phi_hat_bits_at_q3():
     dual_basis([1, 3], field_create(3, 1, 2)).phi_hat_bits()
 
 
-def _subfield_order_mismatch():
-    t = FieldTower(2, 1, 4)
-    t.exp = [1] * t.order  # every step lands on 1: the subfield comes out too small
-    t.subfield(4)
-
-
 _GF8, _GF16 = Subspace.full_field(field_create(2, 1, 3)), Subspace.full_field(field_create(2, 1, 4))
 
 # input checks of the arithmetic layers, each with its message
@@ -75,7 +69,6 @@ INPUT_CHECKS = {
     "tower_degree": (lambda: FieldTower(2, 0, 3), "a and ell must be positive"),
     "tower_modulus": (lambda: FieldTower(2, 1, 4, modulus=[1, 1, 0, 1]), "modulus must be monic"),
     "subfield_size": (lambda: field_create(2, 1, 4).subfield(8), "no subfield of size 8 in"),
-    "subfield_order": (_subfield_order_mismatch, "generator order mismatch"),
     "intersect": (lambda: _GF8.intersect(_GF16), "intersection of subspaces of different towers"),
     "add": (lambda: _GF8.add(_GF16), "sum of subspaces of different towers"),
 }
@@ -110,6 +103,13 @@ def test_missing_primitive_element_is_a_cross_check(monkeypatch, p, ell):
     monkeypatch.setattr(FieldTower, "_pow_raw", lambda self, x, e: 1)
     with pytest.raises(CrossCheckMismatch, match="no primitive element found"):
         FieldTower(p, 1, ell)
+
+
+def test_subfield_order_mismatch_is_a_cross_check():
+    t = FieldTower(2, 1, 4)
+    t.exp = [1] * t.order  # every step lands on 1: the subfield comes out too small
+    with pytest.raises(CrossCheckMismatch, match=r"no subfield of size 4 \(generator order mismatch\)"):
+        t.subfield(4)
 
 
 def test_moore_kernel_off_the_line_is_a_cross_check(monkeypatch):

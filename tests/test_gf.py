@@ -8,7 +8,7 @@ import pytest
 from conftest import large
 from rsrepair import field_create
 from rsrepair.errors import CrossCheckMismatch, ParamViolation
-from rsrepair.gf import FieldTower, spot_check, split_prime_power
+from rsrepair.gf import FieldTower, span_iter, span_walk, spot_check, split_prime_power
 
 
 def _poly_mod(num, den, p):
@@ -305,3 +305,11 @@ def test_trace_tables_are_spot_checked(corrupt_first_image):
         with pytest.raises(CrossCheckMismatch):
             fresh.absolute_trace_table()
         assert fresh._tr_sub is None and fresh._tr_abs is None
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 256])
+def test_span_iter_is_span_walk_in_order(block):
+    # GF(3) digit vectors packed base 10, so every element is distinct
+    add = lambda v, w: sum((v // 10**i % 10 + w // 10**i % 10) % 3 * 10**i for i in range(4))
+    steps = [[c * 10**k for c in (1, 2)] for k in range(4)]
+    assert list(span_iter(steps, add, 1111, 0, block)) == span_walk(steps, add, 1111)

@@ -329,6 +329,9 @@ def test_node_values_q4_square_takes_horner(monkeypatch):
     for rep in (metrics_weight(nf), metrics_expsum(nf)):
         assert (rep.io_cost, rep.bandwidth, rep.per_node) == (
             direct.io_cost, direct.bandwidth, direct.per_node)
+    # the expsum ranks come from trace functionals here too
+    monkeypatch.setattr(scheme_mod, "_rank_profile", lambda s: pytest.fail("expsum used the rank profile"))
+    assert metrics_expsum(nf).per_node == direct.per_node
 
 
 def test_repair_with_a_constant_first():
