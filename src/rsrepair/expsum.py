@@ -15,13 +15,13 @@ q^d chi(beta_s c_u) if u M_s = 0, else 0.  So all nodes hold
 
     q^(d-m) * sum over s, and u in B^m with u M_s = 0, of chi(beta_s c_u)
 
-zero columns (one CharSum), and io_cost_expsum is (n - 1) ell minus that.
-Per node: each V_s = {x in B^d : M_s x = -a_s} is a particular solution
-plus the span of a kernel (one rref), walked over node indices by XOR at
-q = 2 and a B-digit add otherwise; a node's count is the number of V_s
-holding it.  The |V_s| must add up to the closed form, and the target
-(whose literal tally is taken too) lies in none.  Ranks: theta_1..theta_m,
-a B-basis of C^perp = {theta : Tr(theta c_j) = 0 for j > m}, map
+zero columns (one CharSum).  Per node: each V_s = {x in B^d : M_s x =
+-a_s} is a particular solution plus the span of a kernel (one rref),
+walked over node indices by XOR at q = 2 and a B-digit add otherwise; a
+node's count is the number of V_s holding it.  The |V_s| must add up to
+the closed form, and the target (whose literal tally is taken too) lies
+in none; io_cost_expsum is (n - 1) ell minus the helpers' counts.
+Ranks: theta_1..theta_m, a B-basis of C^perp = {theta : Tr(theta c_j) = 0 for j > m}, map
 F / span(constants) onto B^m, so rank(W_i) = (ell - m) + rank(T_i),
 T_i[j][k] = Tr_{F/B}(theta_k g_j(alpha_i)), affine in alpha and walked
 like the nodes.  Polynomials that are not B-affine take their values from
@@ -150,10 +150,6 @@ def _trace_system(t: FieldTower, beta: int, consts, images) -> tuple[int, list, 
     return beta, M, [tr(mul(beta, c)) for c in consts]
 
 
-def _trace_systems(nf, parts) -> list[tuple[int, list, list]]:
-    return [_trace_system(nf.scheme.tower, nf.scheme.basis.beta[s - 1], *parts) for s in nf.support_set]
-
-
 def _closed_form_zero_columns(nf, consts, systems) -> int:
     """Zero columns of all n nodes from the sums over A: q^d chi(beta_s c_u)
     per s and u in the left kernel of M_s, one CharSum over q^m."""
@@ -195,14 +191,9 @@ def _index_walk(t: FieldTower, x0, kernel) -> list[int]:
 
 def io_cost_expsum(nf) -> int:
     """I/O cost of an (m, t)-normalized scheme from exact character sums:
-    (n - 1) ell minus the zero columns, in closed form when B-affine."""
+    (n - 1) ell minus the helpers' zero columns."""
     scheme = nf.scheme
-    parts = affine_parts(scheme, scheme.polys[: nf.m])
-    if parts is None:
-        zeros = sum(per_node_zero_columns(nf).values())
-    else:
-        zeros = _closed_form_zero_columns(nf, parts[0], _trace_systems(nf, parts))
-    return (scheme.code.n - 1) * scheme.ell - zeros
+    return (scheme.code.n - 1) * scheme.ell - sum(per_node_zero_columns(nf).values())
 
 
 def per_node_zero_columns(nf) -> dict[int, int]:
@@ -222,7 +213,7 @@ def per_node_zero_columns(nf) -> dict[int, int]:
         rows = node_values(scheme, scheme.polys[: nf.m])
         zcols = [_collapse(_normal_form_tally(nf, [vals]), qm) for vals in rows]
     else:
-        systems = _trace_systems(nf, parts)
+        systems = [_trace_system(t, scheme.basis.beta[s - 1], *parts) for s in nf.support_set]
         total = _closed_form_zero_columns(nf, parts[0], systems)
         zcols = [0] * n
         for _, M, a in systems:

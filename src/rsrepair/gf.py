@@ -168,12 +168,12 @@ def span_walk(steps, add, start=0) -> list:
     return span
 
 
-def span_iter(steps, add, start, zero, block=256):
+def span_iter(steps, add, start, zero):
     """span_walk(steps, add, start), lazily and in the same order: a table
-    of the lowest digits, at most block elements walked from zero, added
-    to each element of the walk of the other digits."""
+    of the lowest digits, at most 256 elements walked from zero, added to
+    each element of the walk of the other digits."""
     k, size = 0, 1
-    while k < len(steps) and size * (len(steps[k]) + 1) <= block:
+    while k < len(steps) and size * (len(steps[k]) + 1) <= 256:
         size *= len(steps[k]) + 1
         k += 1
     low = span_walk(steps[:k], add, zero)

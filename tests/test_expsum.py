@@ -282,6 +282,17 @@ def test_expsum_mutation_is_caught(monkeypatch, mutation, scheme_name):
         cross_check(direct, metrics_expsum(scheme.normal_form))
 
 
+@pytest.mark.parametrize("mutation, match", [
+    ("dropped V_s row", "the closed form"),
+    ("moved particular solution", "target repair matrix has a zero column"),
+])
+def test_io_cost_expsum_keeps_the_per_node_checks(monkeypatch, mutation, match):
+    nf = construction1(6)[1].normal_form
+    MUTATIONS[mutation](monkeypatch, nf)
+    with pytest.raises(CrossCheckMismatch, match=match):
+        io_cost_expsum(nf)
+
+
 def test_expsum_takes_any_particular_solution(monkeypatch):
     # moving x0 by a kernel vector leaves V_s as it is
     scheme = construction1(6)[1]

@@ -307,9 +307,11 @@ def test_trace_tables_are_spot_checked(corrupt_first_image):
         assert fresh._tr_sub is None and fresh._tr_abs is None
 
 
-@pytest.mark.parametrize("block", [1, 2, 5, 256])
-def test_span_iter_is_span_walk_in_order(block):
+def test_span_iter_is_span_walk_in_order():
+    # spans of 729 and 1024 elements, past the 256-element table of low digits;
     # GF(3) digit vectors packed base 10, so every element is distinct
-    add = lambda v, w: sum((v // 10**i % 10 + w // 10**i % 10) % 3 * 10**i for i in range(4))
-    steps = [[c * 10**k for c in (1, 2)] for k in range(4)]
-    assert list(span_iter(steps, add, 1111, 0, block)) == span_walk(steps, add, 1111)
+    add = lambda v, w: sum((v // 10**i % 10 + w // 10**i % 10) % 3 * 10**i for i in range(6))
+    steps = [[c * 10**k for c in (1, 2)] for k in range(6)]
+    assert list(span_iter(steps, add, 111111, 0)) == span_walk(steps, add, 111111)
+    steps = [[1 << k] for k in range(10)]
+    assert list(span_iter(steps, operator.xor, 0b1011, 0)) == span_walk(steps, operator.xor, 0b1011)
