@@ -7,7 +7,9 @@ vectorizations are equally cheap:
     phi_hat(theta) = (Tr(theta beta_1), ..., Tr(theta beta_ell))     # gamma coords
 
 They satisfy phi_hat(theta) . phi(alpha) = Tr(theta alpha) for all pairs, and
-devectorizing phi(alpha) against beta returns alpha.
+devectorizing phi(alpha) against beta returns alpha.  At prime q the
+phi_hat rows also come digit-packed (phi_hat_bits): one int per row whose
+base-p digit s is coordinate s, itself a field element since q = p.
 """
 
 from __future__ import annotations
@@ -77,14 +79,16 @@ class BasisPair:
         return self._phi_hat
 
     def phi_hat_bits(self) -> list[int]:
-        """q = 2 only: phi_hat rows packed into ints (bit s = coordinate s)."""
+        """Prime q: phi_hat rows packed into ints, base-p digit s =
+        coordinate s (bits at q = 2).  With q = p they are field elements,
+        so the tower's add and mul by GF(p) scalars act digit by digit."""
         t = self.tower
-        if t.q != 2:
-            raise ParamViolation("bit-packed vectorization requires q = 2")
+        if t.a != 1:
+            raise ParamViolation(f"digit-packed vectorization requires a prime q, not q = {t.q}")
         if self._phi_hat_bits is None:
             def packed(x):
-                return sum(c << s for s, c in enumerate(self.vectorize_dual(x)))
-            bits = t.linear_table([packed(1 << k) for k in range(t.degree)])
+                return t.element(self.vectorize_dual(x))
+            bits = t.linear_table([packed(t.p**k) for k in range(t.degree)])
             spot_check(bits, packed, "phi_hat bits")
             self._phi_hat_bits = bits
         return self._phi_hat_bits

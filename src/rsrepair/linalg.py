@@ -9,12 +9,15 @@ whose elements are encoded as themselves, and rref eliminates on native ints
 reads the greedy dependency split of a list of rows off the rref of their
 transpose, sharing its kernel step with right_kernel and solution_set (the
 affine solution set of M x = b).  Ranks over B of field elements come from
-EchelonBasis, an incremental echelon basis of their GF(p)-closure;
-rank_bits and split_bits are the bit-packed GF(2) forms of rank and split
-for hot loops.
+EchelonBasis, an incremental echelon basis of their GF(p)-closure.  For
+hot loops, rows may come digit-packed into ints (base-p digit i = column
+i, bits at p = 2): rank_bits is their GF(p) rank, digit_supports reads
+their nonzero digits, and split_bits is the GF(2) form of split.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import CrossCheckMismatch, SingularMatrix
 
@@ -206,18 +209,64 @@ class EchelonBasis:
         return picked
 
 
-def rank_bits(rows: list[int]) -> int:
-    """Rank over GF(2) of rows packed as ints (bit i = column i)."""
-    basis: dict[int, int] = {}  # pivot bit -> reduced row
+def rank_bits(rows: list[int], tower=None) -> int:
+    """Rank over GF(p) of rows packed as ints, base-p digit i = column i:
+    bits (p = 2) without a tower, else elements of a tower with q = p, whose
+    add and mul by GF(p) scalars act on the digits one by one.  Pivots are
+    the lowest nonzero digits, kept at 1."""
+    basis: dict[int, int] = {}  # pivot -> reduced row
+    if tower is None or tower.p == 2:
+        for row in rows:
+            while row:
+                low = row & -row
+                if low in basis:
+                    row ^= basis[low]
+                else:
+                    basis[low] = row
+                    break
+        return len(basis)
+    p, add, mul = tower.p, tower.add, tower.mul
+    h, size, _, low, places, inverse = _digit_tables(p, tower.degree)
     for row in rows:
         while row:
-            low = row & -row
-            if low in basis:
-                row ^= basis[low]
-            else:
-                basis[low] = row
+            r = row % size
+            k = low[r] if r else h + low[row // size]  # the lowest nonzero digit
+            c, pivot = row // places[k] % p, basis.get(k)
+            if pivot is None:
+                basis[k] = row if c == 1 else mul(inverse[c], row)
                 break
+            row = add(row, mul(p - c, pivot))
     return len(basis)
+
+
+@functools.cache
+def _digit_tables(p: int, width: int):
+    """Base-p ints of width digits, read as two halves of h = ceil(width /
+    2) digits: h, p^h, for each h-digit number the bitmask of its nonzero
+    digits and the index of the lowest one (h at 0), the place values p^k
+    for k < width, and the inverses mod p (0 at 0)."""
+    h = (width + 1) // 2
+    masks, low = [0], [h]
+    for k in range(h):  # digit k on top of the k-digit numbers
+        masks = [m | bool(c) << k for c in range(p) for m in masks]
+        low = [lw if rest else k if c else h for c in range(p) for rest, lw in enumerate(low)]
+    places = tuple(p**k for k in range(width))
+    return h, p**h, masks, low, places, (0, *(pow(c, -1, p) for c in range(1, p)))
+
+
+def digit_supports(p: int, width: int, mask: int | None = None):
+    """xs -> [the bitmask of the nonzero base-p digits of x, within mask
+    (default all), for x in xs], each x < p^width: ANDs at p = 2, else two
+    lookups per x in the masks of the h-digit halves."""
+    if mask is None:
+        if p == 2:
+            return list
+        mask = (1 << width) - 1
+    if p == 2:
+        return lambda xs: [x & mask for x in xs]
+    h, size, masks = _digit_tables(p, width)[:3]
+    lo, hi = [m & mask for m in masks], [m << h & mask for m in masks]
+    return lambda xs: [lo[x % size] | hi[x // size] for x in xs]
 
 
 def split_bits(rows: list[int], width: int) -> tuple[list[int], dict[int, list[int]]]:

@@ -20,7 +20,8 @@ the m x t upper blocks W_hat_i.
 
 Each metric route yields (node, nz, rank) per helper, and MetricsReport
 sums them; cross_check names the first node where two reports differ.
-Elimination lives in linalg: normalize and the repair plan take
+Elimination lives in linalg: the direct route ranks digit-packed rows
+(prime q) by linalg.rank_bits, and normalize and the repair plan take
 their B-dependency splits from linalg.split (linalg.split_bits at q = 2).
 """
 
@@ -223,56 +224,80 @@ def node_values(scheme: RepairScheme, polys):
 
 def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     """Count nonzero columns and ranks of every W_i, no shortcuts: the
-    varying rows from Horner values, the constant rows resolved once."""
+    varying rows from Horner values, the constant rows resolved once.  At
+    prime q the rows are digit-packed: nz is the popcount of the OR of
+    their digit supports, and the rank one packed GF(p) elimination."""
     code = scheme.code
     t = scheme.tower
-    q2 = t.q == 2
-    table = scheme.basis.phi_hat_bits() if q2 else scheme.basis.phi_hat_table()
+    packed = t.a == 1
+    table = scheme.basis.phi_hat_bits() if packed else scheme.basis.phi_hat_table()
     varying = [p for p in scheme.polys if any(p[1:])]
     fixed = [table[p[0]] for p in scheme.polys if not any(p[1:])]
+    if packed:
+        supports = linalg.digit_supports(t.p, t.ell)
+        fixed_cols = functools.reduce(operator.or_, supports(fixed), 0)
     per_node = []
     for i, alpha in enumerate(code.points, 1):
         if i == scheme.target:
             continue
-        rows = [table[code.eval_poly(p, alpha)] for p in varying] + fixed
-        if q2:
-            mask = 0
-            for r in rows:
-                mask |= r
-            per_node.append((i, mask.bit_count(), linalg.rank_bits(rows)))
+        rows = [table[code.eval_poly(p, alpha)] for p in varying]
+        if packed:
+            cols = functools.reduce(operator.or_, supports(rows), fixed_cols)
+            per_node.append((i, cols.bit_count(), linalg.rank_bits(rows + fixed, t)))
         else:
+            rows += fixed
             nz = sum(1 for col in zip(*rows) if any(col))
             per_node.append((i, nz, linalg.rank(t, [list(r) for r in rows])))
     return MetricsReport(method="direct", per_node=tuple(per_node))
 
 
-def nz_via_weight(rows, tower: FieldTower) -> int:
-    """Nonzero-column count via the weight identity.
+def weight_identity(tower: FieldTower, k: int, supports=None):
+    """rows -> (nz(G), rank(G)) for k x w matrices G over B, from one span
+    walk of the q^k vectors uG, u in B^k:
 
-    nz(G) = sum over u in B^k of wt(uG), divided by q^(k-1)(q-1); the
-    division must be exact, enforced in integer arithmetic.  The q^k
-    vectors uG are the span walk of the rows.  GF(2) rows may come
-    bit-packed (bit s = entry s).
+        nz(G)   = sum of wt(uG) / (q^(k-1) (q-1))
+        rank(G) = k - log_q #{u : uG = 0}.
+
+    Rows are digit-packed ints (prime q), whose entries in G are the digits
+    that supports flags (linalg.digit_supports), or without it tuples over
+    B.  An inexact division or a zero count that is no power of q is an
+    arithmetic bug.
     """
-    rows = list(rows)
-    k = len(rows)
-    if k == 0:
-        return 0
-    if tower.q == 2:
-        steps = [[row if isinstance(row, int) else sum(1 << s for s, c in enumerate(row) if c)]
-                 for row in rows]
-        total = sum(map(int.bit_count, span_walk(steps, tower.add)))
+    q, add, mul = tower.q, tower.add, tower.mul
+    units = tower.subfield_elements()[2:]  # the scalars besides 0 and 1
+    denom = q ** (k - 1) * (q - 1) if k else 1
+    log_q = {q**e: e for e in range(k + 1)}
+    if supports is None:
+        vadd = lambda v, w: tuple(map(add, v, w))
+        scale = lambda c, r: tuple(mul(c, g) for g in r)
+        weight = lambda v: len(v) - v.count(0)
     else:
-        add, mul = tower.add, tower.mul
-        units = tower.subfield_elements()[1:]
-        steps = [[tuple(mul(c, g) for g in row) for c in units] for row in rows]
-        width = len(rows[0])
-        span = span_walk(steps, lambda v, w: tuple(map(add, v, w)), (0,) * width)
-        total = sum(width - v.count(0) for v in span)
-    denom = tower.q ** (k - 1) * (tower.q - 1)
-    if total % denom:
-        raise CrossCheckMismatch("weight identity sum not divisible; arithmetic bug")
-    return total // denom
+        vadd, scale, weight = add, mul, int.bit_count
+
+    def walk(rows):
+        steps = [[r, *[scale(c, r) for c in units]] for r in rows] if units else [[r] for r in rows]
+        zero = 0 if supports else (0,) * (len(rows[0]) if rows else 0)
+        span = span_walk(steps, vadd, zero)
+        if supports:
+            span = supports(span)
+        total, zeros = sum(map(weight, span)), span.count(zero)
+        if total % denom:
+            raise CrossCheckMismatch("weight identity sum not divisible; arithmetic bug")
+        if zeros not in log_q:
+            raise CrossCheckMismatch(f"{zeros} combinations vanish, not a power of q = {q}; arithmetic bug")
+        return total // denom, k - log_q[zeros]
+
+    return walk
+
+
+def nz_via_weight(rows, tower: FieldTower) -> int:
+    """Nonzero-column count of the rows via the weight identity
+    (weight_identity).  Rows are tuples over B, or digit-packed ints at
+    prime q (bit s = entry s at q = 2)."""
+    rows = list(rows)
+    packed = rows and isinstance(rows[0], int)
+    supports = linalg.digit_supports(tower.p, tower.ell) if packed else None
+    return weight_identity(tower, len(rows), supports)(rows)[0]
 
 
 def _rank_profile(scheme: RepairScheme) -> dict[int, int]:
@@ -294,32 +319,33 @@ def _rank_profile(scheme: RepairScheme) -> dict[int, int]:
 
 
 def metrics_weight(nf: NormalForm) -> MetricsReport:
-    """Metrics from the weight identity on the m x t blocks.
+    """Metrics from the weight identity on the m x t blocks W_hat_i.
 
-    io per helper = (ell - t) + nz(W_hat_i); ranks come from the t = m block
-    decomposition when it applies, else from _rank_profile (the B-rank of
-    the values g_j(alpha_i)).
+    One span walk per helper gives both: io = (ell - t) + nz(W_hat_i), and
+    when t = m, rank = (ell - m) + rank(W_hat_i) (weight_identity); else
+    the ranks come from _rank_profile (the B-rank of the values
+    g_j(alpha_i)).  At prime q the rows are digit-packed and weighed on the
+    support columns only.
     """
     scheme = nf.scheme
     t = scheme.tower
     ell = scheme.ell
     rank_by_node = _rank_profile(scheme) if nf.t != nf.m else None
     cols = [s - 1 for s in nf.support_set]
-    if t.q == 2:
-        bits = scheme.basis.phi_hat_bits()
-        mask = sum(1 << c for c in cols)
-        row, rank = (lambda v: bits[v] & mask), linalg.rank_bits
+    if t.a == 1:
+        row = scheme.basis.phi_hat_bits().__getitem__
+        supports = linalg.digit_supports(t.p, ell, sum(1 << c for c in cols))
     else:
         table = scheme.basis.phi_hat_table()
-        row, rank = (lambda v: [table[v][c] for c in cols]), (lambda rows: linalg.rank(t, rows))
+        row, supports = (lambda v: tuple(table[v][c] for c in cols)), None
+    walk = weight_identity(t, nf.m, supports)
     per_node = []
     for i, vals in enumerate(node_values(scheme, scheme.polys[: nf.m]), 1):
         if i == scheme.target:
             continue
-        what = [row(v) for v in vals]
-        nz = (ell - nf.t) + nz_via_weight(what, t)
-        rk = (ell - nf.m) + rank(what) if rank_by_node is None else rank_by_node[i]
-        per_node.append((i, nz, rk))
+        nz, rk = walk(list(map(row, vals)))
+        rk = (ell - nf.m) + rk if rank_by_node is None else rank_by_node[i]
+        per_node.append((i, (ell - nf.t) + nz, rk))
     return MetricsReport(method="weight_formula", per_node=tuple(per_node))
 
 

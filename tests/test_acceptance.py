@@ -7,6 +7,7 @@ catalog of constructed schemes, built once and cached at module level.
 
 import json
 import random
+import time
 
 import pytest
 
@@ -99,6 +100,20 @@ def test_criterion_1_large_ell_by_all_routes(ell, bandwidth):
            for rep in (metrics_direct(scheme), metrics_weight(nf), metrics_expsum(nf))}
     print(f"criterion 1: (io, bandwidth) at ell={ell} by route {got}")
     assert set(got.values()) == {want}, got
+
+
+@large
+def test_criterion_1_c2_q3_ell12_direct_and_weight():
+    # odd prime q at the field budget: 531,441 nodes, digit-packed rows
+    scheme = construction2(3, 12, 12, 0, 1, 2)[2]
+    start = time.perf_counter()
+    direct = metrics_direct(scheme)
+    seconds = time.perf_counter() - start
+    weight = metrics_weight(scheme.normal_form)
+    print(f"criterion 1: c2 (3,12,12,0,1,2) io {direct.io_cost}, bandwidth "
+          f"{direct.bandwidth}, direct route {seconds:.1f} s")
+    assert (direct.io_cost, direct.bandwidth) == (6_200_133, 6_200_133)
+    assert weight.per_node == direct.per_node
 
 
 def test_criterion_2_pinned_small_scheme():

@@ -66,13 +66,13 @@ def test_phi_tables_and_bits(gf16):
         phi, phi_hat = bp.phi_table(), bp.phi_hat_table()
         assert phi == [bp.vectorize(x) for x in range(t.size)]
         assert phi_hat == [bp.vectorize_dual(x) for x in range(t.size)]
-        if t.q == 2:
+        if t.a == 1:  # prime q: base-p digit s is coordinate s
             fresh = dual_basis(beta, t)
             bits = fresh.phi_hat_bits()
             assert fresh._phi_hat is None  # bits are built without the row table
-            assert bits == [sum(c << s for s, c in enumerate(row)) for row in phi_hat]
+            assert bits == [sum(c * t.p**s for s, c in enumerate(row)) for row in phi_hat]
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(ParamViolation, match="requires a prime q"):
                 bp.phi_hat_bits()
 
 

@@ -219,6 +219,49 @@ def test_metrics_uncollapsed_tally_exits_2_under_O(capsys, tmp_path):
     assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# breaks of the digit-packed routes at odd q, each a script prefix: node 2's
+# first row zeroed in the packed phi_hat table (argv[2] is its field
+# element), or one extra zero vector in every weight-identity span walk, so
+# the count of vanishing combinations is no power of q
+_PACKED_BREAKS = {
+    "packed_entry": (
+        "import rsrepair.basis as b\n"
+        "build = b.BasisPair.phi_hat_bits\n"
+        "def corrupt(self):\n"
+        "    table = build(self)\n"
+        "    table[int(sys.argv[2])] = 0\n"
+        "    return table\n"
+        "b.BasisPair.phi_hat_bits = corrupt\n",
+        "direct gives (2, "),
+    "zero_count": (
+        "import rsrepair.scheme as s\n"
+        "walk = s.span_walk\n"
+        "s.span_walk = lambda steps, add, start=0: [start, *walk(steps, add, start)]\n",
+        "combinations vanish, not a power of q = 3"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("kind", sorted(_PACKED_BREAKS))
+def test_metrics_packed_break_exits_2(capsys, tmp_path, kind, flags):
+    # the packed routes' invariants are checks, not asserts, so -O keeps them
+    path = str(tmp_path / "scheme.json")
+    assert _run(capsys, [*_c2("3", "6", "4", "0", "3", "2"), "--out", path])[0] == 0
+    scheme = load_scheme(path)
+    victim = scheme.code.eval_poly(scheme.polys[0], scheme.code.points[1])
+    prefix, message = _PACKED_BREAKS[kind]
+    script = ("import sys\n" + prefix + "from rsrepair.cli import main\n"
+              "sys.exit(main(['metrics', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script, path, str(victim)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("cross-check mismatch: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # two scaled trace kernels, so a broken intersect leaves W at the wrong dimension
 _C2_ARGS = ["construct", "c2", "--q", "2", "--ell", "6", "--d", "4", "--m", "3", "--r", "2"]
 
@@ -569,6 +612,12 @@ OUTPUT_DIGESTS = {
         "dc5f9b05c6c422057c03eee127d7d33f1697aa8cb289005e467248b425bc3d2d",
     ("metrics", (*_c2("9", "4", "3", "0", "2", "2"), _STRIPPED)):
         "0db1c8ef36bd8cce10c141b7b7f696726d4b0814d67ff980055d99022f622f8d",
+    ("metrics", _c2("3", "6", "5", "1", "3", "4")):
+        "d7de97290e50ef084d463929ebdc14226b58815b168ead89c3ee08b1606cb102",
+    ("metrics", _c2("5", "6", "4", "0", "3", "2")):
+        "9619359ec9a053c96b83e8f66860722a066bfc7962046612b3f94c5ab40deb9c",
+    ("metrics", (*_c2("3", "6", "4", "0", "3", "2"), _STRIPPED)):
+        "7284fbdf14a441bf0cf5fdff90ceb9cc5502ddc5a4b09ae8ef4101894cf3344e",
     ("simulate", _c2("3", "6", "4", "0", "3", "2"), "--trials", "3"):
         "36d86d7f9d1363c73328c5abccebb6d34ee9421b101d79c47dca8cc369e63b7a",
     ("simulate", _c2("4", "6", "4", "0", "3", "2"), "--trials", "3"):

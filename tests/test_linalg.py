@@ -128,3 +128,25 @@ def test_echelon_basis_copy_is_independent(params):
     other.extend(range(1, t.size), t.ell)
     assert other.dim == t.ell > dim
     assert eb.dim == dim and eb._rows == rows
+
+
+@pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 5), (5, 1, 3), (7, 1, 3), (3, 1, 1)])
+def test_rank_bits_and_digit_supports_match_coordinates(params):
+    """Digit-packed rows at prime q: rank and nonzero digits against the
+    coordinate vectors, on random rows with dependent ones mixed in."""
+    t = field_create(*params)
+    rng = random.Random(11)
+    for _ in range(300):
+        rows = [rng.randrange(t.size) for _ in range(rng.randint(0, t.ell + 1))]
+        for _ in range(rng.randint(0, 3)):
+            if rows:  # a GF(p) combination of two rows
+                a, b = rng.choice(rows), rng.choice(rows)
+                rows.insert(rng.randint(0, len(rows)), t.add(t.mul(rng.randrange(t.p), a), b))
+        coords = [list(t.coords(x)) for x in rows]
+        assert linalg.rank_bits(rows, t) == linalg.rank(t, coords)
+        if t.p == 2:
+            assert linalg.rank_bits(rows) == linalg.rank(t, coords)
+        mask = rng.randrange(1 << t.ell)
+        for m in (mask, None):
+            want = [sum(1 << s for s, d in enumerate(c) if d and (m is None or m >> s & 1)) for c in coords]
+            assert linalg.digit_supports(t.p, t.ell, m)(rows) == want

@@ -491,6 +491,51 @@ def test_metrics_direct_resolves_constants_once(monkeypatch):
         assert rep.per_node == tuple(want)
 
 
+def _tuple_reference(scheme):
+    """(node, nz, rank) per helper from phi_hat_table rows, a column scan
+    and linalg.rank."""
+    code, t = scheme.code, scheme.tower
+    table = scheme.basis.phi_hat_table()
+    out = []
+    for i, alpha in enumerate(code.points, 1):
+        if i != scheme.target:
+            rows = [list(table[code.eval_poly(g, alpha)]) for g in scheme.polys]
+            out.append((i, _nz_scan(rows), linalg.rank(t, rows)))
+    return tuple(out)
+
+
+_PACKED_C2 = {
+    3: [(3, 6, 4, 0, 3, 2), (3, 6, 5, 1, 3, 4), (3, 8, 6, 0, 2, 2)],
+    5: [(5, 6, 4, 0, 3, 2), (5, 4, 3, 1, 2, 6)],
+    7: [(7, 4, 3, 0, 2, 2), (7, 4, 2, 1, 2, 8)],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_PACKED_C2))
+def test_packed_routes_match_tuple_reference(q):
+    """Digit-packed rows at odd prime q: direct and weight against tuples."""
+    rng = random.Random(q)
+    forms = [construction2(*params)[2].normal_form for params in _PACKED_C2[q]]
+    forms += [random_normalized_scheme(rng, q=q, ell=rng.randint(2, 4))[0] for _ in range(12)]
+    assert any(nf.t != nf.m for nf in forms) and any(nf.t == nf.m for nf in forms)
+    for nf in forms:
+        want = _tuple_reference(nf.scheme)
+        assert metrics_direct(nf.scheme).per_node == want
+        assert metrics_weight(nf).per_node == want
+
+
+@pytest.mark.parametrize("params", [(3, 6, 4, 0, 3, 2), (4, 6, 4, 0, 3, 2)])
+def test_weight_route_checks_the_zero_count(monkeypatch, params):
+    """One extra zero vector per walk leaves the weight sum divisible, but
+    the vanishing count is then no power of q: packed (q = 3) and tuple
+    (q = 4) rows alike."""
+    nf = construction2(*params)[2].normal_form
+    walk = scheme_mod.span_walk
+    monkeypatch.setattr(scheme_mod, "span_walk", lambda steps, add, start=0: [start, *walk(steps, add, start)])
+    with pytest.raises(CrossCheckMismatch, match=f"not a power of q = {params[0]}"):
+        metrics_weight(nf)
+
+
 def _greedy_extension(t, urows):
     """The unit vectors e_idx that raise the B-rank, one rank per candidate."""
     ext = []
