@@ -622,6 +622,8 @@ OUTPUT_DIGESTS = {
         "36d86d7f9d1363c73328c5abccebb6d34ee9421b101d79c47dca8cc369e63b7a",
     ("simulate", _c2("4", "6", "4", "0", "3", "2"), "--trials", "3"):
         "442401e36ebf5b9125d2f0bf63bb4655abec21f10c5eba151b26b533db4fbbc8",
+    ("metrics", _c2("4", "6", "4", "0", "3", "2")):
+        "e1c61d2c8d3a0fff7fd566fb9872fe8cfd82240f4d048e5c126b6baeadb09998",
 }
 
 
@@ -643,6 +645,23 @@ def test_output_digests_pinned(capsys, tmp_path, argv):
     assert (code, err) == (0, "")
     data = path.read_bytes() if argv[0] == "construct" else out.encode()
     assert hashlib.sha256(data).hexdigest() == OUTPUT_DIGESTS[argv]
+
+
+# SHA-256 of construct's own stdout (no --out): the summary with io_cost and
+# bandwidth, at q = 2, 3, 4 and 9
+CONSTRUCT_STDOUT_DIGESTS = {
+    ("construct", "c1", "--ell", "8"): "15d9e99d4f7011bcc7b647d6cbd54228744547947cd5c8b615f622b0a7345ec9",
+    _c2("9", "4", "3", "0", "2", "2"): "31e63526aad3f9547e29583fda74d411e856162248c1fa8495cc1f341cc15606",
+    _c2("4", "6", "4", "0", "3", "2"): "b39303548cdea0c818ab8777b92d60857781b9d7d5cee6a5572c46d29837c98c",
+    _c2("3", "6", "5", "1", "3", "4"): "09335b4a004e908d8339b243fe651d284464b6e3571b43808c096e511de48d24",
+}
+
+
+@pytest.mark.parametrize("argv", list(CONSTRUCT_STDOUT_DIGESTS))
+def test_construct_stdout_pinned(capsys, argv):
+    code, out, err = _run(capsys, list(argv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_STDOUT_DIGESTS[argv]
 
 
 def test_usage_errors_exit_1(capsys):
