@@ -7,9 +7,9 @@ vectorizations are equally cheap:
     phi_hat(theta) = (Tr(theta beta_1), ..., Tr(theta beta_ell))     # gamma coords
 
 They satisfy phi_hat(theta) . phi(alpha) = Tr(theta alpha) for all pairs, and
-devectorizing phi(alpha) against beta returns alpha.  At prime q the
-phi_hat rows also come digit-packed (phi_hat_bits): one int per row whose
-base-p digit s is coordinate s, itself a field element since q = p.
+devectorizing phi(alpha) against beta returns alpha.  The phi_hat rows
+also come digit-packed (phi_hat_bits): one int per row, itself a field
+element, whose base-q digit s holds coordinate s over GF(p).
 """
 
 from __future__ import annotations
@@ -79,15 +79,16 @@ class BasisPair:
         return self._phi_hat
 
     def phi_hat_bits(self) -> list[int]:
-        """Prime q: phi_hat rows packed into ints, base-p digit s =
-        coordinate s (bits at q = 2).  With q = p they are field elements,
-        so the tower's add and mul by GF(p) scalars act digit by digit."""
+        """phi_hat rows packed into ints: base-q digit s is coordinate s,
+        written by the a base-p digits of tower.subfield_coords (bit s at
+        q = 2).  They are field elements, so the tower's add and mul by
+        GF(p) scalars act digit by digit."""
         t = self.tower
-        if t.a != 1:
-            raise ParamViolation(f"digit-packed vectorization requires a prime q, not q = {t.q}")
         if self._phi_hat_bits is None:
+            coords = t.subfield_coords()
+
             def packed(x):
-                return t.element(self.vectorize_dual(x))
+                return sum(coords[c] * t.q**s for s, c in enumerate(self.vectorize_dual(x)))
             bits = t.linear_table([packed(t.p**k) for k in range(t.degree)])
             spot_check(bits, packed, "phi_hat bits")
             self._phi_hat_bits = bits

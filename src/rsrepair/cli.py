@@ -79,12 +79,18 @@ def _cmd_construct(args):
     if args.kind == "c1":
         strategy = "paper_example" if args.theta == "paper" else args.theta
         _, scheme = construction1(args.ell, theta_strategy=strategy)
+        claim = {"io_cost": io_lower_bound(2, args.ell, args.ell, 3, theorem="thm6")["value"]}
     else:
         for name in ("q", "d", "m", "r"):
             if getattr(args, name) is None:
                 raise ParamViolation(f"construct c2 requires --{name}")
         _, _, scheme = construction2(args.q, args.ell, args.d, args.s, args.m, args.r)
-    report = metrics_direct(scheme)
+        value = (args.q**args.d - 1) * args.ell - args.m * args.q ** (args.d - 1)
+        claim = {"io_cost": value, "bandwidth": value}
+    report = metrics_expsum(scheme.normal_form)  # checked against the claim
+    for key, value in claim.items():
+        if (got := getattr(report, key)) != value:
+            raise CrossCheckMismatch(f"construction {args.kind} claims {key} {value}, the expsum route gives {got}")
     doc = _scheme_summary(scheme)
     doc.update(kind=args.kind, io_cost=report.io_cost, bandwidth=report.bandwidth)
     if args.out:

@@ -17,27 +17,27 @@ q^d chi(beta_s c_u) if u M_s = 0, else 0.  So all nodes hold
 
 zero columns (one CharSum).  Per node: each V_s = {x in B^d : M_s x =
 -a_s} is a particular solution plus the span of a kernel (one rref),
-walked over node indices by XOR at q = 2 and a B-digit add otherwise; a
-node's count is the number of V_s holding it.  The |V_s| must add up to
-the closed form, and the target (whose literal tally is taken too) lies
-in none; io_cost_expsum is (n - 1) ell minus the helpers' counts.
+walked over node indices by the tower's add at prime q and a B-digit add
+otherwise; a node's count is the number of V_s holding it.  The |V_s| must
+add up to the closed form, and the target (whose literal tally is taken
+too) lies in none; io_cost_expsum is (n - 1) ell minus the helpers' counts.
 Ranks: theta_1..theta_m, a B-basis of C^perp = {theta : Tr(theta c_j) = 0 for j > m}, map
 F / span(constants) onto B^m, so rank(W_i) = (ell - m) + rank(T_i),
 T_i[j][k] = Tr_{F/B}(theta_k g_j(alpha_i)), affine in alpha and walked
-like the nodes.  Polynomials that are not B-affine take their values from
-scheme.node_values and are tallied node by node.
+like the nodes as digit-packed rows over GF(p), at every q.  Polynomials
+that are not B-affine take their values from scheme.node_values and are
+tallied node by node.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 
 from . import linalg
 from .errors import CrossCheckMismatch, ParamViolation
 from .gf import FieldTower, span_iter, span_walk
-from .scheme import affine_parts, node_values
+from .scheme import affine_parts, closure_polys, node_values
 from .subspace import Subspace
 
 
@@ -71,9 +71,7 @@ class CharSum:
         return self.counts[0] - (self.counts[1] if self.p > 1 else 0)
 
     def complex_value(self) -> complex:
-        return sum(
-            c * cmath.exp(2j * math.pi * j / self.p) for j, c in enumerate(self.counts)
-        )
+        return sum(c * cmath.exp(2j * math.pi * j / self.p) for j, c in enumerate(self.counts))
 
     def __repr__(self):
         return f"CharSum(p={self.p}, counts={self.counts})"
@@ -97,14 +95,10 @@ def subspace_char_sum(G: Subspace, scale: int, tower: FieldTower) -> int:
     """
     direct = char_sum((tower.mul(scale, alpha) for alpha in G.enumerate()), tower)
     value = direct.as_integer()
-    vanishes = all(
-        tower.trace_to_subfield(tower.mul(scale, b)) == 0 for b in G.b_basis()
-    )
+    vanishes = all(tower.trace_to_subfield(tower.mul(scale, b)) == 0 for b in G.b_basis())
     expected = tower.q ** G.dim if vanishes else 0
     if value != expected:
-        raise CrossCheckMismatch(
-            f"character sum over subspace: tally gives {value}, dichotomy {expected}"
-        )
+        raise CrossCheckMismatch(f"character sum over subspace: tally gives {value}, dichotomy {expected}")
     return value
 
 
@@ -168,22 +162,24 @@ def _closed_form_zero_columns(nf, consts, systems) -> int:
 
 def _index_walk(t: FieldTower, x0, kernel) -> list[int]:
     """0-based node indices of x0 + span(kernel) in B^d: digit k of an
-    index is the position of x_k in subfield_elements()."""
-    if t.q == 2:
-        pack = lambda x: sum(c << k for k, c in enumerate(x))
-        return span_walk([[pack(v)] for v in kernel], operator.xor, pack(x0))
-    q, els = t.q, t.subfield_elements()
-    pos = {x: k for k, x in enumerate(els)}
-    digit_sum = [[pos[t.add(x, y)] for y in els] for x in els]
-    pack = lambda x: sum(pos[c] * q**k for k, c in enumerate(x))
+    index is the position of x_k in subfield_elements().  At prime q that
+    is x_k itself, so indices (d <= degree digits) add by the tower's add."""
+    els = t.subfield_elements()
+    if t.a == 1:
+        pack, add = t.element, t.add
+    else:
+        q = t.q
+        pos = {x: k for k, x in enumerate(els)}
+        digit_sum = [[pos[t.add(x, y)] for y in els] for x in els]
+        pack = lambda x: sum(pos[c] * q**k for k, c in enumerate(x))
 
-    def add(i, j):
-        out, place = 0, 1
-        while i or j:
-            (i, a), (j, b) = divmod(i, q), divmod(j, q)
-            out += digit_sum[a][b] * place
-            place *= q
-        return out
+        def add(i, j):
+            out, place = 0, 1
+            while i or j:
+                (i, a), (j, b) = divmod(i, q), divmod(j, q)
+                out += digit_sum[a][b] * place
+                place *= q
+            return out
 
     steps = [[pack([t.mul(c, e) for e in v]) for c in els[1:]] for v in kernel]
     return span_walk(steps, add, pack(x0))
@@ -240,36 +236,32 @@ def _residue_functionals(nf) -> tuple[int, ...]:
 
 def per_node_ranks(nf) -> dict[int, int]:
     """rank(W_i) = (ell - m) + rank(T_i), T_i[j][k] = Tr_{F/B}(theta_k
-    g_j(alpha_i)), memoized per distinct T_i (packed into an int at q = 2)."""
+    g_j(alpha_i)), memoized per distinct T_i, held as the digit-packed rows
+    of the closure_polys' values (as in BasisPair.phi_hat_bits) and ranked
+    by linalg.closure_rank.  Each row is affine in alpha and walked alone."""
     scheme, m = nf.scheme, nf.m
     t = scheme.tower
-    tr, mul = t.trace_to_subfield, t.mul
+    tr, mul, q = t.trace_to_subfield, t.mul, t.q
     thetas = _residue_functionals(nf)
     if len(thetas) != m or any(tr(mul(th, g[0])) for th in thetas for g in scheme.polys[m:]):
         raise CrossCheckMismatch(f"C^perp basis {thetas} is not {m} functionals killing the constants")
-    if t.q == 2:
-        pack = lambda vals: sum(tr(mul(th, v)) << j * m + k
-                                for j, v in enumerate(vals) for k, th in enumerate(thetas))
-        add, zero, mask = operator.xor, 0, (1 << m) - 1
-        rank = lambda T: linalg.rank_bits([T >> j * m & mask for j in range(m)])
-    else:
-        pack = lambda vals: tuple(tr(mul(th, v)) for v in vals for th in thetas)
-        add, zero = (lambda T, U: tuple(map(t.add, T, U))), (0,) * m * m
-        rank = lambda T: linalg.rank(t, [list(T[j * m:(j + 1) * m]) for j in range(m)])
-    parts = affine_parts(scheme, scheme.polys[:m])
-    if parts is None:
-        walk = map(pack, node_values(scheme, scheme.polys[:m]))
-    else:
+    coords = t.subfield_coords()
+    pack = lambda v: sum(coords[tr(mul(th, v))] * q**k for k, th in enumerate(thetas))
+    polys = closure_polys(scheme, scheme.polys[:m])
+    parts = affine_parts(scheme, polys)
+    if parts is None or not polys:  # (a zip of no walks would stop at once)
+        walk = (tuple(map(pack, vals)) for vals in node_values(scheme, polys))
+    else:  # one walk per row, each affine in alpha
         consts, images = parts
         units = t.subfield_elements()[1:]
-        walk = span_iter([[pack([mul(c, x) for x in lb]) for c in units] for lb in images],
-                         add, pack(consts), zero)
+        walk = zip(*[span_iter([[pack(mul(c, lb[j])) for c in units] for lb in images], t.add, pack(cj), 0)
+                     for j, cj in enumerate(consts)])
     memo = {}
     ranks = {}
     for i, T in enumerate(walk, 1):
         if i != scheme.target:
             if T not in memo:
-                memo[T] = (scheme.ell - m) + rank(T)
+                memo[T] = (scheme.ell - m) + linalg.closure_rank(list(T), t)
             ranks[i] = memo[T]
     return ranks
 

@@ -11,8 +11,10 @@ transpose, sharing its kernel step with right_kernel and solution_set (the
 affine solution set of M x = b).  Ranks over B of field elements come from
 EchelonBasis, an incremental echelon basis of their GF(p)-closure.  For
 hot loops, rows may come digit-packed into ints (base-p digit i = column
-i, bits at p = 2): rank_bits is their GF(p) rank, digit_supports reads
-their nonzero digits, and split_bits is the GF(2) form of split.
+i, bits at p = 2): rank_bits is their GF(p) rank, closure_rank the B-rank
+of rows given with their GF(p)-closure, digit_supports reads their nonzero
+digits (base-q digits for rows over B), digit_select clears the digits
+outside a mask, and split_bits is the GF(2) form of split.
 """
 
 from __future__ import annotations
@@ -151,9 +153,8 @@ class EchelonBasis:
     """GF(p) echelon basis of the span of the inserted field elements over
     the subfield of the given size (default B).
 
-    Rows are field elements (bit-packed when p = 2) keyed by the place value
-    p^k of their lowest nonzero digit, which is 1.  insert(x) adds x's
-    subfield closure and reports whether the dimension grew.
+    Rows are field elements kept by _echelon.  insert(x) adds x's subfield
+    closure and reports whether the dimension grew.
     """
 
     def __init__(self, tower, size=None):
@@ -163,28 +164,9 @@ class EchelonBasis:
         self.dim = 0
 
     def insert(self, x: int) -> bool:
-        t, rows, p = self.tower, self._rows, self.tower.p
-        before = len(rows)
-        for s in self._scales:
-            v = x if s == 1 else t.mul(s, x)
-            if p == 2:
-                while v:
-                    low = v & -v
-                    if low not in rows:
-                        rows[low] = v
-                        break
-                    v ^= rows[low]
-                continue
-            low = 1  # reducing by rows[low] clears digit low, never one below
-            while v:
-                while v // low % p == 0:
-                    low *= p
-                c = v // low % p
-                if low not in rows:
-                    rows[low] = v if c == 1 else t.mul(pow(c, -1, p), v)
-                    break
-                v = t.sub(v, t.mul(c, rows[low]))
-        grown, k = len(rows) - before, len(self._scales)
+        before = len(self._rows)
+        _echelon([self.tower.mul(s, x) for s in self._scales], self.tower, self._rows)
+        grown, k = len(self._rows) - before, len(self._scales)
         if grown not in (0, k):
             raise CrossCheckMismatch("closure rank growth is not 0 or the subfield degree")
         self.dim += grown // k
@@ -211,10 +193,15 @@ class EchelonBasis:
 
 def rank_bits(rows: list[int], tower=None) -> int:
     """Rank over GF(p) of rows packed as ints, base-p digit i = column i:
-    bits (p = 2) without a tower, else elements of a tower with q = p, whose
+    bits (p = 2) without a tower, else elements of the tower."""
+    return len(_echelon(rows, tower, {}))
+
+
+def _echelon(rows, tower, basis: dict) -> dict:
+    """basis, a GF(p) echelon basis {pivot: row} of packed rows, extended by
+    rows: bits (p = 2) without a tower, else elements of the tower, whose
     add and mul by GF(p) scalars act on the digits one by one.  Pivots are
     the lowest nonzero digits, kept at 1."""
-    basis: dict[int, int] = {}  # pivot -> reduced row
     if tower is None or tower.p == 2:
         for row in rows:
             while row:
@@ -224,7 +211,7 @@ def rank_bits(rows: list[int], tower=None) -> int:
                 else:
                     basis[low] = row
                     break
-        return len(basis)
+        return basis
     p, add, mul = tower.p, tower.add, tower.mul
     h, size, _, low, places, inverse = _digit_tables(p, tower.degree)
     for row in rows:
@@ -236,37 +223,62 @@ def rank_bits(rows: list[int], tower=None) -> int:
                 basis[k] = row if c == 1 else mul(inverse[c], row)
                 break
             row = add(row, mul(p - c, pivot))
-    return len(basis)
+    return basis
+
+
+def closure_rank(rows: list[int], tower, k: int | None = None) -> int:
+    """Rank over the subfield of degree k (default B, k = a) of packed rows
+    given with their closure under it: their GF(p) rank over k.  A
+    remainder is an arithmetic bug."""
+    rank, rest = divmod(rank_bits(rows, tower), k := k or tower.a)
+    if rest:
+        raise CrossCheckMismatch(f"closure rank not divisible by the subfield degree {k}")
+    return rank
 
 
 @functools.cache
-def _digit_tables(p: int, width: int):
-    """Base-p ints of width digits, read as two halves of h = ceil(width /
-    2) digits: h, p^h, for each h-digit number the bitmask of its nonzero
-    digits and the index of the lowest one (h at 0), the place values p^k
-    for k < width, and the inverses mod p (0 at 0)."""
+def _digit_tables(base: int, width: int):
+    """Base-`base` ints of width digits, read as two halves of h =
+    ceil(width / 2) digits: h, base^h, for each h-digit number the bitmask
+    of its nonzero digits and the index of the lowest one (h at 0), the
+    place values base^k for k < width, and for a prime base the inverses
+    mod base (0 at 0)."""
     h = (width + 1) // 2
     masks, low = [0], [h]
     for k in range(h):  # digit k on top of the k-digit numbers
-        masks = [m | bool(c) << k for c in range(p) for m in masks]
-        low = [lw if rest else k if c else h for c in range(p) for rest, lw in enumerate(low)]
-    places = tuple(p**k for k in range(width))
-    return h, p**h, masks, low, places, (0, *(pow(c, -1, p) for c in range(1, p)))
+        masks = [m | bool(c) << k for c in range(base) for m in masks]
+        low = [lw if rest else k if c else h for c in range(base) for rest, lw in enumerate(low)]
+    places = tuple(base**k for k in range(width))
+    return h, base**h, masks, low, places, (0, *(pow(c, base - 2, base) for c in range(1, base)))
 
 
-def digit_supports(p: int, width: int, mask: int | None = None):
-    """xs -> [the bitmask of the nonzero base-p digits of x, within mask
-    (default all), for x in xs], each x < p^width: ANDs at p = 2, else two
-    lookups per x in the masks of the h-digit halves."""
+def digit_supports(base: int, width: int, mask: int | None = None):
+    """xs -> [the bitmask of the nonzero base-`base` digits of x, within
+    mask (default all), for x in xs], each x < base^width: ANDs at base 2,
+    else two lookups per x in the masks of the h-digit halves.  Base q
+    reads rows over B = GF(q) packed by their GF(p) coordinates, a base-p
+    digits to an entry."""
     if mask is None:
-        if p == 2:
+        if base == 2:
             return list
         mask = (1 << width) - 1
-    if p == 2:
+    if base == 2:
         return lambda xs: [x & mask for x in xs]
-    h, size, masks = _digit_tables(p, width)[:3]
+    h, size, masks = _digit_tables(base, width)[:3]
     lo, hi = [m & mask for m in masks], [m << h & mask for m in masks]
     return lambda xs: [lo[x % size] | hi[x // size] for x in xs]
+
+
+def digit_select(base: int, width: int, mask: int):
+    """xs -> [x with its base-`base` digits outside mask set to 0, for x in
+    xs], each x < base^width: ANDs at base 2, else two half-width lookups."""
+    if base == 2:
+        return lambda xs: [x & mask for x in xs]
+    h = (width + 1) // 2
+    size = base**h
+    lo, hi = ([sum(v // base**k % base * base**k for k in range(h) if bits >> k & 1) * scale for v in range(size)]
+              for bits, scale in ((mask, 1), (mask >> h, size)))
+    return lambda xs: [lo[x % size] + hi[x // size] for x in xs]
 
 
 def split_bits(rows: list[int], width: int) -> tuple[list[int], dict[int, list[int]]]:

@@ -20,9 +20,12 @@ the m x t upper blocks W_hat_i.
 
 Each metric route yields (node, nz, rank) per helper, and MetricsReport
 sums them; cross_check names the first node where two reports differ.
-Elimination lives in linalg: the direct route ranks digit-packed rows
-(prime q) by linalg.rank_bits, and normalize and the repair plan take
-their B-dependency splits from linalg.split (linalg.split_bits at q = 2).
+The direct and weight routes read rows of W_i as digit-packed ints
+(BasisPair.phi_hat_bits), joined by the rows that close their GF(p)-span
+under B (closure_polys), so both work over GF(p) at every q.
+Elimination lives in linalg: the direct route ranks those rows by
+linalg.closure_rank, and normalize and the repair plan take their
+B-dependency splits from linalg.split (linalg.split_bits at q = 2).
 """
 
 from __future__ import annotations
@@ -51,16 +54,10 @@ class RepairScheme:
         t = code.tower
         r = code.r
         padded = []
-        for p in polys:
-            p = list(p)
-            if len(p) > r:
-                if any(p[r:]):
-                    raise InvalidScheme(
-                        f"polynomial degree {len(p) - 1} exceeds r - 1 = {r - 1}; "
-                        "not a dual codeword"
-                    )
-                p = p[:r]
-            padded.append(tuple(p + [0] * (r - len(p))))
+        for p in map(list, polys):
+            if any(p[r:]):
+                raise InvalidScheme(f"polynomial degree {len(p) - 1} exceeds r - 1 = {r - 1}; not a dual codeword")
+            padded.append(tuple(p[:r] + [0] * (r - len(p))))
         self.polys = tuple(padded)
         if len(self.polys) != t.ell:
             raise InvalidScheme(f"need ell = {t.ell} polynomials, got {len(self.polys)}")
@@ -68,10 +65,8 @@ class RepairScheme:
             raise InvalidScheme(f"target {self.target} outside [1, {code.n}]")
         evals = [code.eval_poly(p, self.target_point) for p in self.polys]
         if b_rank(t, evals) != t.ell:
-            raise InvalidScheme(
-                "values g_j(alpha_target) do not span F over B; "
-                "the scheme cannot determine the lost symbol"
-            )
+            raise InvalidScheme("values g_j(alpha_target) do not span F over B; "
+                                "the scheme cannot determine the lost symbol")
 
     @property
     def tower(self) -> FieldTower:
@@ -222,65 +217,61 @@ def node_values(scheme: RepairScheme, polys):
     yield from span_iter(steps, vadd, consts, [0] * len(polys))
 
 
+def closure_polys(scheme: RepairScheme, polys) -> list:
+    """c g for c in subfield_gfp_basis(q), 1 first, and g in polys: phi_hat
+    is B-linear, so the packed rows of their values span the B-span of the
+    rows of polys over GF(p), and the first len(polys) hold every column."""
+    t = scheme.tower
+    return [[t.mul(c, x) for x in g] for c in t.subfield_gfp_basis(t.q) for g in polys]
+
+
 def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     """Count nonzero columns and ranks of every W_i, no shortcuts: the
-    varying rows from Horner values, the constant rows resolved once.  At
-    prime q the rows are digit-packed: nz is the popcount of the OR of
-    their digit supports, and the rank one packed GF(p) elimination."""
-    code = scheme.code
-    t = scheme.tower
-    packed = t.a == 1
-    table = scheme.basis.phi_hat_bits() if packed else scheme.basis.phi_hat_table()
+    varying rows from Horner values, the constant rows resolved once.  Rows
+    are digit-packed (BasisPair.phi_hat_bits), v's joined by those of c v,
+    c past 1 in subfield_gfp_basis(q): nz is the popcount of the OR of their
+    base-q digit supports, the rank their linalg.closure_rank."""
+    code, t = scheme.code, scheme.tower
+    table, mul = scheme.basis.phi_hat_bits(), t.mul
+    scales = t.subfield_gfp_basis(t.q)[1:]
     varying = [p for p in scheme.polys if any(p[1:])]
-    fixed = [table[p[0]] for p in scheme.polys if not any(p[1:])]
-    if packed:
-        supports = linalg.digit_supports(t.p, t.ell)
-        fixed_cols = functools.reduce(operator.or_, supports(fixed), 0)
+    fixed = [table[p[0]] for p in closure_polys(scheme, scheme.polys) if not any(p[1:])]
+    supports = linalg.digit_supports(t.q, t.ell)
+    fixed_cols = functools.reduce(operator.or_, supports(fixed), 0)
     per_node = []
     for i, alpha in enumerate(code.points, 1):
         if i == scheme.target:
             continue
-        rows = [table[code.eval_poly(p, alpha)] for p in varying]
-        if packed:
-            cols = functools.reduce(operator.or_, supports(rows), fixed_cols)
-            per_node.append((i, cols.bit_count(), linalg.rank_bits(rows + fixed, t)))
-        else:
-            rows += fixed
-            nz = sum(1 for col in zip(*rows) if any(col))
-            per_node.append((i, nz, linalg.rank(t, [list(r) for r in rows])))
+        vals = [code.eval_poly(p, alpha) for p in varying]
+        rows = list(map(table.__getitem__, vals))
+        cols = functools.reduce(operator.or_, supports(rows), fixed_cols)
+        if scales:
+            rows += [table[mul(c, v)] for c in scales for v in vals]
+        per_node.append((i, cols.bit_count(), linalg.closure_rank(rows + fixed, t)))
     return MetricsReport(method="direct", per_node=tuple(per_node))
 
 
-def weight_identity(tower: FieldTower, k: int, supports=None):
+def weight_identity(tower: FieldTower, k: int):
     """rows -> (nz(G), rank(G)) for k x w matrices G over B, from one span
     walk of the q^k vectors uG, u in B^k:
 
         nz(G)   = sum of wt(uG) / (q^(k-1) (q-1))
         rank(G) = k - log_q #{u : uG = 0}.
 
-    Rows are digit-packed ints (prime q), whose entries in G are the digits
-    that supports flags (linalg.digit_supports), or without it tuples over
-    B.  An inexact division or a zero count that is no power of q is an
-    arithmetic bug.
+    G comes as a k packed rows (base-q digit s = column s) that span its
+    B-span over GF(p) (closure_polys), walked over GF(p).  An inexact
+    division or a zero count that is no power of q is an arithmetic bug.
     """
     q, add, mul = tower.q, tower.add, tower.mul
-    units = tower.subfield_elements()[2:]  # the scalars besides 0 and 1
+    supports = linalg.digit_supports(q, tower.ell)
+    units = range(2, tower.p)  # the GF(p) scalars besides 0 and 1
     denom = q ** (k - 1) * (q - 1) if k else 1
     log_q = {q**e: e for e in range(k + 1)}
-    if supports is None:
-        vadd = lambda v, w: tuple(map(add, v, w))
-        scale = lambda c, r: tuple(mul(c, g) for g in r)
-        weight = lambda v: len(v) - v.count(0)
-    else:
-        vadd, scale, weight = add, mul, int.bit_count
 
     def walk(rows):
-        steps = [[r, *[scale(c, r) for c in units]] for r in rows] if units else [[r] for r in rows]
-        zero = 0 if supports else (0,) * (len(rows[0]) if rows else 0)
-        span = span_walk(steps, vadd, zero)
-        if supports:
-            span = supports(span)
-        total, zeros = sum(map(weight, span)), span.count(zero)
+        steps = [[r, *[mul(c, r) for c in units]] for r in rows] if units else [[r] for r in rows]
+        span = supports(span_walk(steps, add))
+        total, zeros = sum(map(int.bit_count, span)), span.count(0)
         if total % denom:
             raise CrossCheckMismatch("weight identity sum not divisible; arithmetic bug")
         if zeros not in log_q:
@@ -291,59 +282,50 @@ def weight_identity(tower: FieldTower, k: int, supports=None):
 
 
 def nz_via_weight(rows, tower: FieldTower) -> int:
-    """Nonzero-column count of the rows via the weight identity
-    (weight_identity).  Rows are tuples over B, or digit-packed ints at
-    prime q (bit s = entry s at q = 2)."""
-    rows = list(rows)
-    packed = rows and isinstance(rows[0], int)
-    supports = linalg.digit_supports(tower.p, tower.ell) if packed else None
-    return weight_identity(tower, len(rows), supports)(rows)[0]
+    """Nonzero-column count of tuple rows over B via the weight identity
+    (weight_identity), one walk per column: its entries c x, c in
+    subfield_gfp_basis(q), packed by their GF(p) coordinates."""
+    rows = [tuple(r) for r in rows]
+    coords, scales = tower.subfield_coords(), tower.subfield_gfp_basis(tower.q)
+    walk = weight_identity(tower, len(rows))
+    return sum(walk([coords[tower.mul(c, x)] for c in scales for x in col])[0] for col in zip(*rows))
 
 
 def _rank_profile(scheme: RepairScheme) -> dict[int, int]:
     """rank(W_i) for every helper.  phi_hat is a B-linear bijection, so it is
-    the B-rank of the values g_j(alpha_i): the constants' values go into one
-    echelon basis, and each helper adds only the varying values to a copy."""
-    fixed, varying, ranks = linalg.EchelonBasis(scheme.tower), [], {}
-    for g in scheme.polys:
-        if any(g[1:]):
-            varying.append(g)
-        else:
-            fixed.insert(g[0])
-    for i, vals in enumerate(node_values(scheme, varying), 1):
-        if i != scheme.target:
-            basis = fixed.copy()
-            basis.extend(vals, scheme.ell)
-            ranks[i] = basis.dim
-    return ranks
+    the B-rank of the values g_j(alpha_i): the closure_rank of the values
+    of the closure_polys, the constants' resolved once."""
+    polys = closure_polys(scheme, scheme.polys)
+    fixed = [g[0] for g in polys if not any(g[1:])]
+    walk = enumerate(node_values(scheme, [g for g in polys if any(g[1:])]), 1)
+    return {i: linalg.closure_rank(vals + fixed, scheme.tower) for i, vals in walk if i != scheme.target}
 
 
 def metrics_weight(nf: NormalForm) -> MetricsReport:
     """Metrics from the weight identity on the m x t blocks W_hat_i.
 
-    One span walk per helper gives both: io = (ell - t) + nz(W_hat_i), and
-    when t = m, rank = (ell - m) + rank(W_hat_i) (weight_identity); else
-    the ranks come from _rank_profile (the B-rank of the values
-    g_j(alpha_i)).  At prime q the rows are digit-packed and weighed on the
-    support columns only.
+    One span walk per distinct block gives both: io = (ell - t) +
+    nz(W_hat_i), and when t = m, rank = (ell - m) + rank(W_hat_i)
+    (weight_identity); else the ranks come from _rank_profile.  A block is
+    the packed rows of the closure_polys' values cut to the support columns
+    (linalg.digit_select).
     """
     scheme = nf.scheme
     t = scheme.tower
     ell = scheme.ell
     rank_by_node = _rank_profile(scheme) if nf.t != nf.m else None
-    cols = [s - 1 for s in nf.support_set]
-    if t.a == 1:
-        row = scheme.basis.phi_hat_bits().__getitem__
-        supports = linalg.digit_supports(t.p, ell, sum(1 << c for c in cols))
-    else:
-        table = scheme.basis.phi_hat_table()
-        row, supports = (lambda v: tuple(table[v][c] for c in cols)), None
-    walk = weight_identity(t, nf.m, supports)
+    row = scheme.basis.phi_hat_bits().__getitem__
+    block_of = linalg.digit_select(t.q, ell, sum(1 << s - 1 for s in nf.support_set))
+    walk = weight_identity(t, nf.m)
+    walked = {}  # block -> (nz, rank)
     per_node = []
-    for i, vals in enumerate(node_values(scheme, scheme.polys[: nf.m]), 1):
+    for i, vals in enumerate(node_values(scheme, closure_polys(scheme, scheme.polys[: nf.m])), 1):
         if i == scheme.target:
             continue
-        nz, rk = walk(list(map(row, vals)))
+        block = tuple(block_of(map(row, vals)))
+        if block not in walked:
+            walked[block] = walk(block)
+        nz, rk = walked[block]
         rk = (ell - nf.m) + rk if rank_by_node is None else rank_by_node[i]
         per_node.append((i, (ell - nf.t) + nz, rk))
     return MetricsReport(method="weight_formula", per_node=tuple(per_node))
@@ -355,8 +337,7 @@ def metrics_expsum(nf: NormalForm) -> MetricsReport:
     from .expsum import per_node_ranks, per_node_zero_columns
 
     ell = nf.scheme.ell
-    zcols = per_node_zero_columns(nf)
-    ranks = per_node_ranks(nf)
+    zcols, ranks = per_node_zero_columns(nf), per_node_ranks(nf)
     per_node = tuple((i, ell - zcols[i], ranks[i]) for i in sorted(ranks))
     return MetricsReport(method="expsum", per_node=per_node)
 

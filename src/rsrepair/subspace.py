@@ -25,11 +25,8 @@ def _closure_rows(tower: FieldTower, elements, size: int) -> list[list[int]]:
 
 def _closure_rank(tower: FieldTower, elements, size: int) -> int:
     """Rank over the subfield of the given size = GF(p)-rank of the closure."""
-    k = len(tower.subfield_gfp_basis(size))
-    r = linalg.rank(tower, _closure_rows(tower, elements, size))
-    if r % k:
-        raise CrossCheckMismatch("closure rank not divisible by the subfield degree")
-    return r // k
+    sb = tower.subfield_gfp_basis(size)
+    return linalg.closure_rank([tower.mul(s, e) for e in elements for s in sb], tower, len(sb))
 
 
 def b_rank(tower: FieldTower, elements) -> int:

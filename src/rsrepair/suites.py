@@ -16,7 +16,7 @@ from .basis import dual_basis
 from .bounds import r3cond_max_bruteforce
 from .errors import CrossCheckMismatch, InvalidScheme, ParamViolation, RSRepairError
 from .expsum import CharSum, char_sum, subspace_char_sum, weil_check
-from .gf import field_create
+from .gf import field_create, split_prime_power
 from .linalg import EchelonBasis
 from .rs import RSCode
 from .scheme import RepairScheme, cross_check, metrics_direct, metrics_expsum, metrics_weight, normalize
@@ -56,7 +56,7 @@ def random_normalized_scheme(rng, q=None, ell=None, d=None, r=None):
     """A random valid (m, t)-normalized scheme plus its parameter record.
 
     Parameters left as None are drawn from q in {2, 3}, ell in 2..6,
-    d in 2..ell, r in {2, 3}.  The last ell - m polynomials are constants
+    d in 2..ell, r in {2, 3}; a given q may be any prime power.  The last ell - m polynomials are constants
     built from dual basis elements so the covered columns, and hence t,
     are controlled exactly; the first m get random nonconstant parts.
     Invalid draws (target evaluations not spanning F) are retried.
@@ -69,7 +69,7 @@ def random_normalized_scheme(rng, q=None, ell=None, d=None, r=None):
         k = qq ** dd - rr
         if k < 1 or dd > la:
             continue
-        t = field_create(qq, 1, la)
+        t = field_create(*split_prime_power(qq), la)
         bp = dual_basis(_random_independent(rng, t, la), t)
         code = RSCode(Subspace.span(t, _random_independent(rng, t, dd)), k)
 

@@ -116,6 +116,34 @@ def test_criterion_1_c2_q3_ell12_direct_and_weight():
     assert weight.per_node == direct.per_node
 
 
+@large
+def test_criterion_1_c2_prime_power_q_by_all_routes(tmp_path, capsys):
+    # q = 4 and 9: digit-packed rows with their closure under B
+    scheme = construction2(4, 8, 8, 0, 1, 2)[2]
+    nf = scheme.normal_form
+    direct = metrics_direct(scheme)
+    assert metrics_weight(nf).per_node == metrics_expsum(nf).per_node == direct.per_node
+    assert (direct.io_cost, direct.bandwidth) == (507_896, 507_896)
+    path = str(tmp_path / "c2.json")
+    assert main(["construct", "c2", "--q", "4", "--ell", "8", "--d", "8", "--m", "1", "--r", "2",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["simulate", path, "--trials", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["successes"], doc["io_cost"], doc["bandwidth"]) == (2, 507_896, 507_896)
+    scheme = construction2(9, 6, 5, 0, 2, 2)[2]
+    seconds = {}
+    for route, run in (("direct", lambda: metrics_direct(scheme)),
+                       ("weight", lambda: metrics_weight(scheme.normal_form))):
+        start = time.perf_counter()
+        seconds[route] = (run(), time.perf_counter() - start)
+    (direct, d_s), (weight, w_s) = seconds["direct"], seconds["weight"]
+    print(f"criterion 1: c2 (9,6,5,0,2,2) io {direct.io_cost}, direct route {d_s:.2f} s, "
+          f"weight route {w_s:.2f} s")
+    assert weight.per_node == direct.per_node
+    assert (direct.io_cost, direct.bandwidth) == (341_166, 341_166)
+
+
 def test_criterion_2_pinned_small_scheme():
     bp, scheme = construction1(4, theta_strategy="paper_example")
     t = scheme.tower

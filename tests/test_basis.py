@@ -1,5 +1,7 @@
 """Dual bases and the trace vectorizations."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -66,14 +68,20 @@ def test_phi_tables_and_bits(gf16):
         phi, phi_hat = bp.phi_table(), bp.phi_hat_table()
         assert phi == [bp.vectorize(x) for x in range(t.size)]
         assert phi_hat == [bp.vectorize_dual(x) for x in range(t.size)]
-        if t.a == 1:  # prime q: base-p digit s is coordinate s
-            fresh = dual_basis(beta, t)
-            bits = fresh.phi_hat_bits()
-            assert fresh._phi_hat is None  # bits are built without the row table
+        # base-p digits a s .. a s + a - 1 are coordinate s over the
+        # GF(p)-basis gb of B; at prime q base-p digit s is coordinate s
+        gb = t.subfield_gfp_basis(t.q)
+        digits = {}
+        for cs in itertools.product(range(t.p), repeat=t.a):
+            b = functools.reduce(t.add, (t.mul(c, g) for c, g in zip(cs, gb)), 0)
+            digits[b] = sum(c * t.p**j for j, c in enumerate(cs))
+        assert len(digits) == t.q
+        fresh = dual_basis(beta, t)
+        bits = fresh.phi_hat_bits()
+        assert fresh._phi_hat is None  # bits are built without the row table
+        assert bits == [sum(digits[c] * t.q**s for s, c in enumerate(row)) for row in phi_hat]
+        if t.a == 1:
             assert bits == [sum(c * t.p**s for s, c in enumerate(row)) for row in phi_hat]
-        else:
-            with pytest.raises(ParamViolation, match="requires a prime q"):
-                bp.phi_hat_bits()
 
 
 def test_phi_tables_are_spot_checked(gf16, request):

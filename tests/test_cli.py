@@ -69,8 +69,12 @@ _CORRUPT_IMAGE = (
 )
 
 
-def test_corrupted_table_image_exits_2(capsys, corrupt_first_image):
-    code, out, err = _run(capsys, ["construct", "c1", "--ell", "4"])
+def test_corrupted_table_image_exits_2(capsys, tmp_path, request):
+    # construct's expsum route builds no table once the tower's are built,
+    # so the corruption is met by metrics, whose direct route builds one
+    path = _saved_scheme(tmp_path, capsys)
+    request.getfixturevalue("corrupt_first_image")
+    code, out, err = _run(capsys, ["metrics", path])
     assert code == 2 and out == ""
     assert "cross-check mismatch" in err and "definition" in err
 
@@ -260,6 +264,88 @@ def test_metrics_packed_break_exits_2(capsys, tmp_path, kind, flags):
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith("cross-check mismatch: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# breaks at q = 9, where each value's packed row comes with its closure
+# under B: node 2's first row zeroed in the packed table (argv[2] is its
+# field element), alone or with its B-multiples, or a GF(p) rank one too
+# high, so it is no multiple of a = 2
+_ZERO_ROWS = (
+    "import rsrepair.basis as b\n"
+    "build = b.BasisPair.phi_hat_bits\n"
+    "def corrupt(self):\n"
+    "    table, t = build(self), self.tower\n"
+    "    for c in t.subfield_elements()[1:{}]:\n"
+    "        table[t.mul(c, int(sys.argv[2]))] = 0\n"
+    "    return table\n"
+    "b.BasisPair.phi_hat_bits = corrupt\n"
+)
+_PRIME_POWER_BREAKS = {
+    "packed_entry": (_ZERO_ROWS.format(2), "closure rank not divisible by the subfield degree 2"),
+    "packed_span": (_ZERO_ROWS.format(""), "direct gives (2, "),
+    "rank_remainder": (
+        "import rsrepair.linalg as la\n"
+        "rank_bits = la.rank_bits\n"
+        "la.rank_bits = lambda rows, tower=None: rank_bits(rows, tower) + 1\n",
+        "closure rank not divisible by the subfield degree 2"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("kind", sorted(_PRIME_POWER_BREAKS))
+def test_metrics_prime_power_break_exits_2(capsys, tmp_path, kind, flags):
+    path = str(tmp_path / "scheme.json")
+    assert _run(capsys, [*_c2("9", "4", "3", "0", "2", "2"), "--out", path])[0] == 0
+    scheme = load_scheme(path)
+    victim = scheme.code.eval_poly(scheme.polys[0], scheme.code.points[1])
+    prefix, message = _PRIME_POWER_BREAKS[kind]
+    script = ("import sys\n" + prefix + "from rsrepair.cli import main\n"
+              "sys.exit(main(['metrics', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script, path, str(victim)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("cross-check mismatch: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# construct checks the expsum route's totals against the construction's
+# claim: c1's against a tampered thm6 value, c2's against a route whose
+# last helper reads one column more
+_CLAIM_BREAKS = {
+    "c1": (
+        "import rsrepair.cli as c\n"
+        "io_lower_bound = c.io_lower_bound\n"
+        "c.io_lower_bound = lambda *a, **k: dict(io_lower_bound(*a, **k), value=0)\n",
+        ["construct", "c1", "--ell", "4"],
+        "construction c1 claims io_cost 0, the expsum route gives 44"),
+    "c2": (
+        "import rsrepair.cli as c\n"
+        "from rsrepair.scheme import MetricsReport\n"
+        "route = c.metrics_expsum\n"
+        "def tampered(nf):\n"
+        "    (*rest, (i, nz, rk)) = route(nf).per_node\n"
+        "    return MetricsReport('expsum', (*rest, (i, nz + 1, rk)))\n"
+        "c.metrics_expsum = tampered\n",
+        ["construct", "c2", "--q", "4", "--ell", "6", "--d", "4", "--m", "3", "--r", "2"],
+        "construction c2 claims io_cost 1338, the expsum route gives 1339"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("kind", sorted(_CLAIM_BREAKS))
+def test_construct_claim_mismatch_exits_2(kind, flags):
+    prefix, argv, message = _CLAIM_BREAKS[kind]
+    script = "import sys\n" + prefix + "sys.exit(c.main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"cross-check mismatch: {message}\n"
 
 
 # two scaled trace kernels, so a broken intersect leaves W at the wrong dimension

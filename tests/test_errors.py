@@ -9,7 +9,6 @@ import pytest
 
 import rsrepair
 from rsrepair import errors, gf, linalg
-from rsrepair.basis import dual_basis
 from rsrepair.cli import main
 from rsrepair.constructions import qpoly_annihilator
 from rsrepair.errors import CrossCheckMismatch, ParamViolation, RSRepairError
@@ -56,16 +55,11 @@ def test_cli_exit_code_per_class(capsys, monkeypatch, cls):
         assert (code, err) == (1, "error: patched\n")
 
 
-def _phi_hat_bits_at_q4():
-    t = field_create(2, 2, 2)
-    dual_basis([1, t.exp[1]], t).phi_hat_bits()
-
-
 _GF8, _GF16 = Subspace.full_field(field_create(2, 1, 3)), Subspace.full_field(field_create(2, 1, 4))
 
 # input checks of the arithmetic layers, each with its message
 INPUT_CHECKS = {
-    "phi_hat_bits": (_phi_hat_bits_at_q4, "requires a prime q, not q = 4"),
+    "inverse_of_zero": (lambda: field_create(2, 1, 4).inv(0), "0 has no inverse"),
     "charsum_counts": (lambda: CharSum(3, [1, 2]), "one count per residue"),
     "tower_degree": (lambda: FieldTower(2, 0, 3), "a and ell must be positive"),
     "tower_modulus": (lambda: FieldTower(2, 1, 4, modulus=[1, 1, 0, 1]), "modulus must be monic"),

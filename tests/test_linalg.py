@@ -150,3 +150,22 @@ def test_rank_bits_and_digit_supports_match_coordinates(params):
         for m in (mask, None):
             want = [sum(1 << s for s, d in enumerate(c) if d and (m is None or m >> s & 1)) for c in coords]
             assert linalg.digit_supports(t.p, t.ell, m)(rows) == want
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (2, 3), (3, 2)])
+def test_digit_supports_reads_groups_at_prime_powers(p, a):
+    """Base-q digits of rows over B = GF(p^a) packed a base-p digits to an
+    entry: a group is flagged iff one of its base-p digits is nonzero."""
+    t = field_create(p, a, 3)
+    rng = random.Random(p * 10 + a)
+    for _ in range(200):
+        rows = [rng.randrange(t.size) for _ in range(rng.randint(0, 5))]
+        rows += [0, t.size - 1, rng.randrange(t.q) * t.q**2]
+        mask = rng.randrange(1 << t.ell)
+        for m in (mask, None):
+            want = [sum(1 << s for s in range(t.ell)
+                        if any(t.coords(x)[a * s: a * s + a]) and (m is None or m >> s & 1)) for x in rows]
+            assert linalg.digit_supports(t.q, t.ell, m)(rows) == want
+        # clearing the groups outside mask, against the coordinates
+        cut = [t.element(c if mask >> i // a & 1 else 0 for i, c in enumerate(t.coords(x))) for x in rows]
+        assert linalg.digit_select(t.q, t.ell, mask)(rows) == cut

@@ -524,6 +524,30 @@ def test_packed_routes_match_tuple_reference(q):
         assert metrics_weight(nf).per_node == want
 
 
+_PRIME_POWER_C2 = {
+    4: [(4, 6, 4, 0, 3, 2), (4, 4, 3, 1, 2, 5), (4, 4, 3, 0, 2, 2)],
+    8: [(8, 3, 2, 0, 1, 2), (8, 2, 2, 0, 1, 2)],
+    9: [(9, 4, 3, 0, 2, 2), (9, 2, 2, 0, 1, 2)],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_PRIME_POWER_C2))
+def test_packed_routes_match_tuple_reference_at_prime_powers(q):
+    """Digit-packed rows with their closure under B at q = p^a, a > 1: all
+    three routes against tuples."""
+    rng = random.Random(q)
+    forms = [construction2(*params)[2].normal_form for params in _PRIME_POWER_C2[q]]
+    forms += [random_normalized_scheme(rng, q=q, ell=rng.randint(2, 4 if q == 4 else 3))[0]
+              for _ in range(8)]
+    assert all(nf.scheme.tower.a > 1 for nf in forms)
+    assert any(nf.t != nf.m for nf in forms) and any(nf.t == nf.m for nf in forms)
+    for nf in forms:
+        want = _tuple_reference(nf.scheme)
+        assert metrics_direct(nf.scheme).per_node == want
+        assert metrics_weight(nf).per_node == want
+        assert metrics_expsum(nf).per_node == want
+
+
 @pytest.mark.parametrize("params", [(3, 6, 4, 0, 3, 2), (4, 6, 4, 0, 3, 2)])
 def test_weight_route_checks_the_zero_count(monkeypatch, params):
     """One extra zero vector per walk leaves the weight sum divisible, but
