@@ -71,7 +71,9 @@ class CharSum:
         return self.counts[0] - (self.counts[1] if self.p > 1 else 0)
 
     def complex_value(self) -> complex:
-        return sum(c * cmath.exp(2j * math.pi * j / self.p) for j, c in enumerate(self.counts))
+        return sum(
+            c * cmath.exp(2j * math.pi * j / self.p) for j, c in enumerate(self.counts)
+        )
 
     def __repr__(self):
         return f"CharSum(p={self.p}, counts={self.counts})"
@@ -95,10 +97,14 @@ def subspace_char_sum(G: Subspace, scale: int, tower: FieldTower) -> int:
     """
     direct = char_sum((tower.mul(scale, alpha) for alpha in G.enumerate()), tower)
     value = direct.as_integer()
-    vanishes = all(tower.trace_to_subfield(tower.mul(scale, b)) == 0 for b in G.b_basis())
+    vanishes = all(
+        tower.trace_to_subfield(tower.mul(scale, b)) == 0 for b in G.b_basis()
+    )
     expected = tower.q ** G.dim if vanishes else 0
     if value != expected:
-        raise CrossCheckMismatch(f"character sum over subspace: tally gives {value}, dichotomy {expected}")
+        raise CrossCheckMismatch(
+            f"character sum over subspace: tally gives {value}, dichotomy {expected}"
+        )
     return value
 
 

@@ -230,7 +230,6 @@ class FieldTower:
         self._tr_sub = None
         self._tr_abs = None
         self._subfield_cache = {}
-        self._subfield_coords = None
 
     # -- construction internals ------------------------------------------
 
@@ -429,11 +428,9 @@ class FieldTower:
     def subfield_coords(self) -> dict[int, int]:
         """B -> its coordinates over subfield_gfp_basis(q), as the a base-p
         digits of an int below q (each element itself at prime q)."""
-        if self._subfield_coords is None:
-            gb = self.subfield_gfp_basis(self.q)
-            walk = span_walk([[self.mul(d, g) for d in range(1, self.p)] for g in gb], self.add)
-            self._subfield_coords = {x: i for i, x in enumerate(walk)}
-        return self._subfield_coords
+        gb = self.subfield_gfp_basis(self.q)
+        walk = span_walk([[self.mul(d, g) for d in range(1, self.p)] for g in gb], self.add)
+        return {x: i for i, x in enumerate(walk)}
 
     # -- encoding ----------------------------------------------------------
 

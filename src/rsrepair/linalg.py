@@ -164,8 +164,8 @@ class EchelonBasis:
         self.dim = 0
 
     def insert(self, x: int) -> bool:
-        before = len(self._rows)
-        _echelon([self.tower.mul(s, x) for s in self._scales], self.tower, self._rows)
+        t, before = self.tower, len(self._rows)
+        _echelon([x if s == 1 else t.mul(s, x) for s in self._scales], t, self._rows)
         grown, k = len(self._rows) - before, len(self._scales)
         if grown not in (0, k):
             raise CrossCheckMismatch("closure rank growth is not 0 or the subfield degree")

@@ -54,10 +54,16 @@ class RepairScheme:
         t = code.tower
         r = code.r
         padded = []
-        for p in map(list, polys):
-            if any(p[r:]):
-                raise InvalidScheme(f"polynomial degree {len(p) - 1} exceeds r - 1 = {r - 1}; not a dual codeword")
-            padded.append(tuple(p[:r] + [0] * (r - len(p))))
+        for p in polys:
+            p = list(p)
+            if len(p) > r:
+                if any(p[r:]):
+                    raise InvalidScheme(
+                        f"polynomial degree {len(p) - 1} exceeds r - 1 = {r - 1}; "
+                        "not a dual codeword"
+                    )
+                p = p[:r]
+            padded.append(tuple(p + [0] * (r - len(p))))
         self.polys = tuple(padded)
         if len(self.polys) != t.ell:
             raise InvalidScheme(f"need ell = {t.ell} polynomials, got {len(self.polys)}")
@@ -65,8 +71,10 @@ class RepairScheme:
             raise InvalidScheme(f"target {self.target} outside [1, {code.n}]")
         evals = [code.eval_poly(p, self.target_point) for p in self.polys]
         if b_rank(t, evals) != t.ell:
-            raise InvalidScheme("values g_j(alpha_target) do not span F over B; "
-                                "the scheme cannot determine the lost symbol")
+            raise InvalidScheme(
+                "values g_j(alpha_target) do not span F over B; "
+                "the scheme cannot determine the lost symbol"
+            )
 
     @property
     def tower(self) -> FieldTower:
@@ -293,12 +301,20 @@ def nz_via_weight(rows, tower: FieldTower) -> int:
 
 def _rank_profile(scheme: RepairScheme) -> dict[int, int]:
     """rank(W_i) for every helper.  phi_hat is a B-linear bijection, so it is
-    the B-rank of the values g_j(alpha_i): the closure_rank of the values
-    of the closure_polys, the constants' resolved once."""
-    polys = closure_polys(scheme, scheme.polys)
-    fixed = [g[0] for g in polys if not any(g[1:])]
-    walk = enumerate(node_values(scheme, [g for g in polys if any(g[1:])]), 1)
-    return {i: linalg.closure_rank(vals + fixed, scheme.tower) for i, vals in walk if i != scheme.target}
+    the B-rank of the values g_j(alpha_i): the constants' values go into one
+    echelon basis, and each helper adds only the varying values to a copy."""
+    fixed, varying, ranks = linalg.EchelonBasis(scheme.tower), [], {}
+    for g in scheme.polys:
+        if any(g[1:]):
+            varying.append(g)
+        else:
+            fixed.insert(g[0])
+    for i, vals in enumerate(node_values(scheme, varying), 1):
+        if i != scheme.target:
+            basis = fixed.copy()
+            basis.extend(vals, scheme.ell)
+            ranks[i] = basis.dim
+    return ranks
 
 
 def metrics_weight(nf: NormalForm) -> MetricsReport:
@@ -337,7 +353,8 @@ def metrics_expsum(nf: NormalForm) -> MetricsReport:
     from .expsum import per_node_ranks, per_node_zero_columns
 
     ell = nf.scheme.ell
-    zcols, ranks = per_node_zero_columns(nf), per_node_ranks(nf)
+    zcols = per_node_zero_columns(nf)
+    ranks = per_node_ranks(nf)
     per_node = tuple((i, ell - zcols[i], ranks[i]) for i in sorted(ranks))
     return MetricsReport(method="expsum", per_node=per_node)
 
