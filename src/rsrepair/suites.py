@@ -56,9 +56,10 @@ def random_normalized_scheme(rng, q=None, ell=None, d=None, r=None):
     """A random valid (m, t)-normalized scheme plus its parameter record.
 
     Parameters left as None are drawn from q in {2, 3}, ell in 2..6,
-    d in 2..ell, r in {2, 3}; a given q may be any prime power.  The last ell - m polynomials are constants
-    built from dual basis elements so the covered columns, and hence t,
-    are controlled exactly; the first m get random nonconstant parts.
+    d in 2..ell, r in {2, 3}; a given q may be any prime power.  The last
+    ell - m polynomials are constants built from dual basis elements so the
+    covered columns, and hence t, are controlled exactly; the first m get
+    random nonconstant parts.
     Invalid draws (target evaluations not spanning F) are retried.
     """
     for _ in range(500):
