@@ -427,10 +427,12 @@ class FieldTower:
 
     def subfield_coords(self) -> dict[int, int]:
         """B -> its coordinates over subfield_gfp_basis(q), as the a base-p
-        digits of an int below q (each element itself at prime q)."""
+        digits of an int below q (each element itself at prime q): the
+        inverse of the map's spot-checked linear_table."""
         gb = self.subfield_gfp_basis(self.q)
-        walk = span_walk([[self.mul(d, g) for d in range(1, self.p)] for g in gb], self.add)
-        return {x: i for i, x in enumerate(walk)}
+        els = self.linear_table(gb)
+        spot_check(els, lambda i: functools.reduce(self.add, map(self.mul, self.coords(i), gb)), "subfield coordinates")
+        return {x: i for i, x in enumerate(els)}
 
     # -- encoding ----------------------------------------------------------
 

@@ -69,12 +69,8 @@ _CORRUPT_IMAGE = (
 )
 
 
-def test_corrupted_table_image_exits_2(capsys, tmp_path, request):
-    # construct's expsum route builds no table once the tower's are built,
-    # so the corruption is met by metrics, whose direct route builds one
-    path = _saved_scheme(tmp_path, capsys)
-    request.getfixturevalue("corrupt_first_image")
-    code, out, err = _run(capsys, ["metrics", path])
+def test_corrupted_table_image_exits_2(capsys, corrupt_first_image):
+    code, out, err = _run(capsys, ["construct", "c1", "--ell", "4"])
     assert code == 2 and out == ""
     assert "cross-check mismatch" in err and "definition" in err
 
