@@ -6,13 +6,17 @@ catalog of constructed schemes, built once and cached at module level.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 from conftest import RUN_LARGE, all_subspaces, large
 
+import rsrepair
 from rsrepair import (
     AccessCounter,
     Subspace,
@@ -100,6 +104,34 @@ def test_criterion_1_large_ell_by_all_routes(ell, bandwidth):
            for rep in (metrics_direct(scheme), metrics_weight(nf), metrics_expsum(nf))}
     print(f"criterion 1: (io, bandwidth) at ell={ell} by route {got}")
     assert set(got.values()) == {want}, got
+
+
+@large
+def test_criterion_1_metrics_ell20_frontier(tmp_path):
+    # the 2^20 frontier end to end: metrics in its own process, stdout to a
+    # file; prints its seconds and peak RSS and asserts neither
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    path, out = tmp_path / "c1.json", tmp_path / "metrics.json"
+    subprocess.run([sys.executable, "-m", "rsrepair.cli", "construct", "c1", "--ell", "20",
+                    "--out", str(path)], check=True, capture_output=True, env=env)
+    script = ("import resource, sys, time\n"
+              "from rsrepair.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(['metrics', sys.argv[1]])\n"
+              "sys.stdout.flush()\n"
+              "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+              " file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    with open(out, "w") as fh:
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], stdout=fh,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seconds, maxrss_kb = proc.stderr.split()
+    print(f"criterion 1: metrics at c1 ell=20 took {float(seconds):.1f} s, "
+          f"peak RSS {int(maxrss_kb) / 1024:.0f} MB, {out.stat().st_size} bytes of stdout")
+    with open(out) as fh:
+        head = fh.read(400)
+    assert '"bandwidth": 19714028,' in head and f'"io_cost": {(2**20 - 1) * 20 - 2**20},' in head
 
 
 @large

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import large
 
 import rsrepair
 from rsrepair.cli import main
@@ -706,6 +707,8 @@ OUTPUT_DIGESTS = {
         "442401e36ebf5b9125d2f0bf63bb4655abec21f10c5eba151b26b533db4fbbc8",
     ("metrics", _c2("4", "6", "4", "0", "3", "2")):
         "e1c61d2c8d3a0fff7fd566fb9872fe8cfd82240f4d048e5c126b6baeadb09998",
+    ("metrics", ("construct", "c1", "--ell", "12")):
+        "d0636ddfc6f751430e3df8b59d3f51da2249a5182e84cb3953bd9a6a1a2f42d7",
 }
 
 
@@ -744,6 +747,70 @@ def test_construct_stdout_pinned(capsys, argv):
     code, out, err = _run(capsys, list(argv))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_STDOUT_DIGESTS[argv]
+
+
+@large
+def test_metrics_c1_ell16_digest_pinned(capsys, tmp_path):
+    # 65,535 per-node rows: the streamed writer at scale
+    path = str(tmp_path / "c1.json")
+    assert _run(capsys, ["construct", "c1", "--ell", "16", "--out", path])[0] == 0
+    code, out, err = _run(capsys, ["metrics", path])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "48adaf34222c41090ea3021a7d2dba166bb9ed477aa3c2c665e12bd2080c0564")
+
+
+# every command's document; the scheme file of metrics and simulate is the
+# one that construct c1 --ell 4 (or c2 at q = 3 for "c2") saves
+_EMIT_ARGV = (
+    ("field", "--q", "9", "--ell", "2"),
+    ("construct", "c1", "--ell", "6"),
+    _c2("3", "6", "5", "1", "3", "4"),
+    ("metrics", "c1"),
+    ("metrics", "c2"),
+    *(("metrics", "c1", "--method", method) for method in ("direct", "weight", "expsum")),
+    ("simulate", "c2", "--trials", "2"),
+    ("bounds", "--q", "2", "--ell", "6", "--d", "6", "--r", "3"),
+    ("bounds", "--q", "4", "--ell", "4", "--d", "3", "--r", "2", "--quantity", "bandwidth"),
+    ("verify", "--suite", "all", "--size", "4"),
+)
+
+
+@pytest.mark.parametrize("argv", _EMIT_ARGV, ids=" ".join)
+def test_emit_writes_json_dumps_bytes(capsys, tmp_path, monkeypatch, argv):
+    import rsrepair.cli as cli
+
+    files = {}
+    for name, construct in (("c1", ["construct", "c1", "--ell", "4"]), ("c2", list(_c2("3", "4", "3", "0", "2", "2")))):
+        files[name] = str(tmp_path / f"{name}.json")
+        assert _run(capsys, [*construct, "--out", files[name]])[0] == 0
+    docs = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc: (docs.append(doc), emit(doc)))
+    if argv[0] in ("metrics", "simulate"):
+        argv = (argv[0], files[argv[1]], *argv[2:])
+    code, out, err = _run(capsys, list(argv))
+    assert (code, err, len(docs)) == (0, "", 1)
+    # a metrics report in the document stands for its per_node triples
+    assert out == json.dumps(docs[0], indent=2, sort_keys=True, default=lambda rep: rep.per_node) + "\n"
+
+
+_EDGE_DOCS = (
+    {}, [], (), 0, -7, 2**70, 1.5, -0.0, 1e300, float("inf"), float("nan"), True, None, "x",
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": [[], {}, [1]]},
+    {"z": 1, "a": [1, 2, -3], "m": (4, 5), "k": [True, False, None], "f": [1.0, 2], "n": [1, "1"]},
+    {"nested": [[1, [2, [3, {"deep": [4]}]]], {"x": {"y": {"z": None}}}]},
+    {"esc": "quote \" backslash \\ newline \n tab \t nul \x00 bell \x07", "\u00e9t\u00e9": "na\u00efve \u2713 \U0001d11e"},
+    {3: "int", 1: "keys"}, {"big": [2**64, -(2**63)], "bool_ints": [1, True, 0, False]},
+)
+
+
+@pytest.mark.parametrize("doc", _EDGE_DOCS, ids=repr)
+def test_emit_edge_documents(capsys, doc):
+    from rsrepair.cli import _emit
+
+    _emit(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_usage_errors_exit_1(capsys):
