@@ -18,6 +18,7 @@ from .errors import CrossCheckMismatch, ParamViolation, RSRepairError
 from .gf import field_create, split_prime_power
 from .scheme import (
     AccessCounter,
+    MetricsReport,
     cross_check,
     load_scheme,
     metrics_direct,
@@ -41,7 +42,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc):
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    """Write doc and a newline to stdout in the bytes of json.dumps(doc,
+    indent=2, sort_keys=True), piece by piece, so the document never exists
+    as one string.  A MetricsReport in doc stands for its per_node triples,
+    written from its columns in chunks of rows."""
+    write = sys.stdout.write
+    for piece in _json_pieces(doc, "\n"):
+        write(piece)
+    write("\n")
+
+
+def _json_pieces(value, nl):
+    """Pieces of the indented JSON text of value, nested where a line break
+    and its indent read nl: sorted dict keys through json.dumps, lists of
+    plain ints joined with str, other scalars through json.dumps."""
+    inner = nl + "  "
+    if isinstance(value, MetricsReport):  # per_node, rows from the columns
+        row = "[" + inner + "  %d," + inner + "  %d," + inner + "  %d" + inner + "]"
+        sep = "[" + inner
+        for start in range(0, len(value.nodes), 4096):
+            cut = slice(start, start + 4096)
+            rows = zip(value.nodes[cut], value.nz[cut], value.ranks[cut])
+            yield sep + ("," + inner).join([row % r for r in rows])
+            sep = "," + inner
+        yield nl + "]" if value.nodes else "[]"
+    elif isinstance(value, dict):
+        sep = "{" + inner
+        for key in sorted(value):
+            yield f"{sep}{json.dumps(key)}: "
+            yield from _json_pieces(value[key], inner)
+            sep = "," + inner
+        yield nl + "}" if value else "{}"
+    elif isinstance(value, (list, tuple)):
+        if all(type(x) is int for x in value):
+            yield "[" + inner + ("," + inner).join(map(str, value)) + nl + "]" if value else "[]"
+            return
+        sep = "[" + inner
+        for x in value:
+            yield sep
+            yield from _json_pieces(x, inner)
+            sep = "," + inner
+        yield nl + "]"
+    else:
+        yield json.dumps(value)
 
 
 def _scheme_summary(scheme):
@@ -121,7 +164,7 @@ def _cmd_metrics(args):
         method=args.method or "direct+weight+expsum",
         io_cost=report.io_cost,
         bandwidth=report.bandwidth,
-        per_node=report.per_node,
+        per_node=report,
     )
     _emit(doc)
     return 0

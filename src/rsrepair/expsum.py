@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from . import linalg
 from .errors import CrossCheckMismatch, ParamViolation
@@ -244,7 +245,10 @@ def per_node_ranks(nf) -> dict[int, int]:
     """rank(W_i) = (ell - m) + rank(T_i), T_i[j][k] = Tr_{F/B}(theta_k
     g_j(alpha_i)), memoized per distinct T_i, held as the digit-packed rows
     of the closure_polys' values (as in BasisPair.phi_hat_bits) and ranked
-    by linalg.closure_rank.  Each row is affine in alpha and walked alone."""
+    by linalg.closure_rank.  Each row is affine in alpha: at q = 2 the m
+    rows of a node are one XOR-walked int, row j at bits j m .. j m + m - 1,
+    split into rows only when the memo misses; otherwise each row is walked
+    alone."""
     scheme, m = nf.scheme, nf.m
     t = scheme.tower
     tr, mul, q = t.trace_to_subfield, t.mul, t.q
@@ -255,9 +259,15 @@ def per_node_ranks(nf) -> dict[int, int]:
     pack = lambda v: sum(coords[tr(mul(th, v))] * q**k for k, th in enumerate(thetas))
     polys = closure_polys(scheme, scheme.polys[:m])
     parts = affine_parts(scheme, polys)
+    rows_of = list
     if parts is None or not polys:  # (a zip of no walks would stop at once)
         walk = (tuple(map(pack, vals)) for vals in node_values(scheme, polys))
-    else:  # one walk per row, each affine in alpha
+    elif q == 2:
+        consts, images = parts
+        join = lambda vals: sum(pack(v) << j * m for j, v in enumerate(vals))
+        walk = span_iter([[join(lb)] for lb in images], operator.xor, join(consts), 0)
+        rows_of = lambda T: [T >> j * m & (1 << m) - 1 for j in range(m)]
+    else:  # one walk per row
         consts, images = parts
         units = t.subfield_elements()[1:]
         walk = zip(*[span_iter([[pack(mul(c, lb[j])) for c in units] for lb in images], t.add, pack(cj), 0)
@@ -267,7 +277,7 @@ def per_node_ranks(nf) -> dict[int, int]:
     for i, T in enumerate(walk, 1):
         if i != scheme.target:
             if T not in memo:
-                memo[T] = (scheme.ell - m) + linalg.closure_rank(list(T), t)
+                memo[T] = (scheme.ell - m) + linalg.closure_rank(rows_of(T), t)
             ranks[i] = memo[T]
     return ranks
 

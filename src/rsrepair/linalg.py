@@ -11,10 +11,11 @@ transpose, sharing its kernel step with right_kernel and solution_set (the
 affine solution set of M x = b).  Ranks over B of field elements come from
 EchelonBasis, an incremental echelon basis of their GF(p)-closure.  For
 hot loops, rows may come digit-packed into ints (base-p digit i = column
-i, bits at p = 2): rank_bits is their GF(p) rank, closure_rank the B-rank
-of rows given with their GF(p)-closure, digit_supports reads their nonzero
-digits (base-q digits for rows over B), digit_select clears the digits
-outside a mask, and split_bits is the GF(2) form of split.
+i, bits at p = 2): echelon keeps their GF(p) echelon basis, rank_bits is
+their GF(p) rank, closure_rank the B-rank of rows given with their
+GF(p)-closure (on top of a basis reduced once), digit_supports reads their
+nonzero digits (base-q digits for rows over B), digit_select clears the
+digits outside a mask, and split_bits is the GF(2) form of split.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class EchelonBasis:
     """GF(p) echelon basis of the span of the inserted field elements over
     the subfield of the given size (default B).
 
-    Rows are field elements kept by _echelon.  insert(x) adds x's subfield
+    Rows are field elements kept by echelon.  insert(x) adds x's subfield
     closure and reports whether the dimension grew.
     """
 
@@ -165,7 +166,7 @@ class EchelonBasis:
 
     def insert(self, x: int) -> bool:
         t, before = self.tower, len(self._rows)
-        _echelon([x if s == 1 else t.mul(s, x) for s in self._scales], t, self._rows)
+        echelon([x if s == 1 else t.mul(s, x) for s in self._scales], t, self._rows)
         grown, k = len(self._rows) - before, len(self._scales)
         if grown not in (0, k):
             raise CrossCheckMismatch("closure rank growth is not 0 or the subfield degree")
@@ -194,14 +195,15 @@ class EchelonBasis:
 def rank_bits(rows: list[int], tower=None) -> int:
     """Rank over GF(p) of rows packed as ints, base-p digit i = column i:
     bits (p = 2) without a tower, else elements of the tower."""
-    return len(_echelon(rows, tower, {}))
+    return len(echelon(rows, tower))
 
 
-def _echelon(rows, tower, basis: dict) -> dict:
-    """basis, a GF(p) echelon basis {pivot: row} of packed rows, extended by
-    rows: bits (p = 2) without a tower, else elements of the tower, whose
-    add and mul by GF(p) scalars act on the digits one by one.  Pivots are
-    the lowest nonzero digits, kept at 1."""
+def echelon(rows, tower=None, basis: dict | None = None) -> dict:
+    """basis (default a new one), a GF(p) echelon basis {pivot: row} of
+    packed rows, extended in place by rows: bits (p = 2) without a tower,
+    else elements of the tower, whose add and mul by GF(p) scalars act on
+    the digits one by one.  Pivots are the lowest nonzero digits, kept at 1."""
+    basis = {} if basis is None else basis
     if tower is None or tower.p == 2:
         for row in rows:
             while row:
@@ -226,11 +228,13 @@ def _echelon(rows, tower, basis: dict) -> dict:
     return basis
 
 
-def closure_rank(rows: list[int], tower, k: int | None = None) -> int:
+def closure_rank(rows: list[int], tower, k: int | None = None, basis: dict | None = None) -> int:
     """Rank over the subfield of degree k (default B, k = a) of packed rows
-    given with their closure under it: their GF(p) rank over k.  A
-    remainder is an arithmetic bug."""
-    rank, rest = divmod(rank_bits(rows, tower), k := k or tower.a)
+    given with their closure under it, joined by the rows of basis (an
+    echelon basis of closed rows, left as it is): their GF(p) rank over k.
+    A remainder is an arithmetic bug."""
+    dim = len(echelon(rows, tower, dict(basis))) if basis else rank_bits(rows, tower)
+    rank, rest = divmod(dim, k := k or tower.a)
     if rest:
         raise CrossCheckMismatch(f"closure rank not divisible by the subfield degree {k}")
     return rank

@@ -19,7 +19,8 @@ uncovered column indices, from (scheme, m).  Metrics can then be read off
 the m x t upper blocks W_hat_i.
 
 Each metric route yields (node, nz, rank) per helper, and MetricsReport
-sums them; cross_check names the first node where two reports differ.
+keeps them as three columns and sums them; cross_check names the first
+node where two reports differ.
 The direct and weight routes read rows of W_i as digit-packed ints
 (BasisPair.phi_hat_bits), joined by the rows that close their GF(p)-span
 under B (closure_polys), so both work over GF(p) at every q.
@@ -34,6 +35,7 @@ import functools
 import itertools
 import json
 import operator
+from array import array
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -89,31 +91,41 @@ class RepairScheme:
         return self.code.points[self.target - 1]
 
 
-@dataclass(frozen=True)
 class MetricsReport:
-    """One route's (node, nz, rank) per helper, and their sums."""
+    """One route's (node, nz, rank) per helper, and their sums.
 
-    method: str
-    per_node: tuple  # (node, nz, rank) for each helper, in node order
+    rows, any iterable of such triples in node order (the routes pass a
+    generator), is read once into three array('q') columns: nodes, nz and
+    ranks.  io_cost and bandwidth are the sums of the last two; per_node
+    builds the tuple of triples from the columns on demand.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("method", "nodes", "nz", "ranks", "io_cost", "bandwidth")
+
+    def __init__(self, method: str, rows):
+        self.method = method
+        self.nodes, self.nz, self.ranks = array("q"), array("q"), array("q")
+        add_node, add_nz, add_rank = self.nodes.append, self.nz.append, self.ranks.append
+        for node, nz, rank in rows:
+            add_node(node)
+            add_nz(nz)
+            add_rank(rank)
+        self.io_cost, self.bandwidth = sum(self.nz), sum(self.ranks)
         if self.bandwidth > self.io_cost:
-            raise CrossCheckMismatch(f"{self.method}: bandwidth exceeds io cost")
+            raise CrossCheckMismatch(f"{method}: bandwidth exceeds io cost")
 
-    @functools.cached_property
-    def io_cost(self) -> int:
-        return sum(nz for _, nz, _ in self.per_node)
-
-    @functools.cached_property
-    def bandwidth(self) -> int:
-        return sum(rk for _, _, rk in self.per_node)
+    @property
+    def per_node(self) -> tuple:
+        """(node, nz, rank) for each helper, in node order."""
+        return tuple(zip(self.nodes, self.nz, self.ranks))
 
 
 def cross_check(reference: MetricsReport, *others: MetricsReport) -> MetricsReport:
-    """reference, if every other report matches it node by node; else raise
-    CrossCheckMismatch naming the first differing (node, nz, rank) entries."""
+    """reference, if every other report has the same columns; else raise
+    CrossCheckMismatch naming the first differing (node, nz, rank) entries,
+    "nothing" past the end of a shorter report."""
     for other in others:
-        if other.per_node != reference.per_node:
+        if (other.nodes, other.nz, other.ranks) != (reference.nodes, reference.nz, reference.ranks):
             pairs = itertools.zip_longest(reference.per_node, other.per_node, fillvalue="nothing")
             a, b = next((a, b) for a, b in pairs if a != b)
             raise CrossCheckMismatch(f"{reference.method} gives {a} but {other.method} gives {b}")
@@ -173,7 +185,7 @@ class AccessCounter:
         return sum(tr for _, tr in self.per_helper.values())
 
     def report(self, method: str) -> MetricsReport:
-        return MetricsReport(method, tuple((i, len(p), tr) for i, (p, tr) in self.per_helper.items()))
+        return MetricsReport(method, ((i, len(p), tr) for i, (p, tr) in self.per_helper.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +250,9 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     varying rows from Horner values, the constant rows resolved once.  Rows
     are digit-packed (BasisPair.phi_hat_bits), v's joined by those of c v,
     c past 1 in subfield_gfp_basis(q): nz is the popcount of the OR of their
-    base-q digit supports, the rank their linalg.closure_rank."""
+    base-q digit supports, the rank their linalg.closure_rank on top of the
+    constant rows' echelon basis, reduced once per scheme, so each helper
+    eliminates only its varying rows.  That is still the full ell x ell rank."""
     code, t = scheme.code, scheme.tower
     table, mul = scheme.basis.phi_hat_bits(), t.mul
     scales = t.subfield_gfp_basis(t.q)[1:]
@@ -246,17 +260,20 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     fixed = [table[p[0]] for p in closure_polys(scheme, scheme.polys) if not any(p[1:])]
     supports = linalg.digit_supports(t.q, t.ell)
     fixed_cols = functools.reduce(operator.or_, supports(fixed), 0)
-    per_node = []
-    for i, alpha in enumerate(code.points, 1):
-        if i == scheme.target:
-            continue
-        vals = [code.eval_poly(p, alpha) for p in varying]
-        rows = list(map(table.__getitem__, vals))
-        cols = functools.reduce(operator.or_, supports(rows), fixed_cols)
-        if scales:
-            rows += [table[mul(c, v)] for c in scales for v in vals]
-        per_node.append((i, cols.bit_count(), linalg.closure_rank(rows + fixed, t)))
-    return MetricsReport(method="direct", per_node=tuple(per_node))
+    reduced = linalg.echelon(fixed, t)
+
+    def per_node():
+        for i, alpha in enumerate(code.points, 1):
+            if i == scheme.target:
+                continue
+            vals = [code.eval_poly(p, alpha) for p in varying]
+            rows = list(map(table.__getitem__, vals))
+            cols = functools.reduce(operator.or_, supports(rows), fixed_cols)
+            if scales:
+                rows += [table[mul(c, v)] for c in scales for v in vals]
+            yield i, cols.bit_count(), linalg.closure_rank(rows, t, basis=reduced)
+
+    return MetricsReport("direct", per_node())
 
 
 def weight_identity(tower: FieldTower, k: int):
@@ -334,29 +351,32 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
     block_of = linalg.digit_select(t.q, ell, sum(1 << s - 1 for s in nf.support_set))
     walk = weight_identity(t, nf.m)
     walked = {}  # block -> (nz, rank)
-    per_node = []
-    for i, vals in enumerate(node_values(scheme, closure_polys(scheme, scheme.polys[: nf.m])), 1):
-        if i == scheme.target:
-            continue
-        block = tuple(block_of(map(row, vals)))
-        if block not in walked:
-            walked[block] = walk(block)
-        nz, rk = walked[block]
-        rk = (ell - nf.m) + rk if rank_by_node is None else rank_by_node[i]
-        per_node.append((i, (ell - nf.t) + nz, rk))
-    return MetricsReport(method="weight_formula", per_node=tuple(per_node))
+
+    def per_node():
+        for i, vals in enumerate(node_values(scheme, closure_polys(scheme, scheme.polys[: nf.m])), 1):
+            if i == scheme.target:
+                continue
+            block = tuple(block_of(map(row, vals)))
+            if block not in walked:
+                walked[block] = walk(block)
+            nz, rk = walked[block]
+            rk = (ell - nf.m) + rk if rank_by_node is None else rank_by_node[i]
+            yield i, (ell - nf.t) + nz, rk
+
+    return MetricsReport("weight_formula", per_node())
 
 
 def metrics_expsum(nf: NormalForm) -> MetricsReport:
     """Metrics by the paper's exponential sums (expsum.py): zero columns
-    from the affine sets V_s, ranks from trace functionals on C^perp."""
+    from the affine sets V_s, ranks from trace functionals on C^perp.  Both
+    come keyed by the helpers in node order; the zero columns are read into
+    a column before the ranks are computed."""
     from .expsum import per_node_ranks, per_node_zero_columns
 
     ell = nf.scheme.ell
-    zcols = per_node_zero_columns(nf)
+    nz = array("q", (ell - z for z in per_node_zero_columns(nf).values()))
     ranks = per_node_ranks(nf)
-    per_node = tuple((i, ell - zcols[i], ranks[i]) for i in sorted(ranks))
-    return MetricsReport(method="expsum", per_node=per_node)
+    return MetricsReport("expsum", zip(ranks, nz, ranks.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,37 @@ def test_metrics_prime_power_break_exits_2(capsys, tmp_path, kind, flags):
     assert "Traceback" not in proc.stderr
 
 
+# the direct route reduces the constant rows once per scheme: a constant's
+# packed row zeroed (argv[2] is its field element, its B-multiples kept)
+# changes every helper's direct report at q = 3, and leaves the constants'
+# GF(p) closure one short of a multiple of a = 2 at q = 9
+_CONSTANT_BREAKS = {
+    "q3": (["--q", "3", "--ell", "6", "--d", "4", "--m", "3"], "direct gives (2, "),
+    "q9": (["--q", "9", "--ell", "4", "--d", "3", "--m", "2"],
+           "closure rank not divisible by the subfield degree 2"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("kind", sorted(_CONSTANT_BREAKS))
+def test_metrics_constant_row_break_exits_2(capsys, tmp_path, kind, flags):
+    params, message = _CONSTANT_BREAKS[kind]
+    path = str(tmp_path / "scheme.json")
+    assert _run(capsys, ["construct", "c2", *params, "--r", "2", "--out", path])[0] == 0
+    scheme = load_scheme(path)
+    assert scheme.normal_form.m < scheme.ell and not any(scheme.polys[-1][1:])
+    script = ("import sys\n" + _ZERO_ROWS.format(2) + "from rsrepair.cli import main\n"
+              "sys.exit(main(['metrics', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script, path, str(scheme.polys[-1][0])],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("cross-check mismatch: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # construct checks the expsum route's totals against the construction's
 # claim: c1's against a tampered thm6 value, c2's against a route whose
 # last helper reads one column more
@@ -801,7 +832,7 @@ _EDGE_DOCS = (
     {"z": 1, "a": [1, 2, -3], "m": (4, 5), "k": [True, False, None], "f": [1.0, 2], "n": [1, "1"]},
     {"nested": [[1, [2, [3, {"deep": [4]}]]], {"x": {"y": {"z": None}}}]},
     {"esc": "quote \" backslash \\ newline \n tab \t nul \x00 bell \x07", "\u00e9t\u00e9": "na\u00efve \u2713 \U0001d11e"},
-    {3: "int", 1: "keys"}, {"big": [2**64, -(2**63)], "bool_ints": [1, True, 0, False]},
+    {"big": [2**64, -(2**63)], "bool_ints": [1, True, 0, False]},
 )
 
 

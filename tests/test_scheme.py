@@ -29,7 +29,7 @@ from rsrepair import (
 from rsrepair import linalg
 from rsrepair import scheme as scheme_mod
 from rsrepair.errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
-from rsrepair.scheme import _rank_profile, node_values
+from rsrepair.scheme import _rank_profile, cross_check, node_values
 from rsrepair.suites import _random_independent, random_normalized_scheme
 
 
@@ -60,6 +60,74 @@ def test_metrics_report_totals_from_per_node():
     assert (rep.io_cost, rep.bandwidth) == (5, 4)
     with pytest.raises(CrossCheckMismatch, match="bandwidth exceeds io cost"):
         MetricsReport("direct", ((2, 2, 3),))
+
+
+def test_metrics_report_columns():
+    triples = ((2, 4, 3), (5, 1, 1), (7, 2**40, 0))
+    rep = MetricsReport("direct", triples)
+    lazy = MetricsReport("direct", (t for t in triples))
+    for r in (rep, lazy):
+        assert (r.nodes.typecode, r.nz.typecode, r.ranks.typecode) == ("q", "q", "q")
+        assert (list(r.nodes), list(r.nz), list(r.ranks)) == ([2, 5, 7], [4, 1, 2**40], [3, 1, 0])
+        assert r.per_node == triples and type(r.per_node) is tuple
+        assert all(type(t) is tuple and all(type(x) is int for x in t) for t in r.per_node)
+        assert (r.io_cost, r.bandwidth) == (5 + 2**40, 4)
+    assert MetricsReport("empty", iter(())).per_node == ()
+    with pytest.raises(CrossCheckMismatch, match="weight: bandwidth exceeds io cost"):
+        MetricsReport("weight", (t for t in ((2, 1, 1), (3, 2, 3))))
+
+
+def test_cross_check_names_the_first_differing_triple():
+    ref = MetricsReport("direct", ((2, 4, 3), (3, 4, 4), (4, 1, 1)))
+    assert cross_check(ref, MetricsReport("weight", iter(ref.per_node)), ref) is ref
+    for triples, first in [
+        (((2, 4, 3), (3, 4, 3), (4, 1, 1)), "(3, 4, 4) but weight gives (3, 4, 3)"),
+        (((2, 4, 3), (3, 3, 3), (4, 2, 2)), "(3, 4, 4) but weight gives (3, 3, 3)"),
+        (((2, 4, 3), (5, 4, 4), (4, 1, 1)), "(3, 4, 4) but weight gives (5, 4, 4)"),
+        (((2, 4, 3), (3, 4, 4)), "(4, 1, 1) but weight gives nothing"),
+        (((2, 4, 3), (3, 4, 4), (4, 1, 1), (5, 1, 0)), "nothing but weight gives (5, 1, 0)"),
+    ]:
+        with pytest.raises(CrossCheckMismatch) as ei:
+            cross_check(ref, ref, MetricsReport("weight", triples))
+        assert str(ei.value) == f"direct gives {first}"
+
+
+def _rank_from_scratch(scheme, i):
+    """rank(W_i) over B from one GF(p) elimination of the packed rows of
+    c g(alpha_i), c in subfield_gfp_basis(q), for every g: no basis reused."""
+    t = scheme.tower
+    table = scheme.basis.phi_hat_bits()
+    vals = [scheme.code.eval_poly(g, scheme.code.points[i - 1]) for g in scheme.polys]
+    rank, rest = divmod(linalg.rank_bits([table[t.mul(c, v)] for c in t.subfield_gfp_basis(t.q) for v in vals], t),
+                        t.a)
+    assert rest == 0
+    return rank
+
+
+_DIRECT_C2 = {
+    2: [(2, 6, 4, 0, 3, 2), (2, 8, 7, 2, 4, 5)],
+    3: [(3, 6, 4, 0, 3, 2), (3, 6, 5, 1, 3, 4)],
+    4: [(4, 6, 4, 0, 3, 2), (4, 4, 3, 1, 2, 5)],
+    9: [(9, 4, 3, 0, 2, 2)],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_DIRECT_C2))
+def test_metrics_direct_rank_matches_from_scratch(q):
+    """The direct route reduces the constant rows once per scheme; each
+    helper's rank must still be the full ell x ell rank, and every route's
+    per_node the tuple reference."""
+    rng = random.Random(100 + q)
+    forms = [construction2(*params)[2].normal_form for params in _DIRECT_C2[q]]
+    forms += [random_normalized_scheme(rng, q=q, ell=rng.randint(2, 4 if q < 9 else 3))[0] for _ in range(8)]
+    if q == 2:
+        forms.append(construction1(6)[1].normal_form)
+    assert any(nf.t != nf.m for nf in forms) and any(nf.t == nf.m for nf in forms)
+    assert any(nf.m < nf.scheme.ell for nf in forms)
+    for nf in forms:
+        rep, want = metrics_direct(nf.scheme), _tuple_reference(nf.scheme)
+        assert list(rep.ranks) == [_rank_from_scratch(nf.scheme, i) for i in rep.nodes]
+        assert rep.per_node == metrics_weight(nf).per_node == metrics_expsum(nf).per_node == want
 
 
 def _toy_scheme(seed=0, target=1):
