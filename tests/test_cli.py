@@ -844,6 +844,24 @@ def test_emit_edge_documents(capsys, doc):
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# reports written from their columns: empty, nested at another depth, and
+# across the 4,096-row chunks
+_REPORT_DOCS = {
+    "empty": lambda: {"per_node": MetricsReport("direct", ())},
+    "nested": lambda: [{"a": [MetricsReport("direct", ((2, 1, 1), (3, 2, 0)))]}, 1],
+    "chunks": lambda: {"n": 1, "per_node": MetricsReport("direct", ((i, i % 7 + 1, i % 3) for i in range(2, 9000)))},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPORT_DOCS))
+def test_emit_report_documents(capsys, kind):
+    from rsrepair.cli import _emit
+
+    doc = _REPORT_DOCS[kind]()
+    _emit(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True, default=lambda rep: rep.per_node) + "\n"
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in (
         ["bounds", "--q", "2"],
