@@ -13,6 +13,8 @@ every helper block W_hat_i is diagonal; I/O cost and bandwidth coincide at
 
 from __future__ import annotations
 
+import itertools
+
 from . import linalg
 from .basis import dual_basis
 from .errors import CrossCheckMismatch, ParamViolation
@@ -85,10 +87,11 @@ def qpoly_annihilator(betas, tower: FieldTower) -> QPolynomial:
 
 def _extend_basis(tower: FieldTower, fixed) -> list[int]:
     """Greedily grow a B-basis of F from the given elements, in int order."""
-    eb = linalg.EchelonBasis(tower)
-    if not all(eb.insert(x) for x in fixed):
+    fixed = list(fixed)
+    picked = linalg.independent(tower, itertools.chain(fixed, range(1, tower.size)), tower.ell)
+    if picked[: len(fixed)] != fixed:
         raise ParamViolation("starting elements are dependent over B")
-    return list(fixed) + eb.extend(range(1, tower.size), tower.ell)
+    return picked
 
 
 def _cube_root_of_unity(tower: FieldTower) -> int:
@@ -208,8 +211,8 @@ def construction2(q: int, ell: int, d: int, s: int, m: int, r: int):
     p, a = _check_c2_params(q, ell, d, s, m, r)
     t = field_create(p, a, ell)
     # bases of the q^m subfield over B and of F over it, grown from 1
-    gamma_small = linalg.EchelonBasis(t).extend(t.subfield(q**m)[0][1:], m)
-    lams = linalg.EchelonBasis(t, q**m).extend(range(1, t.size), ell // m)
+    gamma_small = linalg.independent(t, t.subfield(q**m)[0][1:], m)
+    lams = linalg.independent(t, range(1, t.size), ell // m, q**m)
     if gamma_small[0] != 1 or lams[0] != 1:
         raise CrossCheckMismatch("subfield bases must start at 1")
     gamma = [t.mul(li, gj) for li in lams for gj in gamma_small]

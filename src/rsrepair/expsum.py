@@ -196,11 +196,11 @@ def io_cost_expsum(nf) -> int:
     """I/O cost of an (m, t)-normalized scheme from exact character sums:
     (n - 1) ell minus the helpers' zero columns."""
     scheme = nf.scheme
-    return (scheme.code.n - 1) * scheme.ell - sum(per_node_zero_columns(nf).values())
+    return (scheme.code.n - 1) * scheme.ell - sum(per_node_zero_columns(nf))
 
 
-def per_node_zero_columns(nf) -> dict[int, int]:
-    """Zero-column count of each helper's W_hat block.
+def per_node_zero_columns(nf) -> list[int]:
+    """Zero-column count of each helper's W_hat block, in node order.
 
     B-affine polynomials: the number of affine sets V_s holding the node,
     checked against the closed form.  Otherwise one tally per node: the
@@ -228,9 +228,9 @@ def per_node_zero_columns(nf) -> dict[int, int]:
                 f"affine sets hold {sum(zcols)} zero columns, the closed form {total}")
         at_target = [scheme.code.eval_poly(g, scheme.target_point) for g in scheme.polys[: nf.m]]
         zcols[target - 1] += _collapse(_normal_form_tally(nf, [at_target]), qm)
-    if zcols[target - 1]:
+    if zcols.pop(target - 1):
         raise CrossCheckMismatch("target repair matrix has a zero column")
-    return {i: z for i, z in enumerate(zcols, 1) if i != target}
+    return zcols
 
 
 def _residue_functionals(nf) -> tuple[int, ...]:
@@ -241,14 +241,14 @@ def _residue_functionals(nf) -> tuple[int, ...]:
     return (kernels[0].intersect(*kernels[1:]) if kernels else Subspace.full_field(t)).b_basis()
 
 
-def per_node_ranks(nf) -> dict[int, int]:
-    """rank(W_i) = (ell - m) + rank(T_i), T_i[j][k] = Tr_{F/B}(theta_k
-    g_j(alpha_i)), memoized per distinct T_i, held as the digit-packed rows
-    of the closure_polys' values (as in BasisPair.phi_hat_bits) and ranked
-    by linalg.closure_rank.  Each row is affine in alpha: at q = 2 the m
-    rows of a node are one XOR-walked int, row j at bits j m .. j m + m - 1,
-    split into rows only when the memo misses; otherwise each row is walked
-    alone."""
+def per_node_ranks(nf) -> list[int]:
+    """rank(W_i) for each helper, in node order: (ell - m) + rank(T_i),
+    T_i[j][k] = Tr_{F/B}(theta_k g_j(alpha_i)), memoized per distinct T_i,
+    held as the digit-packed rows of the closure_polys' values (as in
+    BasisPair.phi_hat_bits) and ranked by linalg.closure_rank.  Each row
+    is affine in alpha: at q = 2 the m rows of a node are one XOR-walked
+    int, row j at bits j m .. j m + m - 1, split into rows only when the
+    memo misses; otherwise each row is walked alone."""
     scheme, m = nf.scheme, nf.m
     t = scheme.tower
     tr, mul, q = t.trace_to_subfield, t.mul, t.q
@@ -273,12 +273,12 @@ def per_node_ranks(nf) -> dict[int, int]:
         walk = zip(*[span_iter([[pack(mul(c, lb[j])) for c in units] for lb in images], t.add, pack(cj), 0)
                      for j, cj in enumerate(consts)])
     memo = {}
-    ranks = {}
+    ranks = []
     for i, T in enumerate(walk, 1):
         if i != scheme.target:
             if T not in memo:
                 memo[T] = (scheme.ell - m) + linalg.closure_rank(rows_of(T), t)
-            ranks[i] = memo[T]
+            ranks.append(memo[T])
     return ranks
 
 

@@ -8,14 +8,15 @@ whose elements are encoded as themselves, and rref eliminates on native ints
 (XOR for p = 2); otherwise it goes through the tower's add/mul.  split
 reads the greedy dependency split of a list of rows off the rref of their
 transpose, sharing its kernel step with right_kernel and solution_set (the
-affine solution set of M x = b).  Ranks over B of field elements come from
-EchelonBasis, an incremental echelon basis of their GF(p)-closure.  For
-hot loops, rows may come digit-packed into ints (base-p digit i = column
-i, bits at p = 2): echelon keeps their GF(p) echelon basis, rank_bits is
-their GF(p) rank, closure_rank the B-rank of rows given with their
-GF(p)-closure (on top of a basis reduced once), digit_supports reads their
-nonzero digits (base-q digits for rows over B), digit_select clears the
-digits outside a mask, and split_bits is the GF(2) form of split.
+affine solution set of M x = b).  independent greedily picks field
+elements that grow a span over B, each joined by its GF(p)-closure in one
+echelon basis.  For hot loops, rows may come digit-packed into ints
+(base-p digit i = column i, bits at p = 2): echelon keeps their GF(p)
+echelon basis, rank_bits is their GF(p) rank, closure_rank the B-rank of
+rows given with their GF(p)-closure (on top of a basis reduced once),
+digit_supports reads their nonzero digits (base-q digits for rows over
+B), digit_select clears the digits outside a mask, and split_bits is the
+GF(2) form of split.
 """
 
 from __future__ import annotations
@@ -150,46 +151,23 @@ def solve(tower, rows, b) -> list[int]:
     return [r[-1] for r in red[:width]]
 
 
-class EchelonBasis:
-    """GF(p) echelon basis of the span of the inserted field elements over
-    the subfield of the given size (default B).
-
-    Rows are field elements kept by echelon.  insert(x) adds x's subfield
-    closure and reports whether the dimension grew.
-    """
-
-    def __init__(self, tower, size=None):
-        self.tower = tower
-        self._scales = tower.subfield_gfp_basis(size or tower.q)
-        self._rows = {}
-        self.dim = 0
-
-    def insert(self, x: int) -> bool:
-        t, before = self.tower, len(self._rows)
-        echelon([x if s == 1 else t.mul(s, x) for s in self._scales], t, self._rows)
-        grown, k = len(self._rows) - before, len(self._scales)
-        if grown not in (0, k):
+def independent(tower, candidates, dim: int, size: int | None = None) -> list[int]:
+    """The candidates that grow the span over the subfield of the given
+    size (default B) of those picked before, in order; none is drawn once
+    dim are picked.  Each goes into one echelon basis with its closure
+    under the subfield, which must grow by 0 or the subfield degree."""
+    scales = tower.subfield_gfp_basis(size or tower.q)
+    rows, picked, k = {}, [], len(scales)
+    for x in candidates if dim > 0 else ():
+        before = len(rows)
+        echelon([x if s == 1 else tower.mul(s, x) for s in scales], tower, rows)
+        if (grown := len(rows) - before) not in (0, k):
             raise CrossCheckMismatch("closure rank growth is not 0 or the subfield degree")
-        self.dim += grown // k
-        return grown > 0
-
-    def copy(self) -> "EchelonBasis":
-        """An independent basis of the same span."""
-        new = object.__new__(EchelonBasis)
-        new.tower, new._scales, new.dim = self.tower, self._scales, self.dim
-        new._rows = dict(self._rows)
-        return new
-
-    def extend(self, candidates, dim: int) -> list[int]:
-        """Insert candidates, drawing none once the dimension is dim; the
-        ones that grew it, in order."""
-        picked = []
-        for x in candidates if self.dim < dim else ():
-            if self.insert(x):
-                picked.append(x)
-                if self.dim == dim:
-                    break
-        return picked
+        if grown:
+            picked.append(x)
+            if len(picked) == dim:
+                break
+    return picked
 
 
 def rank_bits(rows: list[int], tower=None) -> int:

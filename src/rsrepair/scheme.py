@@ -316,22 +316,17 @@ def nz_via_weight(rows, tower: FieldTower) -> int:
     return sum(walk([coords[tower.mul(c, x)] for c in scales for x in col])[0] for col in zip(*rows))
 
 
-def _rank_profile(scheme: RepairScheme) -> dict[int, int]:
-    """rank(W_i) for every helper.  phi_hat is a B-linear bijection, so it is
-    the B-rank of the values g_j(alpha_i): the constants' values go into one
-    echelon basis, and each helper adds only the varying values to a copy."""
-    fixed, varying, ranks = linalg.EchelonBasis(scheme.tower), [], {}
-    for g in scheme.polys:
-        if any(g[1:]):
-            varying.append(g)
-        else:
-            fixed.insert(g[0])
-    for i, vals in enumerate(node_values(scheme, varying), 1):
-        if i != scheme.target:
-            basis = fixed.copy()
-            basis.extend(vals, scheme.ell)
-            ranks[i] = basis.dim
-    return ranks
+def _rank_profile(scheme: RepairScheme) -> list[int]:
+    """rank(W_i) for every helper, in node order.  phi_hat is a B-linear
+    bijection, so it is the B-rank of the values g_j(alpha_i): the
+    constants' values and their closure are reduced once, and each helper
+    ranks only the closure of its varying values on top (closure_polys,
+    linalg.closure_rank)."""
+    t = scheme.tower
+    fixed = linalg.echelon([p[0] for p in closure_polys(scheme, scheme.polys) if not any(p[1:])], t)
+    varying = closure_polys(scheme, [g for g in scheme.polys if any(g[1:])])
+    return [linalg.closure_rank(vals, t, basis=fixed)
+            for i, vals in enumerate(node_values(scheme, varying), 1) if i != scheme.target]
 
 
 def metrics_weight(nf: NormalForm) -> MetricsReport:
@@ -346,7 +341,7 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
     scheme = nf.scheme
     t = scheme.tower
     ell = scheme.ell
-    rank_by_node = _rank_profile(scheme) if nf.t != nf.m else None
+    ranks = iter(_rank_profile(scheme)) if nf.t != nf.m else None
     row = scheme.basis.phi_hat_bits().__getitem__
     block_of = linalg.digit_select(t.q, ell, sum(1 << s - 1 for s in nf.support_set))
     walk = weight_identity(t, nf.m)
@@ -360,7 +355,7 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
             if block not in walked:
                 walked[block] = walk(block)
             nz, rk = walked[block]
-            rk = (ell - nf.m) + rk if rank_by_node is None else rank_by_node[i]
+            rk = (ell - nf.m) + rk if ranks is None else next(ranks)
             yield i, (ell - nf.t) + nz, rk
 
     return MetricsReport("weight_formula", per_node())
@@ -369,14 +364,14 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
 def metrics_expsum(nf: NormalForm) -> MetricsReport:
     """Metrics by the paper's exponential sums (expsum.py): zero columns
     from the affine sets V_s, ranks from trace functionals on C^perp.  Both
-    come keyed by the helpers in node order; the zero columns are read into
-    a column before the ranks are computed."""
+    come as lists over the helpers in node order; the zero columns are read
+    into a column before the ranks are computed."""
     from .expsum import per_node_ranks, per_node_zero_columns
 
-    ell = nf.scheme.ell
-    nz = array("q", (ell - z for z in per_node_zero_columns(nf).values()))
-    ranks = per_node_ranks(nf)
-    return MetricsReport("expsum", zip(ranks, nz, ranks.values()))
+    scheme = nf.scheme
+    nz = array("q", (scheme.ell - z for z in per_node_zero_columns(nf)))
+    nodes = (i for i in range(1, scheme.code.n + 1) if i != scheme.target)
+    return MetricsReport("expsum", zip(nodes, nz, per_node_ranks(nf)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +415,13 @@ def normalize(scheme: RepairScheme) -> NormalForm:
 
 
 def _repair_plan(scheme: RepairScheme):
-    """The phi table, and per helper (node, positions, read mask (q = 2) or
-    columns, rows R_i of W_i, folds).  The tail of a row j outside R_i has
-    sum tail[r] row r = 0 and tail[j] = 1; fold r = h_r - sum_j tail_j[r] h_j
-    with h_j = -devectorize(W_{i*}^{-1} e_j), the target's share of row j."""
+    """The packed phi table, its inverse, the traces of the tower
+    generator's powers below 2 (|F| - 1), and per helper (node, positions,
+    their digit_select, logs of the values v_r = g_r(alpha_i) of its rows
+    R_i, folds); positions are the digit supports of its packed rows.
+    The tail of a row j outside R_i has sum tail[r] row r = 0 and
+    tail[j] = 1; fold r = h_r - sum_j tail_j[r] h_j with
+    h_j = -devectorize(W_{i*}^{-1} e_j), the target's share of row j."""
     t, basis, ell = scheme.tower, scheme.basis, scheme.ell
     target = [basis.vectorize_dual(scheme.code.eval_poly(g, scheme.target_point)) for g in scheme.polys]
     try:
@@ -432,51 +430,48 @@ def _repair_plan(scheme: RepairScheme):
         # every scheme is checked to span F at the target on construction
         raise CrossCheckMismatch("repair matrix at the target is singular") from None
     h = [t.neg(basis.devectorize(col)) for col in zip(*winv)]
-    q2 = t.q == 2
-    table = basis.phi_hat_bits() if q2 else basis.phi_hat_table()
+    table, supports = basis.phi_hat_bits(), linalg.digit_supports(t.q, ell)
+    selector = functools.cache(functools.partial(linalg.digit_select, t.q, ell))
+    vectorize = functools.cache(basis.vectorize_dual)  # constants repeat
     helpers = []
     for i, vals in enumerate(node_values(scheme, scheme.polys), 1):
         if i == scheme.target:
             continue
         rows = [table[v] for v in vals]
-        if q2:
-            cols = functools.reduce(operator.or_, rows, 0)
-            positions = tuple(s + 1 for s in range(ell) if cols >> s & 1)
+        cols = functools.reduce(operator.or_, supports(rows), 0)
+        if t.q == 2:
             sent, deps = linalg.split_bits(rows, ell)
         else:
-            cols = [s for s, col in enumerate(zip(*rows)) if any(col)]
-            positions = tuple(s + 1 for s in cols)
-            rows = [tuple(r[s] for s in cols) for r in rows]
-            sent, deps = linalg.split(t, rows)
+            sent, deps = linalg.split(t, list(map(vectorize, vals)))
         folds = [h[r] for r in sent]
         for j, tail in deps.items():
             folds = [t.sub(f, t.mul(tail[r], h[j])) for r, f in zip(sent, folds)]
-        helpers.append((i, positions, cols, [rows[r] for r in sent], folds))
-    # packed phi is the swapped pair's phi_hat
-    return basis.swapped().phi_hat_bits() if q2 else basis.phi_table(), helpers
+        positions = tuple(s + 1 for s in range(ell) if cols >> s & 1)
+        helpers.append((i, positions, selector(cols), [t.log[vals[r]] for r in sent], folds))
+    # packed phi is the swapped pair's phi_hat; inverse maps a word back to its element
+    phi, inverse = basis.swapped().phi_hat_bits(), [0] * t.size
+    for x, word in enumerate(phi):
+        inverse[word] = x
+    return phi, inverse, list(map(t.trace_to_subfield, t.exp)) * 2, helpers
 
 
 def repair_node(scheme: RepairScheme, codeword, counter: AccessCounter | None = None):
-    """Recover the target symbol: helper i reads phi(c_i) at its positions
-    and sends the rank(W_i) inner products with its rows R_i, which the
-    target adds up times their folds.  Returns it and the counter
-    (positions read, symbols sent)."""
+    """Recover the target symbol: helper i reads phi(c_i) at its positions,
+    the element c' they hold, and sends Tr(v_r c'), which the target adds
+    up times their folds.  Returns it and the counter (positions read,
+    symbols sent)."""
     counter = counter or AccessCounter()
     if scheme._plan is None:
         scheme._plan = _repair_plan(scheme)
-    phi, helpers = scheme._plan
+    phi, inverse, traces, helpers = scheme._plan
     t, acc = scheme.tower, 0
-    if q2 := t.q == 2:
-        add, dot = operator.xor, lambda row, read: (row & read).bit_count() & 1
-    else:
-        add, dot = t.add, functools.partial(linalg.dot, t)
-    for i, positions, cols, rows, folds in helpers:
-        word = phi[codeword[i - 1]]
-        read = word & cols if q2 else [word[s] for s in cols]
-        sent = [dot(row, read) for row in rows]
+    log, mul, add = t.log, t.mul, t.add
+    for i, positions, select, logs, folds in helpers:
+        read = inverse[select((phi[codeword[i - 1]],))[0]]
+        sent = [traces[lv + log[read]] for lv in logs] if read else [0] * len(logs)
         for y, f in zip(sent, folds):
             if y:
-                acc = add(acc, f if y == 1 else t.mul(y, f))
+                acc = add(acc, f if y == 1 else mul(y, f))
         counter.record(i, positions, len(sent))
     return acc, counter
 
@@ -537,7 +532,10 @@ def _check_document(doc) -> None:
 
 def load_scheme(path: str) -> RepairScheme:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise InvalidScheme("scheme file nests too deeply to read") from None
     _check_document(doc)
     fspec = doc["field"]
     t = field_create(fspec["p"], fspec["a"], fspec["ell"])

@@ -96,7 +96,7 @@ class Subspace:
         """Deterministic B-basis, as field elements."""
         if self._b_basis is not None:
             return self._b_basis
-        picked = linalg.EchelonBasis(self.tower).extend(self.gfp_basis_elements(), self.dim)
+        picked = linalg.independent(self.tower, self.gfp_basis_elements(), self.dim)
         if len(picked) != self.dim:
             raise CrossCheckMismatch("failed to extract a B-basis from GF(p) rows")
         self._b_basis = tuple(picked)

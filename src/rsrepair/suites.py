@@ -17,7 +17,7 @@ from .bounds import r3cond_max_bruteforce
 from .errors import CrossCheckMismatch, InvalidScheme, ParamViolation, RSRepairError
 from .expsum import CharSum, char_sum, subspace_char_sum, weil_check
 from .gf import field_create, split_prime_power
-from .linalg import EchelonBasis
+from .linalg import independent
 from .rs import RSCode
 from .scheme import RepairScheme, cross_check, metrics_direct, metrics_expsum, metrics_weight, normalize
 from .subspace import Subspace, b_rank
@@ -49,7 +49,7 @@ def _random_tower(rng):
 
 def _random_independent(rng, tower, count):
     """count elements of the tower, independent over B, drawn uniformly."""
-    return EchelonBasis(tower).extend(iter(lambda: rng.randrange(1, tower.size), None), count)
+    return independent(tower, iter(lambda: rng.randrange(1, tower.size), None), count)
 
 
 def random_normalized_scheme(rng, q=None, ell=None, d=None, r=None):

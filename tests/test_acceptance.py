@@ -8,6 +8,7 @@ catalog of constructed schemes, built once and cached at module level.
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -156,6 +157,17 @@ def test_criterion_1_c2_prime_power_q_by_all_routes(tmp_path, capsys):
     direct = metrics_direct(scheme)
     assert metrics_weight(nf).per_node == metrics_expsum(nf).per_node == direct.per_node
     assert (direct.io_cost, direct.bandwidth) == (507_896, 507_896)
+    # the repair plan's cost: seconds of the first repair (with its plan) and
+    # the second, and the peak RSS so far; printed, not asserted
+    seconds = []
+    for seed in range(2):
+        cw = scheme.code.random_codeword(seed)
+        start = time.perf_counter()
+        assert repair_node(scheme, cw)[0] == cw[scheme.target - 1]
+        seconds.append(time.perf_counter() - start)
+    with capsys.disabled():
+        print(f"criterion 1: c2 (4,8,8,0,1,2) first repair (plan) {seconds[0]:.2f} s, second "
+              f"{seconds[1]:.2f} s, peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     path = str(tmp_path / "c2.json")
     assert main(["construct", "c2", "--q", "4", "--ell", "8", "--d", "8", "--m", "1", "--r", "2",
                  "--out", path]) == 0

@@ -501,6 +501,21 @@ def test_metrics_malformed_file(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["metrics", "simulate"])
+def test_deeply_nested_file_exits_1(capsys, tmp_path, command):
+    # json.load recurses once per "[": too deep a file is invalid input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = _run(capsys, [command, str(path)])
+    assert (code, out) == (1, "") and err.startswith("error: ") and len(err.splitlines()) == 1
+    with pytest.raises(InvalidScheme, match="nests too deeply"):
+        load_scheme(str(path))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-m", "rsrepair.cli", command, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)
+
+
 def test_simulate(capsys, tmp_path):
     path = _saved_scheme(tmp_path, capsys)
     code, out, _ = _run(capsys, ["simulate", path, "--trials", "7", "--seed", "3"])
@@ -584,8 +599,8 @@ _MISATTRIBUTE = (
     "import rsrepair.scheme as S\n"
     "plan = S._repair_plan\n"
     "def misattributed(scheme):\n"
-    "    phi, ((i, pos_i, *rest_i), (j, pos_j, *rest_j), *others) = plan(scheme)\n"
-    "    return phi, [(i, pos_i[1:], *rest_i), (j, pos_j + pos_i[:1], *rest_j), *others]\n"
+    "    *tables, ((i, pos_i, *rest_i), (j, pos_j, *rest_j), *others) = plan(scheme)\n"
+    "    return (*tables, [(i, pos_i[1:], *rest_i), (j, pos_j + pos_i[:1], *rest_j), *others])\n"
 )
 
 

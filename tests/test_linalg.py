@@ -6,7 +6,6 @@ import pytest
 
 from rsrepair import field_create, linalg
 from rsrepair.errors import SingularMatrix
-from rsrepair.linalg import EchelonBasis
 
 
 def _tower_rref(tower, rows):
@@ -115,19 +114,6 @@ def test_solve_unique_singular_inconsistent():
         linalg.solve(t, [[1, 2], [2, 1]], [1, 1])  # singular and inconsistent
     with pytest.raises(SingularMatrix, match="inconsistent linear system"):
         linalg.solve(t, [[1, 0], [0, 1], [1, 1]], [1, 1, 0])
-
-
-@pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 2)])
-def test_echelon_basis_copy_is_independent(params):
-    t = field_create(*params)
-    rng = random.Random(3)
-    eb = EchelonBasis(t)
-    eb.extend(iter(lambda: rng.randrange(1, t.size), None), t.ell // 2)
-    dim, rows = eb.dim, dict(eb._rows)
-    other = eb.copy()
-    other.extend(range(1, t.size), t.ell)
-    assert other.dim == t.ell > dim
-    assert eb.dim == dim and eb._rows == rows
 
 
 @pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 5), (5, 1, 3), (7, 1, 3), (3, 1, 1)])

@@ -28,6 +28,7 @@ from rsrepair import (
 )
 from rsrepair import linalg
 from rsrepair import scheme as scheme_mod
+from rsrepair.basis import BasisPair
 from rsrepair.errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
 from rsrepair.scheme import _rank_profile, cross_check, node_values
 from rsrepair.suites import _random_independent, random_normalized_scheme
@@ -439,14 +440,14 @@ def test_rank_profile_matches_full_rank(monkeypatch):
         monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
         ranks = _rank_profile(scheme)
         monkeypatch.undo()
-        want = {i: linalg.rank(t, [list(r) for r in repair_matrix(scheme, i)])
-                for i in range(1, scheme.code.n + 1) if i != scheme.target}
+        helpers = [i for i in range(1, scheme.code.n + 1) if i != scheme.target]
+        want = [linalg.rank(t, [list(r) for r in repair_matrix(scheme, i)]) for i in helpers]
         assert ranks == want
     assert not calls
     # the last scheme's rank drops where the varying value meets a constant
     b = scheme.basis.beta
     node = scheme.code.points.index(t.add(b[0], b[2])) + 1
-    assert ranks[node] == 3 and max(ranks.values()) == 4
+    assert dict(zip(helpers, ranks))[node] == 3 and max(ranks) == 4
 
 
 def test_repair_singular_target_raises(monkeypatch):
@@ -472,14 +473,23 @@ def test_repair_singular_target_raises(monkeypatch):
     ("c1", (4,)), ("c1", (8,)),
     ("c2", (2, 6, 4, 0, 3, 2)), ("c2", (3, 6, 4, 0, 3, 2)), ("c2", (4, 6, 4, 0, 3, 2)), ("c2", (9, 4, 3, 0, 2, 2)),
 ])
-def test_repair_sends_rank_symbols(kind, params):
-    # q = 4 and 9 take the tower path
+def test_repair_sends_rank_symbols(kind, params, monkeypatch):
+    # one packed path at every q: no repair reads a tuple table, and once
+    # planned none takes a dot product over B
     scheme = construction1(*params)[1] if kind == "c1" else construction2(*params)[2]
     rep = metrics_direct(scheme)
     code = scheme.code
+    fail = lambda *a: pytest.fail("a repair read a tuple table or took a dot product")
+    monkeypatch.setattr(BasisPair, "phi_table", fail)
+    monkeypatch.setattr(BasisPair, "phi_hat_table", fail)
+    repairs = []
     for seed in range(3):
         cw = code.random_codeword(seed)
-        value, counter = repair_node(scheme, cw, AccessCounter())
+        repairs.append((cw, *repair_node(scheme, cw, AccessCounter())))
+        monkeypatch.setattr(linalg, "dot", fail)
+    monkeypatch.undo()
+    assert scheme.basis._phi is None and scheme.basis._phi_hat is None
+    for cw, value, counter in repairs:
         assert value == cw[scheme.target - 1]
         assert sorted(counter.per_helper) == [node for node, _, _ in rep.per_node]
         for node, nz, rank in rep.per_node:
@@ -538,6 +548,22 @@ def test_broken_repair_plan_gives_wrong_value(monkeypatch, name, mutate):
     scheme = construction1(4)[1] if name == "split_bits" else construction2(3, 4, 3, 0, 2, 2)[2]
     code = scheme.code
     cws = [code.random_codeword(seed) for seed in range(8)]
+    assert any(repair_node(scheme, cw)[0] != cw[scheme.target - 1] for cw in cws)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("c1", (4,)), ("c2", (3, 4, 3, 0, 2, 2)), ("c2", (4, 4, 3, 0, 2, 2)), ("c2", (9, 4, 3, 0, 2, 2)),
+])
+def test_cleared_read_digit_gives_wrong_value(kind, params):
+    # the first helper reads one digit fewer than its positions claim
+    scheme = construction1(*params)[1] if kind == "c1" else construction2(*params)[2]
+    code, t = scheme.code, scheme.tower
+    cws = [code.random_codeword(seed) for seed in range(8)]
+    assert all(repair_node(scheme, cw)[0] == cw[scheme.target - 1] for cw in cws)
+    *tables, ((i, positions, _, *rest), *others) = scheme._plan
+    cleared = sum(1 << s - 1 for s in positions[1:])
+    select = linalg.digit_select(t.q, scheme.ell, cleared)
+    scheme._plan = (*tables, [(i, positions, select, *rest), *others])
     assert any(repair_node(scheme, cw)[0] != cw[scheme.target - 1] for cw in cws)
 
 

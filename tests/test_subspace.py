@@ -7,7 +7,6 @@ import pytest
 
 from rsrepair import Subspace, field_create, linalg
 from rsrepair.errors import CrossCheckMismatch
-from rsrepair.linalg import EchelonBasis
 from rsrepair.subspace import b_rank, rank_over_subfield
 
 
@@ -146,17 +145,16 @@ def test_json_roundtrip(gf16):
 
 @pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 2)])
 def test_echelon_basis_matches_b_rank(params):
+    # linalg.independent against the greedy b_rank oracle
     t = field_create(*params)
     rng = random.Random(11)
     for _ in range(20):
-        eb, picked = EchelonBasis(t), []
-        for _ in range(2 * t.ell):
-            x = rng.randrange(t.size)
-            grew = eb.insert(x)
-            assert grew == (b_rank(t, picked + [x]) > len(picked))
-            if grew:
+        draws = [rng.randrange(t.size) for _ in range(2 * t.ell)]
+        picked = []
+        for x in draws:
+            if b_rank(t, picked + [x]) > len(picked):
                 picked.append(x)
-            assert eb.dim == len(picked)
+        assert linalg.independent(t, draws, t.ell) == picked
 
 
 @pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 2)])
@@ -173,18 +171,21 @@ def test_b_basis_matches_b_rank_greedy(params):
         assert list(A.b_basis()) == picked
 
 
-def test_echelon_basis_over_subfield_and_extend():
+def test_echelon_basis_over_subfield_and_extend(monkeypatch):
     t = field_create(2, 1, 6)
     rng = random.Random(3)
     for size in (4, 8):
-        eb, picked = EchelonBasis(t, size), []
-        for _ in range(8):
-            x = rng.randrange(t.size)
-            if eb.insert(x):
-                picked.append(x)
-            assert eb.dim == len(picked) == rank_over_subfield(t, picked, size)
-    # extend draws no candidate once the dimension is reached
+        draws = [rng.randrange(t.size) for _ in range(8)]
+        for k in range(len(draws) + 1):
+            picked = linalg.independent(t, draws[:k], t.ell, size)
+            assert len(picked) == rank_over_subfield(t, picked, size) == rank_over_subfield(t, draws[:k], size)
+    # no candidate is drawn once dim are picked, none at all for dim 0
     draws = iter(range(1, t.size))
-    assert EchelonBasis(t, 8).extend(draws, 2) == [1, 2]
+    assert linalg.independent(t, draws, 2, 8) == [1, 2]
     assert next(draws) == 3
-    assert EchelonBasis(t).extend(range(1, 4), 0) == []
+    assert linalg.independent(t, draws, 0) == [] and next(draws) == 4
+    # a closure that grows by less than the subfield degree is a bug
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda rows, *rest: echelon(rows[:1], *rest))
+    with pytest.raises(CrossCheckMismatch, match="closure rank growth"):
+        linalg.independent(t, [1], 1, 4)
