@@ -41,50 +41,46 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# json.dumps renders the NULs as \u0000 escapes, which no other string in a
+# CLI document holds: a scheme path with a NUL byte fails before any emit
+_REPORT_MARK = "\x00per_node\x00"
+
+
 def _emit(doc):
     """Write doc and a newline to stdout in the bytes of json.dumps(doc,
-    indent=2, sort_keys=True), piece by piece, so the document never exists
-    as one string.  A MetricsReport in doc stands for its per_node triples,
-    written from its columns in chunks of rows."""
+    indent=2, sort_keys=True).  A MetricsReport in doc stands for its
+    per_node triples: json.dumps renders a marker in its place, and its rows
+    are written from its columns in chunks, at the indent of the marker's
+    line, so per_node never exists as one string.  Nothing is written
+    unless json.dumps succeeds."""
+    reports = []
+
+    def default(value):
+        if not isinstance(value, MetricsReport):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        reports.append(value)
+        return _REPORT_MARK
+
+    pieces = json.dumps(doc, indent=2, sort_keys=True, default=default).split(json.dumps(_REPORT_MARK))
     write = sys.stdout.write
-    for piece in _json_pieces(doc, "\n"):
-        write(piece)
-    write("\n")
-
-
-def _json_pieces(value, nl):
-    """Pieces of the indented JSON text of value, nested where a line break
-    and its indent read nl: sorted dict keys through json.dumps, lists of
-    plain ints joined with str, other scalars through json.dumps."""
-    inner = nl + "  "
-    if isinstance(value, MetricsReport):  # per_node, rows from the columns
+    write(pieces[0])
+    for before, report, after in zip(pieces, reports, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        nl = "\n" + line[:len(line) - len(line.lstrip(" "))]
+        inner = nl + "  "
         row = "[" + inner + "  %d," + inner + "  %d," + inner + "  %d" + inner + "]"
         sep = "[" + inner
-        for start in range(0, len(value.nodes), 4096):
+        for start in range(0, len(report.nodes), 4096):
             cut = slice(start, start + 4096)
-            rows = zip(value.nodes[cut], value.nz[cut], value.ranks[cut])
-            yield sep + ("," + inner).join([row % r for r in rows])
+            rows = zip(report.nodes[cut], report.nz[cut], report.ranks[cut])
+            write(sep + ("," + inner).join([row % r for r in rows]))
             sep = "," + inner
-        yield nl + "]" if value.nodes else "[]"
-    elif isinstance(value, dict):
-        sep = "{" + inner
-        for key in sorted(value):
-            yield f"{sep}{json.dumps(key)}: "
-            yield from _json_pieces(value[key], inner)
-            sep = "," + inner
-        yield nl + "}" if value else "{}"
-    elif isinstance(value, (list, tuple)):
-        if all(type(x) is int for x in value):
-            yield "[" + inner + ("," + inner).join(map(str, value)) + nl + "]" if value else "[]"
-            return
-        sep = "[" + inner
-        for x in value:
-            yield sep
-            yield from _json_pieces(x, inner)
-            sep = "," + inner
-        yield nl + "]"
-    else:
-        yield json.dumps(value)
+        write(nl + "]" if report.nodes else "[]")
+        write(after)
+    write("\n")
+    # json.dumps's encoder is a cycle of closures that holds default, and so
+    # the reports, until the next garbage collection
+    reports.clear()
 
 
 def _scheme_summary(scheme):

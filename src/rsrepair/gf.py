@@ -33,7 +33,13 @@ DEFAULT_MAX_FIELD_BITS = 20
 
 def max_field_size() -> int:
     """Size cap on q^ell, from RSREPAIR_MAX_FIELD_BITS (default 2^20)."""
-    bits = int(os.environ.get("RSREPAIR_MAX_FIELD_BITS", DEFAULT_MAX_FIELD_BITS))
+    value = os.environ.get("RSREPAIR_MAX_FIELD_BITS", DEFAULT_MAX_FIELD_BITS)
+    try:
+        bits = int(value)
+    except ValueError:
+        bits = -1
+    if bits < 0:
+        raise ParamViolation(f"RSREPAIR_MAX_FIELD_BITS must be a non-negative integer, got {value!r}")
     return 1 << bits
 
 

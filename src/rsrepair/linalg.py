@@ -11,12 +11,12 @@ transpose, sharing its kernel step with right_kernel and solution_set (the
 affine solution set of M x = b).  independent greedily picks field
 elements that grow a span over B, each joined by its GF(p)-closure in one
 echelon basis.  For hot loops, rows may come digit-packed into ints
-(base-p digit i = column i, bits at p = 2): echelon keeps their GF(p)
-echelon basis, rank_bits is their GF(p) rank, closure_rank the B-rank of
-rows given with their GF(p)-closure (on top of a basis reduced once),
-digit_supports reads their nonzero digits (base-q digits for rows over
-B), digit_select clears the digits outside a mask, and split_bits is the
-GF(2) form of split.
+(base-p digit i = column i, bits at p = 2), as elements of a tower that
+does their arithmetic: echelon keeps their GF(p) echelon basis, rank_bits
+is their GF(p) rank, closure_rank the B-rank of rows given with their
+GF(p)-closure (on top of a basis reduced once), digit_supports reads all
+their nonzero digits (base-q digits for rows over B), digit_select clears
+the digits outside a mask, and split_bits is the GF(2) form of split.
 """
 
 from __future__ import annotations
@@ -170,19 +170,19 @@ def independent(tower, candidates, dim: int, size: int | None = None) -> list[in
     return picked
 
 
-def rank_bits(rows: list[int], tower=None) -> int:
-    """Rank over GF(p) of rows packed as ints, base-p digit i = column i:
-    bits (p = 2) without a tower, else elements of the tower."""
+def rank_bits(rows: list[int], tower) -> int:
+    """Rank over GF(p) of elements of the tower read as rows packed as ints,
+    base-p digit i = column i."""
     return len(echelon(rows, tower))
 
 
-def echelon(rows, tower=None, basis: dict | None = None) -> dict:
+def echelon(rows, tower, basis: dict | None = None) -> dict:
     """basis (default a new one), a GF(p) echelon basis {pivot: row} of
-    packed rows, extended in place by rows: bits (p = 2) without a tower,
-    else elements of the tower, whose add and mul by GF(p) scalars act on
-    the digits one by one.  Pivots are the lowest nonzero digits, kept at 1."""
+    packed rows, extended in place by rows: elements of the tower, whose
+    add and mul by GF(p) scalars act on the digits one by one (XOR at
+    p = 2).  Pivots are the lowest nonzero digits, kept at 1."""
     basis = {} if basis is None else basis
-    if tower is None or tower.p == 2:
+    if tower.p == 2:
         for row in rows:
             while row:
                 low = row & -row
@@ -234,20 +234,16 @@ def _digit_tables(base: int, width: int):
     return h, base**h, masks, low, places, (0, *(pow(c, base - 2, base) for c in range(1, base)))
 
 
-def digit_supports(base: int, width: int, mask: int | None = None):
-    """xs -> [the bitmask of the nonzero base-`base` digits of x, within
-    mask (default all), for x in xs], each x < base^width: ANDs at base 2,
-    else two lookups per x in the masks of the h-digit halves.  Base q
-    reads rows over B = GF(q) packed by their GF(p) coordinates, a base-p
-    digits to an entry."""
-    if mask is None:
-        if base == 2:
-            return list
-        mask = (1 << width) - 1
+def digit_supports(base: int, width: int):
+    """xs -> [the bitmask of the nonzero base-`base` digits of x, for x in
+    xs], each x < base^width: the bits themselves at base 2, else two
+    lookups per x in the masks of the h-digit halves.  Base q reads rows
+    over B = GF(q) packed by their GF(p) coordinates, a base-p digits to
+    an entry."""
     if base == 2:
-        return lambda xs: [x & mask for x in xs]
-    h, size, masks = _digit_tables(base, width)[:3]
-    lo, hi = [m & mask for m in masks], [m << h & mask for m in masks]
+        return list
+    h, size, lo = _digit_tables(base, width)[:3]
+    hi = [m << h for m in lo]
     return lambda xs: [lo[x % size] | hi[x // size] for x in xs]
 
 

@@ -13,8 +13,9 @@ from conftest import large
 
 import rsrepair
 from rsrepair.cli import main
-from rsrepair.errors import InvalidScheme, SingularMatrix
+from rsrepair.errors import InvalidScheme, ParamViolation, SingularMatrix
 from rsrepair.expsum import CharSum
+from rsrepair.gf import max_field_size
 from rsrepair.scheme import MetricsReport, load_scheme
 
 
@@ -283,7 +284,7 @@ _PRIME_POWER_BREAKS = {
     "rank_remainder": (
         "import rsrepair.linalg as la\n"
         "rank_bits = la.rank_bits\n"
-        "la.rank_bits = lambda rows, tower=None: rank_bits(rows, tower) + 1\n",
+        "la.rank_bits = lambda rows, tower: rank_bits(rows, tower) + 1\n",
         "closure rank not divisible by the subfield degree 2"),
 }
 
@@ -877,6 +878,17 @@ def test_emit_report_documents(capsys, kind):
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True, default=lambda rep: rep.per_node) + "\n"
 
 
+def test_emit_keeps_no_report(capsys):
+    # json.dumps's encoder is a cycle of closures: a report it saw must not
+    # outlive _emit until the next garbage collection
+    from rsrepair.cli import _emit
+
+    report = MetricsReport("direct", ((2, 1, 1), (3, 2, 0)))
+    before = sys.getrefcount(report)
+    _emit({"per_node": report})
+    assert sys.getrefcount(report) == before
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in (
         ["bounds", "--q", "2"],
@@ -911,3 +923,72 @@ def test_validation_errors_exit_1(capsys):
     # ell = 1 is valid when k >= 1: coro11 takes an exact integer square root
     code, out, err = _run(capsys, ["bounds", "--q", "3", "--ell", "1", "--d", "1", "--r", "2"])
     assert (code, err, json.loads(out)["value"]) == (0, "", 1)
+
+
+def _garbage_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "garbage.json"
+    path.write_text("{not json")
+    return main(["metrics", str(path)])
+
+
+def _broken_plan(tmp_path, capsys, monkeypatch):
+    path = _saved_scheme(tmp_path, capsys)
+    namespace = {}
+    exec(_MUTATE.format(_MUTATIONS["dropped row"]), namespace)
+    monkeypatch.setattr("rsrepair.linalg.split_bits", namespace["mutated"])
+    return main(["simulate", path, "--trials", "7", "--seed", "3"])
+
+
+def _emit_set(tmp_path, capsys, monkeypatch):
+    from rsrepair.cli import _emit
+
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        _emit({"a": [1, 2], "b": {3}})
+
+
+# each case returns its exit code (None for _emit, which raises)
+_FAILING = {
+    "field": (1, lambda *_: main(["field", "--q", "6", "--ell", "2"])),
+    "construct": (1, lambda *_: main(["construct", "c1", "--ell", "5"])),
+    # a 6,025-digit value: the document is built, json.dumps hits the
+    # int-to-str digit limit
+    "bounds": (1, lambda *_: main(["bounds", "--q", "2", "--ell", "20000", "--d", "20000", "--r", "2"])),
+    "metrics": (1, _garbage_file),
+    "simulate": (2, _broken_plan),
+    "emit": (None, _emit_set),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING))
+def test_failing_command_writes_nothing(capsys, tmp_path, monkeypatch, case):
+    want, run = _FAILING[case]
+    code = run(tmp_path, capsys, monkeypatch)
+    out, err = capsys.readouterr()
+    assert (code, out) == (want, "")
+    assert len(err.splitlines()) == (want is not None)
+
+
+def _field_cli(ell, bits):
+    # a fresh interpreter: field_create caches towers built under another budget
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)),
+               RSREPAIR_MAX_FIELD_BITS=bits)
+    return subprocess.run([sys.executable, "-m", "rsrepair.cli", "field", "--q", "2", "--ell", str(ell)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_max_field_bits_honoured():
+    assert _field_cli(10, "10").returncode == 0
+    proc = _field_cli(11, "10")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: field size 2^11 exceeds budget (raise RSREPAIR_MAX_FIELD_BITS to override)\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_max_field_bits_malformed(monkeypatch, value):
+    monkeypatch.setenv("RSREPAIR_MAX_FIELD_BITS", value)
+    message = f"RSREPAIR_MAX_FIELD_BITS must be a non-negative integer, got {value!r}"
+    with pytest.raises(ParamViolation) as ei:
+        max_field_size()
+    assert str(ei.value) == message
+    proc = _field_cli(3, value)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
