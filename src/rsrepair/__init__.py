@@ -21,7 +21,6 @@ from .scheme import (
     metrics_expsum,
     metrics_weight,
     normalize,
-    nz_via_weight,
     repair_matrix,
     repair_node,
     save_scheme,
@@ -73,7 +72,6 @@ __all__ = [
     "metrics_expsum",
     "metrics_weight",
     "normalize",
-    "nz_via_weight",
     "qpoly_annihilator",
     "r3cond_max_bruteforce",
     "random_normalized_scheme",

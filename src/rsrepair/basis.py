@@ -54,9 +54,6 @@ class BasisPair:
         t = self.tower
         return tuple(t.trace_to_subfield(t.mul(alpha, b)) for b in self.beta)
 
-    def devectorize(self, v) -> int:
-        return linalg.dot(self.tower, v, self.beta)
-
     # -- cached full tables (hot paths) -------------------------------------
 
     def _table(self, vectorize) -> list[tuple[int, ...]]:

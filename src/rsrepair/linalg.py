@@ -16,7 +16,8 @@ does their arithmetic: echelon keeps their GF(p) echelon basis, rank_bits
 is their GF(p) rank, closure_rank the B-rank of rows given with their
 GF(p)-closure (on top of a basis reduced once), digit_supports reads all
 their nonzero digits (base-q digits for rows over B), digit_select clears
-the digits outside a mask, and split_bits is the GF(2) form of split.
+the digits outside a mask, and b_echelon builds an echelon basis over B
+of field elements through their packed rows.
 """
 
 from __future__ import annotations
@@ -259,17 +260,30 @@ def digit_select(base: int, width: int, mask: int):
     return lambda xs: [lo[x % size] + hi[x // size] for x in xs]
 
 
-def split_bits(rows: list[int], width: int) -> tuple[list[int], dict[int, list[int]]]:
-    """split over GF(2), rows packed as ints (bit i = column i < width);
-    each row's tail is carried in the bits past width."""
-    pivots, sent, deps = {}, [], {}
-    for j, v in enumerate(rows):
-        v |= 1 << width + j
-        while (low := v & -v) >> width == 0 and low in pivots:
-            v ^= pivots[low]
-        if low >> width:
-            deps[j] = [v >> width + r & 1 for r in range(len(rows))]
-        else:
-            pivots[low] = v
-            sent.append(j)
-    return sent, deps
+def b_echelon(tower, packed):
+    """values -> (basis, pairs): the echelon basis over B of those field
+    elements, greedy in order, read through packed (packed[v]: base-q digit
+    s = coordinate s of v over B, B-linear in v), as {pivot s: w_s}, w_s
+    with digit s equal to 1 and none below, and per value v its (s, c)
+    pairs, c in B, with v = sum c w_s."""
+    q, element = tower.q, {i: x for x, i in tower.subfield_coords().items()}
+    h, size, _, low, places = _digit_tables(q, tower.ell)[:5]
+    lo, hi = ([(low[r] + shift, r and element[r // places[low[r]] % q]) for r in range(size)] for shift in (0, h))
+    sub, mul, div = tower.sub, tower.mul, tower.div
+
+    def eliminate(values):
+        basis, pairs = {}, []
+        for v in values:
+            own = []
+            while v:
+                row = packed[v]
+                s, c = lo[r] if (r := row % size) else hi[row // size]
+                own.append((s, c))
+                if (w := basis.get(s)) is None:
+                    basis[s] = v if c == 1 else div(v, c)
+                    break
+                v = sub(v, w if c == 1 else mul(c, w))
+            pairs.append(own)
+        return basis, pairs
+
+    return eliminate

@@ -25,8 +25,8 @@ The direct and weight routes read rows of W_i as digit-packed ints
 (BasisPair.phi_hat_bits), joined by the rows that close their GF(p)-span
 under B (closure_polys), so both work over GF(p) at every q.
 Elimination lives in linalg: the direct route ranks those rows by
-linalg.closure_rank, and normalize and the repair plan take their
-B-dependency splits from linalg.split (linalg.split_bits at q = 2).
+linalg.closure_rank, normalize splits by linalg.split, and the repair plan
+takes each helper's basis over B from linalg.b_echelon, at every q.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from . import linalg
-from .basis import BasisPair
+from .basis import BasisPair, dual_basis
 from .errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
 from .gf import FieldTower, field_create, span_iter, span_walk
 from .rs import RSCode
@@ -294,7 +294,7 @@ def weight_identity(tower: FieldTower, k: int):
     log_q = {q**e: e for e in range(k + 1)}
 
     def walk(rows):
-        steps = [[r, *[mul(c, r) for c in units]] for r in rows] if units else [[r] for r in rows]
+        steps = [[r, *(mul(c, r) for c in units)] for r in rows]
         span = supports(span_walk(steps, add))
         total, zeros = sum(map(int.bit_count, span)), span.count(0)
         if total % denom:
@@ -304,16 +304,6 @@ def weight_identity(tower: FieldTower, k: int):
         return total // denom, k - log_q[zeros]
 
     return walk
-
-
-def nz_via_weight(rows, tower: FieldTower) -> int:
-    """Nonzero-column count of tuple rows over B via the weight identity
-    (weight_identity), one walk per column: its entries c x, c in
-    subfield_gfp_basis(q), packed by their GF(p) coordinates."""
-    rows = [tuple(r) for r in rows]
-    coords, scales = tower.subfield_coords(), tower.subfield_gfp_basis(tower.q)
-    walk = weight_identity(tower, len(rows))
-    return sum(walk([coords[tower.mul(c, x)] for c in scales for x in col])[0] for col in zip(*rows))
 
 
 def _rank_profile(scheme: RepairScheme) -> list[int]:
@@ -417,39 +407,35 @@ def normalize(scheme: RepairScheme) -> NormalForm:
 def _repair_plan(scheme: RepairScheme):
     """The packed phi table, its inverse, the traces of the tower
     generator's powers below 2 (|F| - 1), and per helper (node, positions,
-    their digit_select, logs of the values v_r = g_r(alpha_i) of its rows
-    R_i, folds); positions are the digit supports of its packed rows.
-    The tail of a row j outside R_i has sum tail[r] row r = 0 and
-    tail[j] = 1; fold r = h_r - sum_j tail_j[r] h_j with
-    h_j = -devectorize(W_{i*}^{-1} e_j), the target's share of row j."""
-    t, basis, ell = scheme.tower, scheme.basis, scheme.ell
-    target = [basis.vectorize_dual(scheme.code.eval_poly(g, scheme.target_point)) for g in scheme.polys]
+    their digit_select, logs of w_s, folds): w_s its basis over B of the
+    values v_j = g_j(alpha_i) = sum c_js w_s (linalg.b_echelon), positions
+    the digit supports of their rows, fold s = sum_j c_js h_j.  With gamma
+    the trace-dual basis of the values at the target, h_j = -gamma_j and
+    c_{i*} = sum_j h_j sum_i Tr(v_j c_i)."""
+    t, ell = scheme.tower, scheme.ell
+    target = [scheme.code.eval_poly(g, scheme.target_point) for g in scheme.polys]
     try:
-        winv = linalg.inverse(t, target)
+        h = [t.neg(g) for g in dual_basis(target, t).gamma]
     except SingularMatrix:
         # every scheme is checked to span F at the target on construction
         raise CrossCheckMismatch("repair matrix at the target is singular") from None
-    h = [t.neg(basis.devectorize(col)) for col in zip(*winv)]
-    table, supports = basis.phi_hat_bits(), linalg.digit_supports(t.q, ell)
+    table, supports = scheme.basis.phi_hat_bits(), linalg.digit_supports(t.q, ell)
     selector = functools.cache(functools.partial(linalg.digit_select, t.q, ell))
-    vectorize = functools.cache(basis.vectorize_dual)  # constants repeat
+    add, mul, eliminate = t.add, t.mul, linalg.b_echelon(t, table)
     helpers = []
     for i, vals in enumerate(node_values(scheme, scheme.polys), 1):
         if i == scheme.target:
             continue
-        rows = [table[v] for v in vals]
-        cols = functools.reduce(operator.or_, supports(rows), 0)
-        if t.q == 2:
-            sent, deps = linalg.split_bits(rows, ell)
-        else:
-            sent, deps = linalg.split(t, list(map(vectorize, vals)))
-        folds = [h[r] for r in sent]
-        for j, tail in deps.items():
-            folds = [t.sub(f, t.mul(tail[r], h[j])) for r, f in zip(sent, folds)]
+        basis, pairs = eliminate(vals)
+        folds = dict.fromkeys(basis, 0)
+        for hj, own in zip(h, pairs):
+            for s, c in own:
+                folds[s] = add(folds[s], hj if c == 1 else mul(c, hj))
+        cols = functools.reduce(operator.or_, supports([table[w] for w in basis.values()]), 0)
         positions = tuple(s + 1 for s in range(ell) if cols >> s & 1)
-        helpers.append((i, positions, selector(cols), [t.log[vals[r]] for r in sent], folds))
+        helpers.append((i, positions, selector(cols), [t.log[w] for w in basis.values()], list(folds.values())))
     # packed phi is the swapped pair's phi_hat; inverse maps a word back to its element
-    phi, inverse = basis.swapped().phi_hat_bits(), [0] * t.size
+    phi, inverse = scheme.basis.swapped().phi_hat_bits(), [0] * t.size
     for x, word in enumerate(phi):
         inverse[word] = x
     return phi, inverse, list(map(t.trace_to_subfield, t.exp)) * 2, helpers
@@ -457,7 +443,7 @@ def _repair_plan(scheme: RepairScheme):
 
 def repair_node(scheme: RepairScheme, codeword, counter: AccessCounter | None = None):
     """Recover the target symbol: helper i reads phi(c_i) at its positions,
-    the element c' they hold, and sends Tr(v_r c'), which the target adds
+    the element c' they hold, and sends Tr(w_s c'), which the target adds
     up times their folds.  Returns it and the counter (positions read,
     symbols sent)."""
     counter = counter or AccessCounter()

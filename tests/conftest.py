@@ -4,6 +4,7 @@ import pytest
 
 from rsrepair import Subspace, construction1, field_create
 from rsrepair.gf import FieldTower
+from rsrepair.scheme import weight_identity
 
 # ell = 12 and 14 table columns take a few seconds each; opt in via env
 RUN_LARGE = os.environ.get("RSREPAIR_TEST_LARGE") == "1"
@@ -35,6 +36,15 @@ def all_subspaces(tower):
                     nxt.append(bigger)
         frontier = nxt
     return sorted(seen, key=lambda s: (s.dim, tuple(s.enumerate())))
+
+
+def nz_via_weight(rows, tower):
+    """Nonzero-column count of tuple rows over B via weight_identity, one
+    walk per column: its entries c x, c in subfield_gfp_basis(q), packed by
+    their GF(p) coordinates."""
+    coords, scales = tower.subfield_coords(), tower.subfield_gfp_basis(tower.q)
+    walk = weight_identity(tower, len(rows))
+    return sum(walk([coords[tower.mul(c, x)] for c in scales for x in col])[0] for col in zip(*rows))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from conftest import RUN_LARGE, all_subspaces, large
+from conftest import RUN_LARGE, all_subspaces, large, nz_via_weight
 
 import rsrepair
 from rsrepair import (
@@ -32,7 +32,6 @@ from rsrepair import (
     metrics_direct,
     metrics_expsum,
     metrics_weight,
-    nz_via_weight,
     qpoly_annihilator,
     r3cond_max_bruteforce,
     repair_node,

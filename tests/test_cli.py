@@ -546,23 +546,36 @@ def test_simulate_pinned_stdout(capsys, tmp_path, construct):
     assert out == SIMULATE_PINS[construct]
 
 
-# A broken repair plan: linalg.split_bits (R_i and the tails of the other
-# rows) is corrupted at the first helper whose rows are dependent.  The repaired value
-# or the count of symbols sent goes wrong: a cross-check mismatch.
+# A broken repair plan: linalg.b_echelon (a helper's basis over B and each
+# value's coefficients in it) is corrupted at the first helper with a nonzero
+# value: its last basis vector is dropped, or the first coefficient gets 1
+# added.  The repaired value or the count of symbols sent goes wrong: a
+# cross-check mismatch.
 _MUTATIONS = {
-    "dropped row": "lambda sent, deps: (sent[:-1], deps)",
-    "flipped coefficient":
-        "lambda sent, deps: (sent, {**deps, min(deps): [e ^ (r == sent[0]) for r, e in enumerate(deps[min(deps)])]})",
+    "dropped row": (
+        "def mutate(basis, pairs):\n"
+        "    s = basis.popitem()[0]\n"
+        "    return basis, [[(r, c) for r, c in own if r != s] for own in pairs]\n"
+    ),
+    "flipped coefficient": (
+        "def mutate(basis, pairs):\n"
+        "    j = next(j for j, own in enumerate(pairs) if own)\n"
+        "    (s, c), *rest = pairs[j]\n"
+        "    return basis, [*pairs[:j], [(s, c ^ 1), *rest], *pairs[j + 1:]]\n"
+    ),
 }
 _MUTATE = (
     "import rsrepair.linalg as L\n"
-    "split, mutate, done = L.split_bits, {}, []\n"
+    "b_echelon, done = L.b_echelon, []\n"
     "def mutated(*args):\n"
-    "    sent, deps = split(*args)\n"
-    "    if done or not (sent and deps):\n"
-    "        return sent, deps\n"
-    "    done.append(1)\n"
-    "    return mutate(sent, deps)\n"
+    "    eliminate = b_echelon(*args)\n"
+    "    def reduced(values):\n"
+    "        basis, pairs = eliminate(values)\n"
+    "        if done or not basis:\n"
+    "            return basis, pairs\n"
+    "        done.append(1)\n"
+    "        return mutate(basis, pairs)\n"
+    "    return reduced\n"
 )
 
 
@@ -570,8 +583,8 @@ _MUTATE = (
 def test_simulate_broken_plan_exits_2(capsys, tmp_path, monkeypatch, mutation):
     path = _saved_scheme(tmp_path, capsys)
     namespace = {}
-    exec(_MUTATE.format(_MUTATIONS[mutation]), namespace)
-    monkeypatch.setattr("rsrepair.linalg.split_bits", namespace["mutated"])
+    exec(_MUTATIONS[mutation] + _MUTATE, namespace)
+    monkeypatch.setattr("rsrepair.linalg.b_echelon", namespace["mutated"])
     code, out, err = _run(capsys, ["simulate", path, "--trials", "7", "--seed", "3"])
     assert code == 2 and out == ""
     assert "cross-check mismatch" in err
@@ -580,7 +593,7 @@ def test_simulate_broken_plan_exits_2(capsys, tmp_path, monkeypatch, mutation):
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
 def test_simulate_broken_plan_exits_2_under_O(capsys, tmp_path, mutation):
     path = _saved_scheme(tmp_path, capsys)
-    script = _MUTATE.format(_MUTATIONS[mutation]) + "L.split_bits = mutated\n" + (
+    script = _MUTATIONS[mutation] + _MUTATE + "L.b_echelon = mutated\n" + (
         "import sys\nfrom rsrepair.cli import main\n"
         "sys.exit(main(['simulate', sys.argv[1], '--trials', '7', '--seed', '3']))\n"
     )
@@ -729,7 +742,7 @@ def _c2(q, ell, d, s, m, r):
 # kernels with s > 0 and towers with a > 1, and the stdout of commands that
 # read a scheme file.  There a construct argv stands for the file it saves,
 # stripped of its normal form when it ends in _STRIPPED (metrics then runs
-# normalize); odd-q simulate goes through linalg.split.
+# normalize); simulate at q = 3 and 4 runs the repair plan off GF(2).
 _STRIPPED = "strip normal form"
 OUTPUT_DIGESTS = {
     ("verify", "--suite", "all", "--seed", "0"):
@@ -823,6 +836,17 @@ _EMIT_ARGV = (
 )
 
 
+def _same_text(got, want):
+    """Fail unless got == want, naming both lengths, the first differing
+    offset and 80 characters around it: pytest's own diff of multi-MB
+    strings takes minutes."""
+    if got != want:
+        at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        window = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"emitted {len(got)} characters, json.dumps {len(want)}; first difference at {at}: "
+                    f"{got[window]!r} != {want[window]!r}")
+
+
 @pytest.mark.parametrize("argv", _EMIT_ARGV, ids=" ".join)
 def test_emit_writes_json_dumps_bytes(capsys, tmp_path, monkeypatch, argv):
     import rsrepair.cli as cli
@@ -839,7 +863,7 @@ def test_emit_writes_json_dumps_bytes(capsys, tmp_path, monkeypatch, argv):
     code, out, err = _run(capsys, list(argv))
     assert (code, err, len(docs)) == (0, "", 1)
     # a metrics report in the document stands for its per_node triples
-    assert out == json.dumps(docs[0], indent=2, sort_keys=True, default=lambda rep: rep.per_node) + "\n"
+    _same_text(out, json.dumps(docs[0], indent=2, sort_keys=True, default=lambda rep: rep.per_node) + "\n")
 
 
 _EDGE_DOCS = (
@@ -875,7 +899,7 @@ def test_emit_report_documents(capsys, kind):
 
     doc = _REPORT_DOCS[kind]()
     _emit(doc)
-    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True, default=lambda rep: rep.per_node) + "\n"
+    _same_text(capsys.readouterr().out, json.dumps(doc, indent=2, sort_keys=True, default=lambda rep: rep.per_node) + "\n")
 
 
 def test_emit_keeps_no_report(capsys):
@@ -934,8 +958,8 @@ def _garbage_file(tmp_path, capsys, monkeypatch):
 def _broken_plan(tmp_path, capsys, monkeypatch):
     path = _saved_scheme(tmp_path, capsys)
     namespace = {}
-    exec(_MUTATE.format(_MUTATIONS["dropped row"]), namespace)
-    monkeypatch.setattr("rsrepair.linalg.split_bits", namespace["mutated"])
+    exec(_MUTATIONS["dropped row"] + _MUTATE, namespace)
+    monkeypatch.setattr("rsrepair.linalg.b_echelon", namespace["mutated"])
     return main(["simulate", path, "--trials", "7", "--seed", "3"])
 
 

@@ -1,11 +1,13 @@
 """Elimination over GF(p) and over the tower, echelon bases, linear solves."""
 
+import functools
 import random
 
 import pytest
 
-from rsrepair import field_create, linalg
+from rsrepair import dual_basis, field_create, linalg
 from rsrepair.errors import SingularMatrix
+from rsrepair.subspace import b_rank
 
 
 def _tower_rref(tower, rows):
@@ -100,9 +102,6 @@ def test_split_matches_greedy(params):
             for j, tail in deps.items():
                 assert tail[j] == 1 and not any(tail[r] for r in range(j + 1, len(rows)))
                 assert linalg.mat_mul(t, [tail], rows) in ([[0] * len(rows[0])], [[]])
-            if t.q == 2:
-                packed = [sum(c << s for s, c in enumerate(row)) for row in rows]
-                assert linalg.split_bits(packed, len(rows[0])) == (sent, deps)
 
 
 def test_solve_unique_singular_inconsistent():
@@ -149,3 +148,28 @@ def test_digit_supports_reads_groups_at_prime_powers(p, a):
         # clearing the groups outside mask, against the coordinates
         cut = [t.element(c if mask >> i // a & 1 else 0 for i, c in enumerate(t.coords(x))) for x in rows]
         assert linalg.digit_select(t.q, t.ell, mask)(rows) == cut
+
+
+@pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
+def test_b_echelon_rebuilds_values(params):
+    """The echelon basis over B at q = 2, 3, 4, 9, on seeded values with
+    repeats and 0: sum c w_s gives back every value, one basis vector per
+    unit of B-rank, each w_s with digit s equal to 1 and none below."""
+    t = field_create(*params)
+    table = dual_basis(linalg.independent(t, range(1, t.size), t.ell), t).phi_hat_bits()
+    one, bset = t.subfield_coords()[1], set(t.subfield_elements())
+    eliminate = linalg.b_echelon(t, table)
+    rng = random.Random(t.q)
+    for _ in range(40):
+        values = [rng.randrange(t.size) for _ in range(rng.randint(0, t.ell + 1))]
+        values += [0, *rng.sample(values, min(2, len(values)))]  # 0 and repeats
+        rng.shuffle(values)
+        basis, pairs = eliminate(values)
+        assert len(basis) == b_rank(t, values) and len(pairs) == len(values)
+        for s, w in basis.items():
+            digits = [table[w] // t.q**k % t.q for k in range(t.ell)]
+            assert digits[:s + 1] == [0] * s + [one]
+        for v, own in zip(values, pairs):
+            pivots = [s for s, _ in own]
+            assert pivots == sorted(set(pivots)) and all(c in bset and c for _, c in own)
+            assert functools.reduce(t.add, (t.mul(c, basis[s]) for s, c in own), 0) == v

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import nz_via_weight
 
 from rsrepair import (
     AccessCounter,
@@ -20,7 +21,6 @@ from rsrepair import (
     metrics_expsum,
     metrics_weight,
     normalize,
-    nz_via_weight,
     repair_matrix,
     repair_node,
     save_scheme,
@@ -500,52 +500,64 @@ def test_repair_sends_rank_symbols(kind, params, monkeypatch):
 
 
 def test_repair_plan_built_once(monkeypatch):
-    _, scheme = construction1(6)
+    schemes = construction1(6)[1], construction2(3, 4, 3, 0, 2, 2)[2]
     walks, rrefs = [], []
     walk, rref = scheme_mod.node_values, linalg.rref
     monkeypatch.setattr(scheme_mod, "node_values", lambda *a: walks.append(1) or walk(*a))
     monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
     monkeypatch.setattr(scheme_mod, "_rank_profile", lambda s: pytest.fail("rank profile recomputed"))
-    for seed in range(5):
-        cw = scheme.code.random_codeword(seed)
-        assert repair_node(scheme, cw)[0] == cw[scheme.target - 1]
-    assert len(walks) == len(rrefs) == 1  # one node walk, one inverse of W_{i*}
-    # q = 2 reads packed tables only
-    assert scheme.basis._phi is None and scheme.basis._phi_hat is None
+    monkeypatch.setattr(linalg, "split", lambda *a: pytest.fail("the plan split rows"))
+    for scheme in schemes:
+        walks.clear()
+        rrefs.clear()
+        for seed in range(5):
+            cw = scheme.code.random_codeword(seed)
+            assert repair_node(scheme, cw)[0] == cw[scheme.target - 1]
+        assert len(walks) == len(rrefs) == 1  # one node walk, one inverse (the target's dual basis)
+        # the plan reads packed tables only, at every q
+        assert scheme.basis._phi is None and scheme.basis._phi_hat is None
 
 
-def _corrupt_split(monkeypatch, name, mutate):
-    """Corrupt the split of the first helper whose rows are dependent."""
-    split, done = getattr(linalg, name), []
+def _corrupt_echelon(monkeypatch, mutate):
+    """Corrupt the basis and coefficients of the first helper with a
+    nonzero value."""
+    b_echelon, done = linalg.b_echelon, []
 
     def mutated(*args):
-        sent, deps = split(*args)
-        if done or not (sent and deps):
-            return sent, deps
-        done.append(1)
-        return mutate(sent, deps)
+        eliminate = b_echelon(*args)
 
-    monkeypatch.setattr(linalg, name, mutated)
+        def reduced(values):
+            basis, pairs = eliminate(values)
+            if done or not basis:
+                return basis, pairs
+            done.append(1)
+            return mutate(basis, pairs)
+
+        return reduced
+
+    monkeypatch.setattr(linalg, "b_echelon", mutated)
 
 
 def _flip(p):
-    """Add 1 to one coefficient of the first dependent row's tail."""
-    def mutate(sent, deps):
-        j, r = min(deps), sent[0]
-        return sent, {**deps, j: [(e + (k == r)) % p for k, e in enumerate(deps[j])]}
+    """Add 1 to the first coefficient of the first nonzero value (B = GF(p))."""
+    def mutate(basis, pairs):
+        j = next(j for j, own in enumerate(pairs) if own)
+        (s, c), *rest = pairs[j]
+        return basis, [*pairs[:j], [(s, (c + 1) % p), *rest], *pairs[j + 1:]]
     return mutate
 
 
-def _drop(sent, deps):
-    return sent[:-1], deps
+def _drop(basis, pairs):
+    """Drop the last basis vector and the coefficients on it."""
+    s = basis.popitem()[0]
+    return basis, [[(r, c) for r, c in own if r != s] for own in pairs]
 
 
-@pytest.mark.parametrize("name, mutate", [
-    ("split_bits", _drop), ("split_bits", _flip(2)), ("split", _drop), ("split", _flip(3)),
-], ids=["bits-dropped-row", "bits-flipped-coefficient", "dropped-row", "flipped-coefficient"])
-def test_broken_repair_plan_gives_wrong_value(monkeypatch, name, mutate):
-    _corrupt_split(monkeypatch, name, mutate)
-    scheme = construction1(4)[1] if name == "split_bits" else construction2(3, 4, 3, 0, 2, 2)[2]
+@pytest.mark.parametrize("q, mutate", [(2, _drop), (2, _flip(2)), (3, _drop), (3, _flip(3))],
+                         ids=["bits-dropped-row", "bits-flipped-coefficient", "dropped-row", "flipped-coefficient"])
+def test_broken_repair_plan_gives_wrong_value(monkeypatch, q, mutate):
+    _corrupt_echelon(monkeypatch, mutate)
+    scheme = construction1(4)[1] if q == 2 else construction2(3, 4, 3, 0, 2, 2)[2]
     code = scheme.code
     cws = [code.random_codeword(seed) for seed in range(8)]
     assert any(repair_node(scheme, cw)[0] != cw[scheme.target - 1] for cw in cws)
