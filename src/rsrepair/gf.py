@@ -12,8 +12,7 @@ are compared as base-p integers, low degree first.  Two towers built from the
 same (p, a, ell) are therefore interchangeable.
 
 Multiplication, inversion and powering use exp/log tables indexed by powers
-of the smallest primitive element g, filled by multiply-by-x walks on the int
-encoding, one per coset of <x>.  Odd-p addition uses Zech logarithms
+of the smallest primitive element g.  Odd-p addition uses Zech logarithms
 Z[n] = log(1 + g^n).  GF(p)-linear tables (traces, vectorizations) come from
 linear_table at O(1) work per entry and are spot-checked.  The intended scale
 is q^ell <= 2^20, settable via the RSREPAIR_MAX_FIELD_BITS environment
@@ -75,48 +74,16 @@ def split_prime_power(q: int) -> tuple[int, int]:
 # polynomial helpers over GF(p); coefficient lists, low degree first
 
 
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
+def _pmod(f: list[int], m: list[int], p: int) -> list[int]:
+    """f mod m over GF(p), with no zero leading coefficient."""
+    f, lead_inv = [a % p for a in f], pow(m[-1], -1, p)
+    while f and (f[-1] == 0 or len(f) >= len(m)):
+        if c := f[-1] * lead_inv % p:
+            shift = len(f) - len(m)
+            for i, a in enumerate(m):
+                f[shift + i] = (f[shift + i] - c * a) % p
         f.pop()
     return f
-
-
-def _pmod(f: list[int], m: list[int], p: int) -> list[int]:
-    f = list(f)
-    dm = len(m) - 1
-    lead_inv = pow(m[-1], -1, p)
-    while len(f) - 1 >= dm and f:
-        c = (f[-1] * lead_inv) % p
-        shift = len(f) - 1 - dm
-        for i, a in enumerate(m):
-            f[shift + i] = (f[shift + i] - c * a) % p
-        _ptrim(f)
-    return f
-
-
-def _psub(f: list[int], g: list[int], p: int) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = a
-    for i, b in enumerate(g):
-        out[i] = (out[i] - b) % p
-    return _ptrim(out)
-
-
-def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
-    while g:
-        f, g = g, _pmod(f, g, p)
-    return f
-
-
-def _pth_power(f: list[int], p: int) -> list[int]:
-    """(sum a_j x^j)^p = sum a_j x^(jp) over GF(p)."""
-    if not f:
-        return []
-    out = [0] * ((len(f) - 1) * p + 1)
-    for j, a in enumerate(f):
-        out[j * p] = a
-    return out
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -124,29 +91,28 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     n = len(f) - 1
     if n < 1 or f[-1] == 0:
         return False
-    x = _pmod([0, 1], f, p)
-    u = x
-    powers = {}
-    for i in range(1, n + 1):
-        u = _pmod(_pth_power(u, p), f, p)
-        powers[i] = u
-    if powers[n] != x:
+    powers = [_pmod([0, 1], f, p)]  # x^(p^i) mod f; u(x)^p = u(x^p)
+    for _ in range(n):
+        u = [0] * (p * len(powers[-1]))
+        u[::p] = powers[-1]
+        powers.append(_pmod(u, f, p))
+    if powers[n] != powers[0]:
         return False
     for t in _factor(n):
-        g = _pgcd(_psub(powers[n // t], x, p), list(f), p)
-        if len(g) - 1 != 0:
+        g, r = list(f), _pmod([a - (j == 1) for j, a in enumerate(powers[n // t] + [0, 0])], f, p)
+        while r:
+            g, r = r, _pmod(g, r, p)
+        if len(g) > 1:
             return False
     return True
 
 
 def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
     for low in range(p**degree):
-        coeffs = []
-        v = low
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
+        coeffs = [low // p**i % p for i in range(degree)] + [1]
+        # a root r gives a factor x - r
+        if degree > 1 and any(sum(c * r**i for i, c in enumerate(coeffs)) % p == 0 for r in range(p)):
+            continue
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise CrossCheckMismatch(f"no irreducible of degree {degree} over GF({p})")
@@ -224,15 +190,11 @@ class FieldTower:
             if not _is_irreducible(list(modulus), p):
                 raise ParamViolation("supplied modulus is reducible")
         self.modulus = tuple(modulus)
-        self._mod_int = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         if p == 2:  # bit-packed digits: XOR in place of the Zech methods
             self.add = self.sub = operator.xor
         self._build_mul_tables()
         self.order = self.size - 1
-        if a > 1:
-            self.subfield_generator = self.exp[self.order // (self.q - 1)]
-        else:
-            self.subfield_generator = None
+        self.subfield_generator = self.exp[self.order // (self.q - 1)] if a > 1 else None
         self._tr_sub = None
         self._tr_abs = None
         self._subfield_cache = {}
@@ -240,16 +202,11 @@ class FieldTower:
     # -- construction internals ------------------------------------------
 
     def _mul_raw(self, x: int, y: int) -> int:
-        """Table-free product, used only while building the exp table: the
-        digits y_k of y weight the walk x X^k (X the polynomial variable)."""
+        """Table-free product for the build: y's digits weight the walk of x."""
+        terms = [(d, v) for d, v in zip(self.coords(y), self._x_walk(x, self.degree)) if d]
         if self.p == 2:
-            walk = self._x_walk(x, y.bit_length())
-            return functools.reduce(operator.xor, (v for k, v in enumerate(walk) if y >> k & 1), 0)
-        acc = [0] * self.degree
-        for d, v in zip(self.coords(y), self._x_walk(x, self.degree)):
-            if d:
-                acc = [s + d * c for s, c in zip(acc, self.coords(v))]
-        return self.element(acc)
+            return functools.reduce(operator.xor, (v for _, v in terms), 0)
+        return self.element(map(sum, zip(*([d * c for c in self.coords(v)] for d, v in terms))))
 
     def _pow_raw(self, x: int, e: int) -> int:
         r = 1
@@ -261,55 +218,76 @@ class FieldTower:
         return r
 
     def _x_walk(self, v: int, n: int) -> list[int]:
-        """[v, v x, ..., v x^(n-1)]: each step shifts the digits up by one
-        and reduces x^degree by the sparse modulus."""
-        p, out = self.p, [v]
-        if p == 2:
-            m, deg = self._mod_int, self.degree
-            for _ in range(n - 1):
-                v <<= 1
-                if v >> deg:
-                    v ^= m
-                out.append(v)
-            return out
+        """[v, v x, ..., v x^(n-1)], cut where the walk returns to v.  With c
+        the top digit of v and r the rest, v x is r p with digits j <= e (the
+        modulus's highest low term) made d_(j-1) - c m_j: a change read from
+        A, and B if A would pass 4096 entries, on c and the digits of r."""
+        p, (K, A, M, B), out, first = self.p, self._x_tables, [v], v
         top = self.size // p
-        low = [(p**j, c) for j, c in enumerate(self.modulus[:-1]) if c]
         for _ in range(n - 1):
-            c, v = divmod(v, top)  # c x^degree = -c (modulus - x^degree)
-            v *= p
-            if c:
-                for place, mc in low:
-                    d = v // place % p
-                    v += ((d - c * mc) % p - d) * place
+            c, r = divmod(v, top)
+            v = r * p + A[c * K + r % K] + (B[c * M + r // K % M] if B else 0)
+            if v == first:
+                break
             out.append(v)
         return out
 
     def _build_mul_tables(self) -> None:
-        p, order = self.p, self.size - 1
-        factors = _factor(order)
-        g = next((c for c in range(1, self.size)
-                  if all(self._pow_raw(c, order // t) != 1 for t in factors)), None)
+        """exp, log and Zech tables of the smallest primitive g.  At p = 2,
+        exp doubles: its first 2^k entries times g^(2^k).  At odd p a walk
+        logs <x>, of order o and index h: c is primitive iff c^h = x^j, j
+        prime to o, and c^(h/t) is outside <x> for each prime t | h not
+        dividing o (g = x = p at h = 1); exp walks the cosets g^c <x>."""
+        p, order, size, m = self.p, self.size - 1, self.size, self.modulus
+        e = max((j for j, c in enumerate(m[:-1]) if c), default=0)
+        k = e if p ** (e + 1) <= 4096 else (e + 1) // 2
+        table = lambda js: [t for c in range(p) for t in functools.reduce(lambda part, j: [
+            t + ((d - c * m[j]) % p - d) * p**j for d in (range(p) if j else [0]) for t in part], js, [0])]
+        self._x_tables = p**k, table(range(k + 1)), p ** (e - k), table(range(k + 1, e + 1)) if k < e else []
+
+        def logs(values):
+            log = [-1] * size
+            for i, v in enumerate(values):
+                log[v] = i
+            return log
+
+        h = 0
+        if p == 2 or self.degree == 1:  # the modulus may be x: no walk
+            primitive = lambda c: all(self._pow_raw(c, order // t) != 1 for t in _factor(order))
+        else:
+            walk = self._x_walk(1, size)
+            o, log = len(walk), logs(walk)
+            h = order // o
+            if h * o != order:
+                raise CrossCheckMismatch(f"the walk of x does not close in {order} steps")
+            primitive = lambda c: (j := log[self._pow_raw(c, h)]) > 0 and all(
+                j % t for t in _factor(o)) and all(log[self._pow_raw(c, h // t)] < 0 for t in _factor(h) if o % t)
+        g = next((c for c in range(1, size) if primitive(c)), None)
         if g is None:  # cannot happen for a true field
             raise CrossCheckMismatch("no primitive element found; modulus not irreducible?")
         self.generator = g
-        if self.degree == 1:  # the modulus may be x itself: x = 0, no walk
-            exp = [pow(g, i, p) for i in range(max(order, 1))]
+        if self.degree == 1:
+            exp = [pow(g, i, p) for i in range(order)]
+        elif p == 2:
+            half, exp, c = self.degree // 2, [1], g
+            for _ in range(self.degree):  # c = g^len(exp); walk: c times each bit
+                walk = self._x_walk(c, self.degree)
+                lo, hi = (span_walk([[w] for w in part], operator.xor) for part in (walk[:half], walk[half:]))
+                mask = len(lo) - 1
+                exp += [lo[v & mask] ^ hi[v >> half] for v in exp]
+                c = lo[c & mask] ^ hi[c >> half]
+            exp.pop()
         else:
-            o = order  # multiplicative order of x
-            for t in factors:
-                while o % t == 0 and self._pow_raw(p, o // t) == 1:
-                    o //= t
-            h = order // o
-            walk = self._x_walk(1, o)
-            j0 = walk.index(self._pow_raw(g, h))  # g^h = x^j0
-            exp = [0] * order
+            j0, exp, rep = log[self._pow_raw(g, h)], [0] * order, 1  # g^h = x^j0
             for c in range(h):  # coset g^c <x>: g^(c + h i) = g^c x^(i j0)
                 if c:
-                    walk = self._x_walk(self._mul_raw(walk[0], g), o)
+                    rep = self._mul_raw(rep, g)
+                    walk = self._x_walk(rep, o)
                 exp[c::h] = walk if j0 == 1 else [walk[i * j0 % o] for i in range(o)]
-        log = [-1] * self.size
-        for i, v in enumerate(exp):
-            log[v] = i
+        if h != 1:  # else exp is the logged walk
+            log = logs(exp)
+        if log[0] != -1 or log.count(-1) != 1:
+            raise CrossCheckMismatch("exp is not a permutation of F*")
         self.exp = exp
         self.log = log
         if p > 2:  # Z[n] = log(1 + g^n); -1 where g^n = -1
@@ -459,9 +437,7 @@ class FieldTower:
     # -- multiplicative structure -------------------------------------------
 
     def is_primitive(self, x: int) -> bool:
-        if x == 0:
-            return False
-        return all(self.pow(x, self.order // t) != 1 for t in _factor(self.order))
+        return x != 0 and all(self.log[x] % t for t in _factor(self.order))
 
     # -- serialization -------------------------------------------------------
 

@@ -265,7 +265,7 @@ def b_echelon(tower, packed):
     elements, greedy in order, read through packed (packed[v]: base-q digit
     s = coordinate s of v over B, B-linear in v), as {pivot s: w_s}, w_s
     with digit s equal to 1 and none below, and per value v its (s, c)
-    pairs, c in B, with v = sum c w_s."""
+    pairs, c in B, with v = sum c w_s.  Each step must raise s."""
     q, element = tower.q, {i: x for x, i in tower.subfield_coords().items()}
     h, size, _, low, places = _digit_tables(q, tower.ell)[:5]
     lo, hi = ([(low[r] + shift, r and element[r // places[low[r]] % q]) for r in range(size)] for shift in (0, h))
@@ -278,6 +278,8 @@ def b_echelon(tower, packed):
             while v:
                 row = packed[v]
                 s, c = lo[r] if (r := row % size) else hi[row // size]
+                if own and s <= own[-1][0]:
+                    raise CrossCheckMismatch(f"echelon step over B kept pivot {s}")
                 own.append((s, c))
                 if (w := basis.get(s)) is None:
                     basis[s] = v if c == 1 else div(v, c)

@@ -113,12 +113,6 @@ class RSCode:
         spot_check(values, lambda i: self.eval_poly(coeffs, self.points[i]), "remainder-tree codeword")
         return values
 
-    def random_codeword(self, seed: int) -> list[int]:
-        """Seeded uniform codeword: k coefficients drawn from F."""
-        rng = random.Random(seed)
-        coeffs = [rng.randrange(self.tower.size) for _ in range(self.k)]
-        return self.encode(coeffs)
-
     def dual_inner_product_check(self, trials: int, seed: int, basis=None) -> dict:
         """Sample c in RS(A,k) and g in RS(A,n-k); <g,c> must vanish over F.
 

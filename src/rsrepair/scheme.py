@@ -159,13 +159,6 @@ class NormalForm:
             raise CrossCheckMismatch(f"normal form has t = {self.t} > m = {self.m}")
         self.transform = self.transform or linalg.identity(ell)
 
-    def w_hat(self, i: int) -> list[tuple[int, ...]]:
-        """Upper m x t block of W_i: rows 1..m, columns in support_set."""
-        code = self.scheme.code
-        table = self.scheme.basis.phi_hat_table()
-        rows = [table[code.eval_poly(p, code.points[i - 1])] for p in self.scheme.polys[: self.m]]
-        return [tuple(r[s - 1] for s in self.support_set) for r in rows]
-
 
 @dataclass
 class AccessCounter:

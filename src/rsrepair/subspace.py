@@ -68,11 +68,6 @@ class Subspace:
         return cls.solutions(tower, [])
 
     @classmethod
-    def trace_kernel(cls, tower: FieldTower) -> "Subspace":
-        """K = {x in F : Tr_{F/B}(x) = 0}; B-dimension ell - 1."""
-        return cls.scaled_trace_kernel(1, tower)
-
-    @classmethod
     def scaled_trace_kernel(cls, beta: int, tower: FieldTower) -> "Subspace":
         """beta^{-1} K = {x : Tr(beta x) = 0}."""
         if beta == 0:

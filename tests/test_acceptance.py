@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from conftest import RUN_LARGE, all_subspaces, large, nz_via_weight
+from conftest import RUN_LARGE, all_subspaces, image, large, nz_via_weight, random_codeword, w_hat
 
 import rsrepair
 from rsrepair import (
@@ -160,7 +160,7 @@ def test_criterion_1_c2_prime_power_q_by_all_routes(tmp_path, capsys):
     # the second, and the peak RSS so far; printed, not asserted
     seconds = []
     for seed in range(2):
-        cw = scheme.code.random_codeword(seed)
+        cw = random_codeword(scheme.code, seed)
         start = time.perf_counter()
         assert repair_node(scheme, cw)[0] == cw[scheme.target - 1]
         seconds.append(time.perf_counter() - start)
@@ -200,7 +200,7 @@ def test_criterion_2_pinned_small_scheme():
         t.exp[10]: [[0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]],
     }
     for point, rows in frozen.items():
-        got = [list(r) for r in scheme.normal_form.w_hat(code.points.index(point) + 1)]
+        got = [list(r) for r in w_hat(scheme.normal_form, code.points.index(point) + 1)]
         if got != rows:
             problems.append(f"block at point {point}: {got}")
     rep = metrics_direct(scheme)
@@ -380,7 +380,7 @@ def test_criterion_7_oracles():
                 L = qpoly_annihilator(betas, t)
                 parts = [Subspace.scaled_trace_kernel(b, t) for b in betas]
                 meet = parts[0] if len(parts) == 1 else parts[0].intersect(*parts[1:])
-                if L.image() != meet:
+                if image(L) != meet:
                     problems.append(("image", ell, betas))
 
     # capped maximization hits its closed form, maximizers shaped as claimed

@@ -650,6 +650,62 @@ def test_simulate_misattributed_read_exits_2_under_O(capsys, tmp_path):
     assert proc.stderr == _misattributed_message(path)
 
 
+def _child(flags, script, *args):
+    """Run script in a fresh interpreter with these flags; a hang fails."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    return subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+# linalg.b_echelon storing each pivot value unscaled (basis[s] = v, no
+# division by c): at q = 3, taking c w_s off a value with digit s equal to c
+# leaves c - c^2 there, so the step does not raise the pivot digit, and
+# without its check the loop never ends.
+_UNSCALED_PIVOT = (
+    "import inspect, sys\n"
+    "import rsrepair.linalg as L\n"
+    "from rsrepair.cli import main\n"
+    "source = inspect.getsource(L.b_echelon)\n"
+    "assert 'v if c == 1 else div(v, c)' in source\n"
+    "exec(source.replace('v if c == 1 else div(v, c)', 'v'), L.__dict__)\n"
+    "sys.exit(main(['simulate', sys.argv[1], '--trials', '3', '--seed', '1']))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_simulate_unscaled_pivot_exits_2(capsys, tmp_path, flags):
+    path = str(tmp_path / "q3.json")
+    argv = ["construct", "c2", "--q", "3", "--ell", "4", "--d", "3", "--m", "2", "--r", "2", "--out", path]
+    assert _run(capsys, argv)[0] == 0
+    proc = _child(flags, _UNSCALED_PIVOT, path)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("cross-check mismatch: echelon step over B kept pivot")
+
+
+# A multiply-by-x walk whose last step repeats the one before it: at p = 2
+# the tables that double exp, at odd p the walk of <x> itself, give an exp
+# table that is not a permutation, and the tower build exits 2.
+_CORRUPT_WALK = (
+    "import sys\n"
+    "from rsrepair.cli import main\n"
+    "from rsrepair.gf import FieldTower\n"
+    "walk = FieldTower._x_walk\n"
+    "def corrupted(self, v, n):\n"
+    "    out = walk(self, v, n)\n"
+    "    return out[:-1] + out[-2:-1] if len(out) > 2 else out\n"
+    "FieldTower._x_walk = corrupted\n"
+    "sys.exit(main(['field', '--q', sys.argv[1], '--ell', sys.argv[2]]))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("q,ell", [(2, 4), (3, 3)])
+def test_field_corrupted_walk_exits_2(flags, q, ell):
+    proc = _child(flags, _CORRUPT_WALK, str(q), str(ell))
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == "cross-check mismatch: exp is not a permutation of F*\n"
+
+
 def test_simulate_singular_target_exits_2(capsys, tmp_path, monkeypatch):
     path = _saved_scheme(tmp_path, capsys)
 

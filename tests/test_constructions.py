@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import image, trace_kernel, w_hat
 
 from rsrepair import (
     QPolynomial,
@@ -26,7 +27,7 @@ def test_annihilator_gf4_hand_check():
     L = qpoly_annihilator([1], t)
     assert L.coeffs == (1, 1)
     assert L(1) == 0
-    assert list(L.image().enumerate()) == [0, 1]
+    assert list(image(L).enumerate()) == [0, 1]
     assert list(L.kernel().enumerate()) == [0, 1]
 
 
@@ -53,9 +54,9 @@ def test_annihilator_properties():
                 expected = expected.intersect(
                     *[Subspace.scaled_trace_kernel(b, t) for b in betas[1:]]
                 )
-            assert L.image() == expected
+            assert image(L) == expected
             assert L.kernel().dim == tt
-            assert L.image().dim + L.kernel().dim == ell
+            assert image(L).dim + L.kernel().dim == ell
 
 
 def test_qpolynomial_linearity():
@@ -105,7 +106,7 @@ def test_pinned_scheme_helper_blocks(example1):
         t.exp[10]: [[0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]],
     }
     for point, rows in frozen.items():
-        block = nf.w_hat(code.points.index(point) + 1)
+        block = w_hat(nf, code.points.index(point) + 1)
         assert [list(r) for r in block] == rows
     rep = metrics_direct(scheme)
     assert (rep.io_cost, rep.bandwidth) == (44, 41)
@@ -155,7 +156,7 @@ def test_coset_partition(ell):
     t = scheme.tower
     etas, lams = _eta_lambda(scheme)
     omegas = [p[0] for p in scheme.polys[:4]]
-    kernel = Subspace.trace_kernel(t)
+    kernel = trace_kernel(t)
 
     def fold(vals, u):
         acc = 0
@@ -274,7 +275,7 @@ def test_diagonal_blocks():
     for i in range(1, scheme.code.n + 1):
         if i == scheme.target:
             continue
-        block = nf.w_hat(i)
+        block = w_hat(nf, i)
         for a in range(nf.m):
             for b in range(nf.m):
                 if a != b:

@@ -100,6 +100,16 @@ def test_missing_primitive_element_is_a_cross_check(monkeypatch, p, ell):
         FieldTower(p, 1, ell)
 
 
+@pytest.mark.parametrize("p,ell", [(3, 3), (3, 8)])
+def test_walk_of_x_that_does_not_close_is_a_cross_check(monkeypatch, p, ell):
+    # a walk that returns to its start one step late: its cycle length, the
+    # order of x plus 1, does not divide the group order
+    walk = FieldTower._x_walk
+    monkeypatch.setattr(FieldTower, "_x_walk", lambda self, v, n: walk(self, v, n) + [v])
+    with pytest.raises(CrossCheckMismatch, match=f"the walk of x does not close in {p**ell - 1} steps"):
+        FieldTower(p, 1, ell)
+
+
 def test_subfield_order_mismatch_is_a_cross_check():
     t = FieldTower(2, 1, 4)
     t.exp = [1] * t.order  # every step lands on 1: the subfield comes out too small

@@ -1,12 +1,13 @@
 """Field tower arithmetic against small brute-force oracles."""
 
+import itertools
 import operator
 import random
 
 import pytest
 
-from conftest import large
-from rsrepair import field_create
+from conftest import OracleTower, large, oracle_is_irreducible
+from rsrepair import field_create, gf
 from rsrepair.errors import CrossCheckMismatch, ParamViolation
 from rsrepair.gf import FieldTower, span_iter, span_walk, spot_check, split_prime_power
 
@@ -272,6 +273,50 @@ def test_exp_is_powers_of_generator(p, a, ell):
         assert t.exp[i] == sum(c * p**k for k, c in enumerate(power))
         power = _poly_mod(_poly_mul(power, g, p), t.modulus, p)
     assert power == [1]
+
+
+def test_irreducibility_matches_the_oracles():
+    # every coefficient list up to degree 8 at p = 2, 5 at p = 3 and 3 at p = 5,
+    # against Rabin's test on the old helpers and (monic) trial division
+    for p, top in [(2, 8), (3, 5), (5, 3)]:
+        for degree in range(top + 1):
+            for f in itertools.product(range(p), repeat=degree + 1):
+                got = gf._is_irreducible(list(f), p)
+                assert got == oracle_is_irreducible(list(f), p), (f, p)
+                if degree and f[-1] == 1:
+                    assert got == _is_irreducible(list(f), p), (f, p)
+
+
+def _tables(t):
+    return t.modulus, t.generator, t.exp, t.log, getattr(t, "_zech", None)
+
+
+# every tower with p <= 13 and p^(a ell) <= 2^12, then the towers where x is
+# not primitive: GF(2^12), GF(2^16) and GF(3^8)
+ORACLE_TOWERS = [(p, a, ell) for p in (2, 3, 5, 7, 11, 13) for a in range(1, 13) for ell in range(1, 13)
+                 if p ** (a * ell) <= 1 << 12] + [(2, 1, 16), (3, 1, 8)]
+
+
+@pytest.mark.parametrize("p,a,ell", ORACLE_TOWERS)
+def test_tables_match_the_table_free_oracle(p, a, ell):
+    assert _tables(FieldTower(p, a, ell)) == _tables(OracleTower(p, a, ell))
+
+
+@pytest.mark.parametrize("p,degree", [(2, 12), (3, 8), (5, 4), (13, 3)])
+def test_dense_modulus_tables_match_the_oracle(p, degree):
+    # the first irreducible with every low coefficient nonzero: its x-step
+    # tables stay within 4096 entries, although every low term is nonzero
+    modulus = next(m for m in (list(c) + [1] for c in itertools.product(range(1, p), repeat=degree))
+                   if gf._is_irreducible(m, p))
+    t = FieldTower(p, 1, degree, modulus=modulus)
+    assert _tables(t) == _tables(OracleTower(p, 1, degree, modulus=modulus))
+    assert all(len(table) <= 4096 for table in t._x_tables[1::2])
+
+
+@large  # GF(2^20), GF(3^12), GF(7^7)
+@pytest.mark.parametrize("p,ell", [(2, 20), (3, 12), (7, 7)])
+def test_large_tables_match_the_oracle(p, ell):
+    assert _tables(FieldTower(p, 1, ell)) == _tables(OracleTower(p, 1, ell))
 
 
 def test_exp_walk_edge_towers():

@@ -14,7 +14,7 @@ from rsrepair import RSCode, Subspace, dual_basis, field_create
 from rsrepair.cli import main
 from rsrepair.errors import CrossCheckMismatch, ParamViolation
 
-from conftest import all_subspaces
+from conftest import all_subspaces, random_codeword
 
 
 def test_points_and_encode(gf16):
@@ -95,8 +95,8 @@ def test_mds_distance_spot(gf16):
 
 def test_random_codeword_seeded(gf16):
     code = RSCode(Subspace.full_field(gf16), 3)
-    assert code.random_codeword(7) == code.random_codeword(7)
-    assert code.random_codeword(7) != code.random_codeword(8)
+    assert random_codeword(code, 7) == random_codeword(code, 7)
+    assert random_codeword(code, 7) != random_codeword(code, 8)
 
 
 def _horner(t, coeffs, x):

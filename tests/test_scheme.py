@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import nz_via_weight
+from conftest import nz_via_weight, random_codeword, w_hat
 
 from rsrepair import (
     AccessCounter,
@@ -250,7 +250,7 @@ def test_repair_shifted_target():
     scheme, _ = _toy_scheme(21, target=6)
     assert scheme.target == 6
     code = scheme.code
-    cw = code.random_codeword(5)
+    cw = random_codeword(code, 5)
     value, counter = repair_node(scheme, cw, AccessCounter())
     assert value == cw[5]
     assert 6 not in counter.per_helper and 1 in counter.per_helper
@@ -267,7 +267,7 @@ def test_random_normalized_targets_vary():
         fixed = repair_matrix(nf.scheme, 1 + nf.scheme.target % nf.scheme.code.n)[nf.m:]
         want = tuple(s for s in range(1, nf.scheme.ell + 1) if not any(row[s - 1] for row in fixed))
         assert NormalForm(nf.scheme, nf.m).support_set == nf.support_set == want
-        cw = nf.scheme.code.random_codeword(rng.getrandbits(16))
+        cw = random_codeword(nf.scheme.code, rng.getrandbits(16))
         value, _ = repair_node(nf.scheme, cw, AccessCounter())
         assert value == cw[nf.scheme.target - 1]
     assert len(targets) > 3
@@ -295,7 +295,7 @@ def test_w_hat_block(gf16):
     nf = normalize(scheme)
     for i in (2, 3, 11):
         rows = repair_matrix(nf.scheme, i)
-        block = nf.w_hat(i)
+        block = w_hat(nf, i)
         assert len(block) == nf.m
         for j in range(nf.m):
             assert block[j] == tuple(rows[j][s - 1] for s in nf.support_set)
@@ -411,7 +411,7 @@ def test_repair_with_a_constant_first():
     assert not any(moved.polys[0][1:]) and any(moved.polys[1][1:])
     rep = metrics_direct(moved)
     for seed in range(3):
-        cw = moved.code.random_codeword(seed)
+        cw = random_codeword(moved.code, seed)
         value, counter = repair_node(moved, cw, AccessCounter())
         assert value == cw[moved.target - 1]
         assert (counter.total_accessed, counter.total_transmitted) == (rep.io_cost, rep.bandwidth)
@@ -462,10 +462,10 @@ def test_repair_singular_target_raises(monkeypatch):
     monkeypatch.setattr(linalg, "inverse", singular)
     for seed in range(2):
         with pytest.raises(CrossCheckMismatch):
-            repair_node(scheme, scheme.code.random_codeword(seed))
+            repair_node(scheme, random_codeword(scheme.code, seed))
     assert len(calls) == 2 and scheme._plan is None  # no plan was cached
     monkeypatch.undo()
-    cw = scheme.code.random_codeword(2)
+    cw = random_codeword(scheme.code, 2)
     assert repair_node(scheme, cw)[0] == cw[scheme.target - 1]
 
 
@@ -484,7 +484,7 @@ def test_repair_sends_rank_symbols(kind, params, monkeypatch):
     monkeypatch.setattr(BasisPair, "phi_hat_table", fail)
     repairs = []
     for seed in range(3):
-        cw = code.random_codeword(seed)
+        cw = random_codeword(code, seed)
         repairs.append((cw, *repair_node(scheme, cw, AccessCounter())))
         monkeypatch.setattr(linalg, "dot", fail)
     monkeypatch.undo()
@@ -511,7 +511,7 @@ def test_repair_plan_built_once(monkeypatch):
         walks.clear()
         rrefs.clear()
         for seed in range(5):
-            cw = scheme.code.random_codeword(seed)
+            cw = random_codeword(scheme.code, seed)
             assert repair_node(scheme, cw)[0] == cw[scheme.target - 1]
         assert len(walks) == len(rrefs) == 1  # one node walk, one inverse (the target's dual basis)
         # the plan reads packed tables only, at every q
@@ -559,7 +559,7 @@ def test_broken_repair_plan_gives_wrong_value(monkeypatch, q, mutate):
     _corrupt_echelon(monkeypatch, mutate)
     scheme = construction1(4)[1] if q == 2 else construction2(3, 4, 3, 0, 2, 2)[2]
     code = scheme.code
-    cws = [code.random_codeword(seed) for seed in range(8)]
+    cws = [random_codeword(code, seed) for seed in range(8)]
     assert any(repair_node(scheme, cw)[0] != cw[scheme.target - 1] for cw in cws)
 
 
@@ -570,7 +570,7 @@ def test_cleared_read_digit_gives_wrong_value(kind, params):
     # the first helper reads one digit fewer than its positions claim
     scheme = construction1(*params)[1] if kind == "c1" else construction2(*params)[2]
     code, t = scheme.code, scheme.tower
-    cws = [code.random_codeword(seed) for seed in range(8)]
+    cws = [random_codeword(code, seed) for seed in range(8)]
     assert all(repair_node(scheme, cw)[0] == cw[scheme.target - 1] for cw in cws)
     *tables, ((i, positions, _, *rest), *others) = scheme._plan
     cleared = sum(1 << s - 1 for s in positions[1:])

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import trace_kernel
 
 from rsrepair import Subspace, field_create, linalg
 from rsrepair.errors import CrossCheckMismatch
@@ -50,7 +51,7 @@ def test_full_field_and_zero(gf16):
 @pytest.mark.parametrize("p,a,ell", [(2, 1, 4), (3, 1, 2), (2, 2, 2)])
 def test_trace_kernel(p, a, ell):
     t = field_create(p, a, ell)
-    K = Subspace.trace_kernel(t)
+    K = trace_kernel(t)
     assert K.dim == ell - 1
     for x in range(t.size):
         assert K.contains(x) == (t.trace_to_subfield(x) == 0)
@@ -58,7 +59,7 @@ def test_trace_kernel(p, a, ell):
 
 def test_scaled_trace_kernel_membership(gf16):
     for t in (gf16, *(field_create(*ps) for ps in ((3, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2), (5, 1, 2)))):
-        K = Subspace.trace_kernel(t)
+        K = trace_kernel(t)
         for beta in range(1, t.size):
             S = Subspace.scaled_trace_kernel(beta, t)
             assert S.dim == t.ell - 1
