@@ -51,6 +51,10 @@ class QPolynomial:
         cols = [tw.coords(self(tw.p**k)) for k in range(tw.degree)]
         return [list(row) for row in zip(*cols)]
 
+    def image(self) -> Subspace:
+        tw = self.tower
+        return Subspace.span(tw, [self(tw.p**k) for k in range(tw.degree)])
+
     def kernel(self) -> Subspace:
         return Subspace.solutions(self.tower, self.gfp_matrix())
 

@@ -12,11 +12,13 @@ are compared as base-p integers, low degree first.  Two towers built from the
 same (p, a, ell) are therefore interchangeable.
 
 Multiplication, inversion and powering use exp/log tables indexed by powers
-of the smallest primitive element g.  Odd-p addition uses Zech logarithms
-Z[n] = log(1 + g^n).  GF(p)-linear tables (traces, vectorizations) come from
-linear_table at O(1) work per entry and are spot-checked.  The intended scale
-is q^ell <= 2^20, settable via the RSREPAIR_MAX_FIELD_BITS environment
-variable.
+of the smallest primitive element g, filled by multiply-by-x walks on the int
+encoding: one walk of <x>, whose x-logs also find g, and when x is not
+primitive one more walk per coset of <x> (at p = 2, products by powers of g
+instead).  Odd-p addition uses Zech logarithms Z[n] = log(1 + g^n).
+GF(p)-linear tables (traces, vectorizations) come from linear_table at O(1)
+work per entry and are spot-checked.  The intended scale is q^ell <= 2^20,
+settable via the RSREPAIR_MAX_FIELD_BITS environment variable.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def split_prime_power(q: int) -> tuple[int, int]:
 
 def _pmod(f: list[int], m: list[int], p: int) -> list[int]:
     """f mod m over GF(p), with no zero leading coefficient."""
-    f, lead_inv = [a % p for a in f], pow(m[-1], -1, p)
+    f = [a % p for a in f]
+    lead_inv = pow(m[-1], -1, p)
     while f and (f[-1] == 0 or len(f) >= len(m)):
         if c := f[-1] * lead_inv % p:
             shift = len(f) - len(m)
@@ -99,7 +102,9 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     if powers[n] != powers[0]:
         return False
     for t in _factor(n):
-        g, r = list(f), _pmod([a - (j == 1) for j, a in enumerate(powers[n // t] + [0, 0])], f, p)
+        u = powers[n // t] + [0, 0]
+        u[1] -= 1  # x^(p^(n/t)) - x
+        g, r = list(f), _pmod(u, f, p)
         while r:
             g, r = r, _pmod(g, r, p)
         if len(g) > 1:
@@ -194,7 +199,10 @@ class FieldTower:
             self.add = self.sub = operator.xor
         self._build_mul_tables()
         self.order = self.size - 1
-        self.subfield_generator = self.exp[self.order // (self.q - 1)] if a > 1 else None
+        if a > 1:
+            self.subfield_generator = self.exp[self.order // (self.q - 1)]
+        else:
+            self.subfield_generator = None
         self._tr_sub = None
         self._tr_abs = None
         self._subfield_cache = {}
@@ -202,11 +210,16 @@ class FieldTower:
     # -- construction internals ------------------------------------------
 
     def _mul_raw(self, x: int, y: int) -> int:
-        """Table-free product for the build: y's digits weight the walk of x."""
-        terms = [(d, v) for d, v in zip(self.coords(y), self._x_walk(x, self.degree)) if d]
+        """Table-free product, used only while building the exp table: the
+        digits y_k of y weight the walk x X^k (X the polynomial variable)."""
         if self.p == 2:
-            return functools.reduce(operator.xor, (v for _, v in terms), 0)
-        return self.element(map(sum, zip(*([d * c for c in self.coords(v)] for d, v in terms))))
+            walk = self._x_walk(x, y.bit_length())
+            return functools.reduce(operator.xor, (v for k, v in enumerate(walk) if y >> k & 1), 0)
+        acc = [0] * self.degree
+        for d, v in zip(self.coords(y), self._x_walk(x, self.degree)):
+            if d:
+                acc = [s + d * c for s, c in zip(acc, self.coords(v))]
+        return self.element(acc)
 
     def _pow_raw(self, x: int, e: int) -> int:
         r = 1
@@ -219,64 +232,86 @@ class FieldTower:
 
     def _x_walk(self, v: int, n: int) -> list[int]:
         """[v, v x, ..., v x^(n-1)], cut where the walk returns to v.  With c
-        the top digit of v and r the rest, v x is r p with digits j <= e (the
-        modulus's highest low term) made d_(j-1) - c m_j: a change read from
-        A, and B if A would pass 4096 entries, on c and the digits of r."""
+        the top digit of v, v x is v p less c p^degree, with digits j <= e
+        (the modulus's highest low term) made d_(j-1) - c m_j: a change read
+        from A on c and the low digits of v, plus one from B on c and the
+        next digits when A alone would pass 4096 entries."""
         p, (K, A, M, B), out, first = self.p, self._x_tables, [v], v
         top = self.size // p
         for _ in range(n - 1):
-            c, r = divmod(v, top)
-            v = r * p + A[c * K + r % K] + (B[c * M + r // K % M] if B else 0)
+            c = v // top
+            v = v * p + A[c * K + v % K] + (B[c * M + v // K % M] if B else 0)
             if v == first:
                 break
             out.append(v)
         return out
 
+    def _step_table(self, js) -> list[int]:
+        """The change to v p over digits js in a step of _x_walk, indexed by
+        the top digit c of v and then by digits j - 1 of v, low first; the
+        table of digit 0 also takes off c p^degree."""
+        p, m, table = self.p, self.modulus, []
+        for c in range(p):
+            part = [-c * self.size if 0 in js else 0]
+            for j in js:
+                digits = range(p) if j else [0]  # digit 0 of v p is 0
+                part = [t + ((d - c * m[j]) % p - d) * p**j for d in digits for t in part]
+            table += part
+        return table
+
     def _build_mul_tables(self) -> None:
-        """exp, log and Zech tables of the smallest primitive g.  At p = 2,
-        exp doubles: its first 2^k entries times g^(2^k).  At odd p a walk
-        logs <x>, of order o and index h: c is primitive iff c^h = x^j, j
-        prime to o, and c^(h/t) is outside <x> for each prime t | h not
-        dividing o (g = x = p at h = 1); exp walks the cosets g^c <x>."""
-        p, order, size, m = self.p, self.size - 1, self.size, self.modulus
+        """exp, log and Zech tables of the smallest primitive g.  One walk
+        logs <x>, of order o and index h: c is primitive iff c^h = x^j with
+        j prime to o and c^(h/t) lies outside <x> for each prime t | h that
+        does not divide o.  At h = 1 that picks g = x = p and exp is the
+        walk.  Otherwise exp walks the cosets g^c <x>, or at p = 2 doubles:
+        exp[2^k:2^(k+1)] is exp[:2^k] times g^(2^k), each product the XOR
+        of two lookups on the halves of the bits."""
+        p, order, m = self.p, self.size - 1, self.modulus
         e = max((j for j, c in enumerate(m[:-1]) if c), default=0)
-        k = e if p ** (e + 1) <= 4096 else (e + 1) // 2
-        table = lambda js: [t for c in range(p) for t in functools.reduce(lambda part, j: [
-            t + ((d - c * m[j]) % p - d) * p**j for d in (range(p) if j else [0]) for t in part], js, [0])]
-        self._x_tables = p**k, table(range(k + 1)), p ** (e - k), table(range(k + 1, e + 1)) if k < e else []
+        k = e if p ** (e + 1) <= 4096 else (e + 1) // 2  # two tables for a dense modulus
+        high = self._step_table(range(k + 1, e + 1)) if k < e else []
+        self._x_tables = p**k, self._step_table(range(k + 1)), p ** (e - k), high
 
         def logs(values):
-            log = [-1] * size
+            log = [-1] * self.size
             for i, v in enumerate(values):
                 log[v] = i
             return log
 
-        h = 0
-        if p == 2 or self.degree == 1:  # the modulus may be x: no walk
-            primitive = lambda c: all(self._pow_raw(c, order // t) != 1 for t in _factor(order))
+        if self.degree == 1:  # the modulus may be x itself: x = 0, no walk
+            def primitive(c):
+                return all(pow(c, order // t, p) != 1 for t in _factor(order))
         else:
-            walk = self._x_walk(1, size)
+            walk = self._x_walk(1, self.size)
             o, log = len(walk), logs(walk)
             h = order // o
             if h * o != order:
                 raise CrossCheckMismatch(f"the walk of x does not close in {order} steps")
-            primitive = lambda c: (j := log[self._pow_raw(c, h)]) > 0 and all(
-                j % t for t in _factor(o)) and all(log[self._pow_raw(c, h // t)] < 0 for t in _factor(h) if o % t)
-        g = next((c for c in range(1, size) if primitive(c)), None)
+
+            def primitive(c):
+                j = log[self._pow_raw(c, h)]  # c^h = x^j
+                if j < 0 or any(j % t == 0 for t in _factor(o)):
+                    return False
+                return all(log[self._pow_raw(c, h // t)] < 0 for t in _factor(h) if o % t)
+        g = next((c for c in range(1, self.size) if primitive(c)), None)
         if g is None:  # cannot happen for a true field
             raise CrossCheckMismatch("no primitive element found; modulus not irreducible?")
         self.generator = g
         if self.degree == 1:
             exp = [pow(g, i, p) for i in range(order)]
-        elif p == 2:
-            half, exp, c = self.degree // 2, [1], g
-            for _ in range(self.degree):  # c = g^len(exp); walk: c times each bit
-                walk = self._x_walk(c, self.degree)
-                lo, hi = (span_walk([[w] for w in part], operator.xor) for part in (walk[:half], walk[half:]))
+        elif h == 1:
+            exp = walk  # g = x: log is the walk's
+        elif p == 2:  # exp[2^k:2^(k+1)] = exp[:2^k] y, y = g^(2^k)
+            half, exp, y = self.degree // 2, [1], g
+            for _ in range(self.degree):
+                walk = self._x_walk(y, self.degree)  # y times each bit
+                lo = span_walk([[w] for w in walk[:half]], operator.xor)
+                hi = span_walk([[w] for w in walk[half:]], operator.xor)
                 mask = len(lo) - 1
                 exp += [lo[v & mask] ^ hi[v >> half] for v in exp]
-                c = lo[c & mask] ^ hi[c >> half]
-            exp.pop()
+                y = lo[y & mask] ^ hi[y >> half]
+            exp.pop()  # g^order = 1
         else:
             j0, exp, rep = log[self._pow_raw(g, h)], [0] * order, 1  # g^h = x^j0
             for c in range(h):  # coset g^c <x>: g^(c + h i) = g^c x^(i j0)
@@ -284,7 +319,7 @@ class FieldTower:
                     rep = self._mul_raw(rep, g)
                     walk = self._x_walk(rep, o)
                 exp[c::h] = walk if j0 == 1 else [walk[i * j0 % o] for i in range(o)]
-        if h != 1:  # else exp is the logged walk
+        if self.degree == 1 or h > 1:
             log = logs(exp)
         if log[0] != -1 or log.count(-1) != 1:
             raise CrossCheckMismatch("exp is not a permutation of F*")
@@ -437,7 +472,9 @@ class FieldTower:
     # -- multiplicative structure -------------------------------------------
 
     def is_primitive(self, x: int) -> bool:
-        return x != 0 and all(self.log[x] % t for t in _factor(self.order))
+        if x == 0:
+            return False
+        return all(self.log[x] % t for t in _factor(self.order))
 
     # -- serialization -------------------------------------------------------
 

@@ -51,12 +51,6 @@ def nz_via_weight(rows, tower):
     return sum(walk([coords[tower.mul(c, x)] for c in scales for x in col])[0] for col in zip(*rows))
 
 
-def image(L):
-    """The image of a q-polynomial L: the span of L(p^k) over the GF(p)-basis."""
-    tw = L.tower
-    return Subspace.span(tw, [L(tw.p**k) for k in range(tw.degree)])
-
-
 def trace_kernel(tower):
     """K = {x in F : Tr_{F/B}(x) = 0}; B-dimension ell - 1."""
     return Subspace.scaled_trace_kernel(1, tower)

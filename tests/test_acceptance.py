@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from conftest import RUN_LARGE, all_subspaces, image, large, nz_via_weight, random_codeword, w_hat
+from conftest import RUN_LARGE, all_subspaces, large, nz_via_weight, random_codeword, w_hat
 
 import rsrepair
 from rsrepair import (
@@ -380,7 +380,7 @@ def test_criterion_7_oracles():
                 L = qpoly_annihilator(betas, t)
                 parts = [Subspace.scaled_trace_kernel(b, t) for b in betas]
                 meet = parts[0] if len(parts) == 1 else parts[0].intersect(*parts[1:])
-                if image(L) != meet:
+                if L.image() != meet:
                     problems.append(("image", ell, betas))
 
     # capped maximization hits its closed form, maximizers shaped as claimed

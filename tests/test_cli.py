@@ -682,9 +682,11 @@ def test_simulate_unscaled_pivot_exits_2(capsys, tmp_path, flags):
     assert proc.stderr.startswith("cross-check mismatch: echelon step over B kept pivot")
 
 
-# A multiply-by-x walk whose last step repeats the one before it: at p = 2
-# the tables that double exp, at odd p the walk of <x> itself, give an exp
-# table that is not a permutation, and the tower build exits 2.
+# A multiply-by-x walk whose last step repeats the one before it gives an
+# exp table that is not a permutation, and the tower build exits 2: x is
+# primitive in GF(16) and GF(27), so exp is that walk of <x>; in GF(2^8)
+# it is not, and exp doubles from walks of powers of g, and in GF(3^8)
+# exp walks the cosets of <x>.
 _CORRUPT_WALK = (
     "import sys\n"
     "from rsrepair.cli import main\n"
@@ -699,7 +701,7 @@ _CORRUPT_WALK = (
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
-@pytest.mark.parametrize("q,ell", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("q,ell", [(2, 4), (3, 3), (2, 8), (3, 8)])
 def test_field_corrupted_walk_exits_2(flags, q, ell):
     proc = _child(flags, _CORRUPT_WALK, str(q), str(ell))
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr

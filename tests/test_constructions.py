@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from conftest import image, trace_kernel, w_hat
+from conftest import trace_kernel, w_hat
 
 from rsrepair import (
     QPolynomial,
@@ -27,7 +27,7 @@ def test_annihilator_gf4_hand_check():
     L = qpoly_annihilator([1], t)
     assert L.coeffs == (1, 1)
     assert L(1) == 0
-    assert list(image(L).enumerate()) == [0, 1]
+    assert list(L.image().enumerate()) == [0, 1]
     assert list(L.kernel().enumerate()) == [0, 1]
 
 
@@ -54,9 +54,9 @@ def test_annihilator_properties():
                 expected = expected.intersect(
                     *[Subspace.scaled_trace_kernel(b, t) for b in betas[1:]]
                 )
-            assert image(L) == expected
+            assert L.image() == expected
             assert L.kernel().dim == tt
-            assert image(L).dim + L.kernel().dim == ell
+            assert L.image().dim + L.kernel().dim == ell
 
 
 def test_qpolynomial_linearity():
