@@ -7,13 +7,18 @@ is known for those parameters, not a property this module verifies.
 
 The brute-force routines reproduce the optimization steps the bounds rest
 on: a capped maximization of 2^(d-m) sum 2^(a_i), and a budgeted
-minimization of sum b_i solved by two-level balancing.
+minimization of sum b_i solved by two-level balancing.  The maximization
+stays exhaustive: it scans every tuple of each (m, t') batch in bounded
+slices.  A caller that asks for many (ell, d), like the r3cond suite, passes
+one memo dict to all its calls so each batch maximum is found once; nothing
+is cached between calls that share no memo.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import ParamViolation, UnsupportedRegime
@@ -122,7 +127,42 @@ def bandwidth_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto
     )
 
 
-def r3cond_max_bruteforce(ell: int, d: int, m_max: int | None = None):
+_R3COND_CHUNK = 2048  # tuples per slice of a batch scan; bounds a call's memory
+
+
+def _r3cond_chunks(m: int, tp: int):
+    """The ascending tp-tuples over range(m) in enumeration order, in slices
+    of at most _R3COND_CHUNK, each paired with its tuples' sums of 2^a."""
+    tuples = itertools.combinations_with_replacement(range(m), tp)
+    powers = itertools.combinations_with_replacement([1 << a for a in range(m)], tp)
+    while chunk := list(itertools.islice(tuples, _R3COND_CHUNK)):
+        yield chunk, list(map(sum, itertools.islice(powers, _R3COND_CHUNK)))
+
+
+def _r3cond_batch(chunks, tp: int, k: int, budget: int | None):
+    """Largest sum of 2^a over one (m, tp) batch among the tuples whose top k
+    sum to at most budget (every tuple when budget is None), and its
+    maximizers, descending, in enumeration order."""
+    top = operator.itemgetter(slice(tp - k, None))
+    best, hits = 0, []  # every sum of 2^a is at least 1
+    for chunk, sums in chunks:
+        if budget is None:
+            ok, feasible = itertools.repeat(True), sums
+        else:
+            ok = list(map(budget.__ge__, map(sum, map(top, chunk))))
+            feasible = list(itertools.compress(sums, ok))
+        top_sum = max(feasible, default=0)
+        if top_sum < best:
+            continue
+        found = [t[::-1] for t, s, fits in zip(chunk, sums, ok) if fits and s == top_sum]
+        if top_sum > best:
+            best, hits = top_sum, found
+        else:
+            hits += found
+    return best, hits
+
+
+def r3cond_max_bruteforce(ell: int, d: int, m_max: int | None = None, *, memo: dict | None = None):
     """Maximize 2^(d-m) sum_i 2^(a_i) over the constrained tuples.
 
     Enumerates (t', m, a_1 >= ... >= a_t') with t' <= m <= ell, each
@@ -130,11 +170,18 @@ def r3cond_max_bruteforce(ell: int, d: int, m_max: int | None = None):
     at most (ell-d+1)m.  Returns (max value, list of maximizers); values are
     compared as exact integers scaled by 2^hi, so a fractional intermediate
     cannot sneak past an integer maximum.
+
+    Each (m, t') batch is scanned once for its own maximum.  memo, a dict
+    shared by calls that ask for many (ell, d), keeps those batch maxima and
+    the enumerated tables of the small batches; without one a call uses its
+    own.
     """
     if ell > 10:
         raise ParamViolation("enumeration over partitions is sized for ell <= 10")
     if not 1 <= d <= ell:
         raise ParamViolation(f"need 1 <= d <= ell, got d={d}, ell={ell}")
+    if memo is None:
+        memo = {}
     hi = ell if m_max is None else min(ell, m_max)
     cap = ell - d + 2
     best = None
@@ -142,16 +189,25 @@ def r3cond_max_bruteforce(ell: int, d: int, m_max: int | None = None):
     for m in range(1, hi + 1):
         budget = (ell - d + 1) * m
         for tp in range(1, m + 1):
-            for asc in itertools.combinations_with_replacement(range(m), tp):
-                desc = asc[::-1]
-                if sum(desc[: min(tp, cap)]) > budget:
-                    continue
-                value = sum(2**ai for ai in desc) << (d + hi - m)  # 2^hi times the value
-                if best is None or value > best:
-                    best = value
-                    argmax = [(tp, m, desc)]
-                elif value == best:
-                    argmax.append((tp, m, desc))
+            k = min(tp, cap)
+            # if even k entries m-1 fit the budget, the batch loses no tuple
+            # and its maximum is the same for every such cap
+            cut = k * (m - 1) > budget
+            key = (m, tp, cap if cut else None)
+            if key not in memo:
+                chunks = memo.get((m, tp))
+                if chunks is None:
+                    chunks = _r3cond_chunks(m, tp)
+                    if math.comb(m + tp - 1, tp) <= _R3COND_CHUNK:  # one slice: kept for other caps
+                        chunks = memo[(m, tp)] = list(chunks)
+                memo[key] = _r3cond_batch(chunks, tp, k, budget if cut else None)
+            top_sum, hits = memo[key]
+            value = top_sum << (d + hi - m)  # 2^hi times the value
+            if best is None or value > best:
+                best = value
+                argmax = [(tp, m, desc) for desc in hits]
+            elif value == best:
+                argmax += [(tp, m, desc) for desc in hits]
     if best is not None:
         best = Fraction(best, 2**hi)
         if best.denominator == 1:

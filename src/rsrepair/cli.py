@@ -271,7 +271,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, help="cases per suite; default per suite")
+    p.add_argument("--size", type=int, help="cases per seeded suite; default per suite (r3cond keeps its fixed grid)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

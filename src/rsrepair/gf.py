@@ -226,8 +226,9 @@ class FieldTower:
         while e:
             if e & 1:
                 r = self._mul_raw(r, x)
-            x = self._mul_raw(x, x)
             e >>= 1
+            if e:  # no square past the top bit
+                x = self._mul_raw(x, x)
         return r
 
     def _x_walk(self, v: int, n: int) -> list[int]:

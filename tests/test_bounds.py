@@ -183,12 +183,16 @@ def _r3cond_fraction_oracle(ell, d, m_max=None):
 
 
 def test_r3cond_matches_fraction_oracle():
-    for ell in range(1, 8):
+    # per call, and with one memo shared by every input (as the r3cond suite
+    # shares one across its grid)
+    memo = {}
+    for ell in range(1, 9):
         for d in range(1, ell + 1):
             for m_max in (None, 0, 1, ell // 2, ell - 1):
-                got = r3cond_max_bruteforce(ell, d, m_max)
                 want = _r3cond_fraction_oracle(ell, d, m_max)
-                assert got == want and type(got[0]) is type(want[0])
+                for got in (r3cond_max_bruteforce(ell, d, m_max),
+                            r3cond_max_bruteforce(ell, d, m_max, memo=memo)):
+                    assert got == want and type(got[0]) is type(want[0])
 
 
 def test_bounds_never_beaten_by_random_schemes():

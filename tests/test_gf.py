@@ -101,6 +101,19 @@ def test_exp_log_and_pow():
     assert len(seen) == t.order
 
 
+@pytest.mark.parametrize("p,a,ell", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def test_pow_raw_squares_no_further_than_the_top_bit(p, a, ell):
+    t = field_create(p, a, ell)
+    products = []
+    mul_raw = t._mul_raw
+    t._mul_raw = lambda x, y: products.append(1) or mul_raw(x, y)
+    for e in range(1, 3 * t.order):
+        products.clear()
+        assert t._pow_raw(t.generator, e) == t.pow(t.generator, e)
+        assert len(products) <= e.bit_count() + e.bit_length() - 1, e
+    assert t._pow_raw(t.generator, 0) == 1
+
+
 def test_frobenius():
     rng = random.Random(5)
     for p, a, ell in [(2, 1, 4), (3, 1, 3), (2, 2, 2)]:

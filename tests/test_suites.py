@@ -1,10 +1,13 @@
 """The randomized suites themselves: shape, seeding, pass on defaults."""
 
+import json
 import random
 
 import pytest
 
-from rsrepair import MetricsReport, metrics_direct, metrics_weight, random_normalized_scheme, run_suite
+from rsrepair import (MetricsReport, bounds, metrics_direct, metrics_weight, r3cond_max_bruteforce,
+                      random_normalized_scheme, run_suite)
+from rsrepair.cli import main
 from rsrepair.errors import RSRepairError
 from rsrepair.suites import SUITE_NAMES
 
@@ -48,3 +51,48 @@ def test_expsum_failure_names_first_node(monkeypatch):
     assert report["failures"][0] == (
         f"case 0 {params}: direct gives {(node, nz, rk)} but weight_formula gives {(node, nz - 1, rk)}"
     )
+
+
+def test_r3cond_failures_are_reported(monkeypatch, capsys):
+    # a wrong maximum at (ell=4, d=3), a maximizer with t' != m at (ell=5, d=2)
+    def broken(ell, d, *, memo):
+        best, argmax = r3cond_max_bruteforce(ell, d, memo=memo)
+        if (ell, d) == (4, 3):
+            best += 1
+        if (ell, d) == (5, 2):
+            argmax = argmax + [(1, 2, (1,))]
+        return best, argmax
+
+    monkeypatch.setattr("rsrepair.suites.r3cond_max_bruteforce", broken)
+    report = run_suite("r3cond")
+    assert not report["passed"] and report["cases"] == 21
+    assert report["failures"] == [
+        "(ell=4, d=3): maximum 13, expected 12",
+        "(ell=5, d=2): maximizers outside the predicted shape: [(1, 2, (1,))]",
+    ]
+    assert main(["verify", "--suite", "r3cond"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == report["failures"]
+
+
+def test_r3cond_memo_lives_for_one_suite_run(monkeypatch):
+    # one memo serves the 21 calls of a run, each small (m, t') batch is
+    # enumerated once in it, and the next run starts from an empty memo
+    sizes, enumerated = [], []
+    chunks = bounds._r3cond_chunks
+
+    def counted_chunks(m, tp):
+        enumerated.append((m, tp))
+        return chunks(m, tp)
+
+    def recorded(ell, d, *, memo):
+        sizes.append(len(memo))
+        return r3cond_max_bruteforce(ell, d, memo=memo)
+
+    monkeypatch.setattr(bounds, "_r3cond_chunks", counted_chunks)
+    monkeypatch.setattr("rsrepair.suites.r3cond_max_bruteforce", recorded)
+    for _ in range(2):
+        sizes.clear()
+        enumerated.clear()
+        assert run_suite("r3cond")["passed"]
+        assert len(sizes) == 21 and sizes[0] == 0 and all(sizes[1:])
+        assert sorted(enumerated) == [(m, tp) for m in range(1, 8) for tp in range(1, m + 1)]
