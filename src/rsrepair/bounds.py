@@ -1,9 +1,9 @@
 """Lower bounds on repair I/O cost and bandwidth, plus brute-force oracles.
 
 The closed-form bounds apply in specific (q, ell, d, r) regimes and carry
-route tags (thm4, thm6, coro11 for io; thm5, thm8 for bandwidth) matching
-the CLI's --theorem choices.  tight_known reports whether a matching scheme
-is known for those parameters, not a property this module verifies.
+route tags, listed per quantity in ROUTES, from which the CLI draws its
+--theorem choices.  tight_known reports whether a matching scheme is known
+for those parameters, not a property this module verifies.
 
 The brute-force routines reproduce the optimization steps the bounds rest
 on: a capped maximization of 2^(d-m) sum 2^(a_i), and a budgeted
@@ -23,6 +23,8 @@ from fractions import Fraction
 
 from .errors import ParamViolation, UnsupportedRegime
 from .gf import split_prime_power
+
+ROUTES = {"io": ("coro11", "thm4", "thm6"), "bandwidth": ("thm5", "thm8")}
 
 
 def _check_query(q: int, ell: int, d: int, r: int) -> int:
@@ -48,6 +50,8 @@ def io_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto") -> d
     integer (valid, since the cost is an integer).
     """
     p = _check_query(q, ell, d, r)
+    if theorem not in ("auto", *ROUTES["io"]):
+        raise UnsupportedRegime(f"unknown I/O route {theorem!r}")
     n = q**d
     candidates = []
     if r == 2:
@@ -88,7 +92,7 @@ def bandwidth_lower_bound(q: int, ell: int, d: int, r: int, theorem: str = "auto
     """
     _check_query(q, ell, d, r)
     n = q**d
-    if theorem not in ("auto", "thm5", "thm8"):
+    if theorem not in ("auto", *ROUTES["bandwidth"]):
         raise UnsupportedRegime(f"unknown bandwidth route {theorem!r}")
     if r == 2 and theorem in ("auto", "thm5"):
         if d == ell and q > 2:

@@ -12,7 +12,7 @@ import json
 import random
 import sys
 
-from .bounds import bandwidth_lower_bound, io_lower_bound
+from .bounds import ROUTES, bandwidth_lower_bound, io_lower_bound
 from .constructions import construction1, construction2
 from .errors import CrossCheckMismatch, ParamViolation, RSRepairError
 from .gf import field_create, split_prime_power
@@ -259,8 +259,7 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--quantity", choices=("io", "bandwidth"), default="io")
-    p.add_argument("--theorem", default="auto",
-                   choices=("auto", "coro11", "thm4", "thm6", "thm5", "thm8"))
+    p.add_argument("--theorem", default="auto", choices=("auto", *ROUTES["io"], *ROUTES["bandwidth"]))
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("tables", help="emit a comparison table")

@@ -7,7 +7,7 @@ compared against an analytic bound.
 
 The expsum route sums over the evaluation set A first.  For j <= m,
 g_j = c_j + L_j with L_j B-linear (scheme.affine_parts); b_1..b_d =
-reversed(A.b_basis()) weight the digits of a node index; per support
+reversed(A.b_basis()) weight the coordinates of a point of A; per support
 column s, M_s[j][k] = Tr_{F/B}(beta_s L_j(b_k)) and a_s[j] =
 Tr_{F/B}(beta_s c_j).  Column s of helper alpha = sum x_k b_k is zero iff
 M_s x = -a_s, and the sum of chi(beta_s g_u(alpha)) over A is
@@ -17,14 +17,15 @@ q^d chi(beta_s c_u) if u M_s = 0, else 0.  So all nodes hold
 
 zero columns (one CharSum).  Per node: each V_s = {x in B^d : M_s x =
 -a_s} is a particular solution plus the span of a kernel (one rref),
-walked over node indices by the tower's add at prime q and a B-digit add
-otherwise; a node's count is the number of V_s holding it.  The |V_s| must
-add up to the closed form, and the target (whose literal tally is taken
-too) lies in none; io_cost_expsum is (n - 1) ell minus the helpers' counts.
+mapped to its points sum x_k b_k and span-walked by the tower's add; one
+F-sized tally counts the V_s holding each point, read out in code.points
+order.  The |V_s| must add up to the closed form, and the target (whose
+literal tally is taken too) lies in none; io_cost_expsum is (n - 1) ell
+minus the helpers' counts.
 Ranks: theta_1..theta_m, a B-basis of C^perp = {theta : Tr(theta c_j) = 0 for j > m}, map
 F / span(constants) onto B^m, so rank(W_i) = (ell - m) + rank(T_i),
-T_i[j][k] = Tr_{F/B}(theta_k g_j(alpha_i)), affine in alpha and walked
-like the nodes as digit-packed rows over GF(p), at every q.  Polynomials
+T_i[j][k] = Tr_{F/B}(theta_k g_j(alpha_i)), affine in alpha and span-walked
+over A in node order as digit-packed rows over GF(p), at every q.  Polynomials
 that are not B-affine take their values from scheme.node_values and are
 tallied node by node.
 """
@@ -32,6 +33,7 @@ tallied node by node.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 
@@ -167,29 +169,12 @@ def _closed_form_zero_columns(nf, consts, systems) -> int:
     return _collapse(cs, t.q**nf.m)
 
 
-def _index_walk(t: FieldTower, x0, kernel) -> list[int]:
-    """0-based node indices of x0 + span(kernel) in B^d: digit k of an
-    index is the position of x_k in subfield_elements().  At prime q that
-    is x_k itself, so indices (d <= degree digits) add by the tower's add."""
-    els = t.subfield_elements()
-    if t.a == 1:
-        pack, add = t.element, t.add
-    else:
-        q = t.q
-        pos = {x: k for k, x in enumerate(els)}
-        digit_sum = [[pos[t.add(x, y)] for y in els] for x in els]
-        pack = lambda x: sum(pos[c] * q**k for k, c in enumerate(x))
-
-        def add(i, j):
-            out, place = 0, 1
-            while i or j:
-                (i, a), (j, b) = divmod(i, q), divmod(j, q)
-                out += digit_sum[a][b] * place
-                place *= q
-            return out
-
-    steps = [[pack([t.mul(c, e) for e in v]) for c in els[1:]] for v in kernel]
-    return span_walk(steps, add, pack(x0))
+def _affine_points(t: FieldTower, digits, x0, kernel) -> list[int]:
+    """The points sum x_k digits[k] of x0 + span(kernel) in B^d, span-walked
+    by the tower's add."""
+    point = lambda x: functools.reduce(t.add, map(t.mul, x, digits), 0)
+    units = t.subfield_elements()[1:]
+    return span_walk([[t.mul(c, point(v)) for c in units] for v in kernel], t.add, point(x0))
 
 
 def io_cost_expsum(nf) -> int:
@@ -209,7 +194,7 @@ def per_node_zero_columns(nf) -> list[int]:
     matrix spans F.
     """
     scheme = nf.scheme
-    t, n, target = scheme.tower, scheme.code.n, scheme.target
+    t, target = scheme.tower, scheme.target
     qm = t.q**nf.m
     parts = affine_parts(scheme, scheme.polys[: nf.m])
     if parts is None:
@@ -218,11 +203,13 @@ def per_node_zero_columns(nf) -> list[int]:
     else:
         systems = [_trace_system(t, scheme.basis.beta[s - 1], *parts) for s in nf.support_set]
         total = _closed_form_zero_columns(nf, parts[0], systems)
-        zcols = [0] * n
+        digits = list(reversed(scheme.code.A.b_basis()))
+        tally = bytearray(t.size)  # a point lies in at most ell < 256 of the V_s
         for _, M, a in systems:
             vs = linalg.solution_set(t, M, [t.neg(c) for c in a])
-            for i in _index_walk(t, *vs) if vs else ():
-                zcols[i] += 1
+            for alpha in _affine_points(t, digits, *vs) if vs else ():
+                tally[alpha] += 1
+        zcols = [tally[alpha] for alpha in scheme.code.points]
         if sum(zcols) != total:
             raise CrossCheckMismatch(
                 f"affine sets hold {sum(zcols)} zero columns, the closed form {total}")

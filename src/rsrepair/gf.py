@@ -222,13 +222,17 @@ class FieldTower:
         return self.element(acc)
 
     def _pow_raw(self, x: int, e: int) -> int:
-        r = 1
-        while e:
+        """x^e in popcount(e) + bit_length(e) - 2 products: r starts as x
+        at the lowest set bit, and no square passes the top bit."""
+        if not e:
+            return 1
+        while not e & 1:
+            x, e = self._mul_raw(x, x), e >> 1
+        r = x
+        while e := e >> 1:
+            x = self._mul_raw(x, x)
             if e & 1:
                 r = self._mul_raw(r, x)
-            e >>= 1
-            if e:  # no square past the top bit
-                x = self._mul_raw(x, x)
         return r
 
     def _x_walk(self, v: int, n: int) -> list[int]:
@@ -314,10 +318,10 @@ class FieldTower:
                 y = lo[y & mask] ^ hi[y >> half]
             exp.pop()  # g^order = 1
         else:
-            j0, exp, rep = log[self._pow_raw(g, h)], [0] * order, 1  # g^h = x^j0
+            j0, exp = log[self._pow_raw(g, h)], [0] * order  # g^h = x^j0
             for c in range(h):  # coset g^c <x>: g^(c + h i) = g^c x^(i j0)
                 if c:
-                    rep = self._mul_raw(rep, g)
+                    rep = self._mul_raw(rep, g) if c > 1 else g
                     walk = self._x_walk(rep, o)
                 exp[c::h] = walk if j0 == 1 else [walk[i * j0 % o] for i in range(o)]
         if self.degree == 1 or h > 1:

@@ -142,14 +142,13 @@ def inverse(tower, rows) -> list[list[int]]:
 def solve(tower, rows, b) -> list[int]:
     """The unique solution of M x = b: SingularMatrix if the columns of M
     are dependent or the system is inconsistent."""
-    width = len(rows[0])
-    aug = [list(r) + [b[i]] for i, r in enumerate(rows)]
-    red, pivots = rref(tower, aug)
-    if pivots[:width] != list(range(width)):
-        raise SingularMatrix("matrix columns are dependent; no unique solution")
-    if width in pivots:
+    solutions = solution_set(tower, rows, b)
+    if solutions is None:
         raise SingularMatrix("inconsistent linear system")
-    return [r[-1] for r in red[:width]]
+    x0, kernel = solutions
+    if kernel:
+        raise SingularMatrix("matrix columns are dependent; no unique solution")
+    return x0
 
 
 def independent(tower, candidates, dim: int, size: int | None = None) -> list[int]:

@@ -13,6 +13,7 @@ from rsrepair import (
     r3cond_max_bruteforce,
     random_normalized_scheme,
 )
+from rsrepair.bounds import ROUTES
 from rsrepair.errors import ParamViolation, UnsupportedRegime
 
 
@@ -55,6 +56,10 @@ def test_io_unsupported():
         io_lower_bound(3, 4, 3, 3)
     with pytest.raises(UnsupportedRegime):
         io_lower_bound(2, 4, 4, 2, theorem="thm6")
+    # thm5 covers these parameters, but as a bandwidth bound
+    for tag in ROUTES["bandwidth"]:
+        with pytest.raises(UnsupportedRegime, match=f"unknown I/O route '{tag}'"):
+            io_lower_bound(2, 4, 4, 2, theorem=tag)
 
 
 def test_bandwidth_values_frozen():
@@ -87,8 +92,9 @@ def test_bandwidth_unsupported():
         bandwidth_lower_bound(2, 5, 2, 2)  # ell-d+1 = 4 does not divide 5
     with pytest.raises(UnsupportedRegime):
         bandwidth_lower_bound(2, 6, 3, 3)  # ell-d+2 = 5 does not divide 6
-    with pytest.raises(UnsupportedRegime):
-        bandwidth_lower_bound(2, 4, 4, 2, theorem="thm4")
+    for tag in ROUTES["io"]:
+        with pytest.raises(UnsupportedRegime, match=f"unknown bandwidth route '{tag}'"):
+            bandwidth_lower_bound(2, 4, 4, 2, theorem=tag)
     with pytest.raises(UnsupportedRegime):
         bandwidth_lower_bound(2, 4, 4, 4)
 

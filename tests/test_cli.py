@@ -754,6 +754,15 @@ def test_bounds_unsupported(capsys):
     assert code == 1 and "error" in err
 
 
+def test_bounds_rejects_the_other_quantitys_route(capsys):
+    query = ["bounds", "--q", "2", "--ell", "4", "--d", "4", "--r", "2"]
+    for extra, message in ((["--theorem", "thm5"], "unknown I/O route 'thm5'"),
+                           (["--quantity", "bandwidth", "--theorem", "thm4"],
+                            "unknown bandwidth route 'thm4'")):
+        code, out, err = _run(capsys, query + extra)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_tables_csv(capsys):
     code, out, _ = _run(capsys, ["tables", "--which", "3a", "--format", "csv"])
     assert code == 0

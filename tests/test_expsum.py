@@ -119,6 +119,35 @@ def test_per_node_zero_columns(example1):
     assert rep.io_cost == sum(by_node.values())
 
 
+def _literal_zero_columns(nf):
+    """Each helper's support columns s with Tr_{F/B}(beta_s g_j(alpha_i)) = 0
+    for every j <= m, the g_j evaluated by Horner."""
+    scheme = nf.scheme
+    t, code = scheme.tower, scheme.code
+    betas = [scheme.basis.beta[s - 1] for s in nf.support_set]
+    counts = []
+    for i, alpha in enumerate(code.points, 1):
+        if i != scheme.target:
+            evals = [code.eval_poly(g, alpha) for g in scheme.polys[: nf.m]]
+            counts.append(sum(not any(t.trace_to_subfield(t.mul(b, e)) for e in evals) for b in betas))
+    return counts
+
+
+def test_per_point_zero_columns_match_a_literal_count():
+    # seeded B-affine schemes with some zero column, four per q
+    rng = random.Random(29)
+    cases = [construction2(4, 6, 4, 0, 3, 2)[2].normal_form,
+             construction2(9, 4, 3, 0, 2, 2)[2].normal_form]
+    for q, ell in ((2, None), (3, None), (4, 4), (9, 3)):
+        drawn = (random_normalized_scheme(rng, q=q, ell=ell)[0] for _ in itertools.count())
+        cases += itertools.islice((nf for nf in drawn if affine_parts(nf.scheme, nf.scheme.polys[: nf.m])
+                                   and any(_literal_zero_columns(nf))), 4)
+    assert [nf.scheme.tower.q for nf in cases] == [4, 9] + [2] * 4 + [3] * 4 + [4] * 4 + [9] * 4
+    for nf in cases:
+        assert affine_parts(nf.scheme, nf.scheme.polys[: nf.m]) is not None
+        assert per_node_zero_columns(nf) == _literal_zero_columns(nf)
+
+
 def _tally_oracle(nf, points):
     """Reference counts: the literal (alpha, u, s) loop, every g_u built anew."""
     scheme = nf.scheme
@@ -245,13 +274,12 @@ def _moved_solution(monkeypatch, nf, by_kernel=False):
 
 
 def _swapped_nodes(monkeypatch, nf):
-    walk, q = ex._index_walk, nf.scheme.tower.q
+    points = ex._affine_points
 
-    def swap(i):  # exchange the two lowest digits of a node index
-        d0, d1 = i % q, i // q % q
-        return i + (d1 - d0) + (d0 - d1) * q
+    def swapped(t, digits, *vs):  # exchange the basis elements of the two lowest digits
+        return points(t, [digits[1], digits[0], *digits[2:]], *vs)
 
-    monkeypatch.setattr(ex, "_index_walk", lambda *args: [swap(i) for i in walk(*args)])
+    monkeypatch.setattr(ex, "_affine_points", swapped)
 
 
 def _theta_outside(monkeypatch, nf):
