@@ -57,11 +57,11 @@ class BasisPair:
     # -- cached full tables (hot paths) -------------------------------------
 
     def _table(self, vectorize) -> list[tuple[int, ...]]:
-        """vectorize on all of F: it is GF(p)-linear, so one linear_table
+        """vectorize on all of F: it is GF(p)-linear, so one span over GF(p)
         per coordinate, zipped into rows."""
         t = self.tower
         rows = [vectorize(t.p**k) for k in range(t.degree)]
-        table = list(zip(*[t.linear_table(col) for col in zip(*rows)]))
+        table = list(zip(*[t.span(col, t.p) for col in zip(*rows)]))
         spot_check(table, vectorize, "vectorization")
         return table
 
@@ -86,7 +86,7 @@ class BasisPair:
 
             def packed(x):
                 return sum(coords[c] * t.q**s for s, c in enumerate(self.vectorize_dual(x)))
-            bits = t.linear_table([packed(t.p**k) for k in range(t.degree)])
+            bits = t.span([packed(t.p**k) for k in range(t.degree)], t.p)
             spot_check(bits, packed, "phi_hat bits")
             self._phi_hat_bits = bits
         return self._phi_hat_bits

@@ -115,15 +115,18 @@ def _cmd_field(args):
 
 
 def _cmd_construct(args):
+    other = ("q", "d", "s", "m", "r") if args.kind == "c1" else ("theta",)
+    if given := [f"--{name}" for name in other if getattr(args, name) is not None]:
+        raise ParamViolation(f"construct {args.kind} does not take {' '.join(given)}")
     if args.kind == "c1":
-        strategy = "paper_example" if args.theta == "paper" else args.theta
+        strategy = "paper_example" if args.theta == "paper" else args.theta or "auto"
         _, scheme = construction1(args.ell, theta_strategy=strategy)
         claim = {"io_cost": io_lower_bound(2, args.ell, args.ell, 3, theorem="thm6")["value"]}
     else:
         for name in ("q", "d", "m", "r"):
             if getattr(args, name) is None:
                 raise ParamViolation(f"construct c2 requires --{name}")
-        _, _, scheme = construction2(args.q, args.ell, args.d, args.s, args.m, args.r)
+        _, _, scheme = construction2(args.q, args.ell, args.d, args.s or 0, args.m, args.r)
         value = (args.q**args.d - 1) * args.ell - args.m * args.q ** (args.d - 1)
         claim = {"io_cost": value, "bandwidth": value}
     report = metrics_expsum(scheme.normal_form)  # checked against the claim
@@ -232,10 +235,10 @@ def build_parser():
     p.add_argument("kind", choices=("c1", "c2"))
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--theta", choices=("auto", "paper", "search"),
-                   default="auto", help="c1 only: how to pick the quadratic root")
+                   help="c1 only: how to pick the quadratic root")
     p.add_argument("--q", type=int, help="c2 only: subfield size")
     p.add_argument("--d", type=int, help="c2 only: evaluation space dimension")
-    p.add_argument("--s", type=int, default=0, help="c2 only: redundancy tier")
+    p.add_argument("--s", type=int, help="c2 only: redundancy tier")
     p.add_argument("--m", type=int, help="c2 only: rows in the normal form")
     p.add_argument("--r", type=int, help="c2 only: codimension n - k")
     p.add_argument("--out", help="write the scheme to this JSON file")

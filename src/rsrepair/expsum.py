@@ -17,7 +17,7 @@ q^d chi(beta_s c_u) if u M_s = 0, else 0.  So all nodes hold
 
 zero columns (one CharSum).  Per node: each V_s = {x in B^d : M_s x =
 -a_s} is a particular solution plus the span of a kernel (one rref),
-mapped to its points sum x_k b_k and span-walked by the tower's add; one
+mapped to its points sum x_k b_k and spanned by FieldTower.span; one
 F-sized tally counts the V_s holding each point, read out in code.points
 order.  The |V_s| must add up to the closed form, and the target (whose
 literal tally is taken too) lies in none; io_cost_expsum is (n - 1) ell
@@ -39,7 +39,7 @@ import operator
 
 from . import linalg
 from .errors import CrossCheckMismatch, ParamViolation
-from .gf import FieldTower, span_iter, span_walk
+from .gf import FieldTower, span_iter
 from .scheme import affine_parts, closure_polys, node_values
 from .subspace import Subspace
 
@@ -122,12 +122,11 @@ def _normal_form_tally(nf, rows) -> CharSum:
     t = scheme.tower
     exp, log, order = t.exp, t.log, t.order
     tr = t.absolute_trace_table()
-    units = t.subfield_elements()[1:]
     log_betas = [log[scheme.basis.beta[s - 1]] for s in nf.support_set]
     nbetas = len(log_betas)
     counts = [0] * t.p
     for evals in rows:
-        for v in span_walk([[t.mul(c, e) for c in units] for e in evals], t.add):
+        for v in t.span(evals):
             if v == 0:
                 counts[0] += nbetas
                 continue
@@ -158,23 +157,14 @@ def _closed_form_zero_columns(nf, consts, systems) -> int:
     per s and u in the left kernel of M_s, one CharSum over q^m."""
     t = nf.scheme.tower
     tr = t.absolute_trace_table()
-    units = t.subfield_elements()[1:]
     qd = t.q**nf.scheme.code.A.dim
     cs = CharSum(t.p)
     for beta, M, _ in systems:
         kernel = linalg.right_kernel(t, [list(col) for col in zip(*M)], nf.m)
         cus = [linalg.dot(t, u, consts) for u in kernel]
-        for cu in span_walk([[t.mul(c, x) for c in units] for x in cus], t.add):
+        for cu in t.span(cus):
             cs.tally(tr[t.mul(beta, cu)], qd)
     return _collapse(cs, t.q**nf.m)
-
-
-def _affine_points(t: FieldTower, digits, x0, kernel) -> list[int]:
-    """The points sum x_k digits[k] of x0 + span(kernel) in B^d, span-walked
-    by the tower's add."""
-    point = lambda x: functools.reduce(t.add, map(t.mul, x, digits), 0)
-    units = t.subfield_elements()[1:]
-    return span_walk([[t.mul(c, point(v)) for c in units] for v in kernel], t.add, point(x0))
 
 
 def io_cost_expsum(nf) -> int:
@@ -204,10 +194,11 @@ def per_node_zero_columns(nf) -> list[int]:
         systems = [_trace_system(t, scheme.basis.beta[s - 1], *parts) for s in nf.support_set]
         total = _closed_form_zero_columns(nf, parts[0], systems)
         digits = list(reversed(scheme.code.A.b_basis()))
+        point = lambda x: functools.reduce(t.add, map(t.mul, x, digits), 0)  # sum x_k b_k
         tally = bytearray(t.size)  # a point lies in at most ell < 256 of the V_s
         for _, M, a in systems:
             vs = linalg.solution_set(t, M, [t.neg(c) for c in a])
-            for alpha in _affine_points(t, digits, *vs) if vs else ():
+            for alpha in t.span(map(point, vs[1]), start=point(vs[0])) if vs else ():
                 tally[alpha] += 1
         zcols = [tally[alpha] for alpha in scheme.code.points]
         if sum(zcols) != total:

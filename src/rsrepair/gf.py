@@ -16,9 +16,9 @@ of the smallest primitive element g, filled by multiply-by-x walks on the int
 encoding: one walk of <x>, whose x-logs also find g, and when x is not
 primitive one more walk per coset of <x> (at p = 2, products by powers of g
 instead).  Odd-p addition uses Zech logarithms Z[n] = log(1 + g^n).
-GF(p)-linear tables (traces, vectorizations) come from linear_table at O(1)
-work per entry and are spot-checked.  The intended scale is q^ell <= 2^20,
-settable via the RSREPAIR_MAX_FIELD_BITS environment variable.
+GF(p)-linear tables (traces, vectorizations) are spans over GF(p)
+(FieldTower.span) at O(1) work per entry, and are spot-checked.  The
+intended scale is q^ell <= 2^20, settable via RSREPAIR_MAX_FIELD_BITS.
 """
 
 from __future__ import annotations
@@ -378,18 +378,19 @@ class FieldTower:
 
     # -- traces ------------------------------------------------------------
 
-    def linear_table(self, images) -> list[int]:
-        """Table of the GF(p)-linear map p^k -> images[k]: the span walk of
-        the images over GF(p).  Values add in F: XOR for p = 2, so
-        bit-packed rows work too."""
-        steps = [[self.mul(d, img) for d in range(1, self.p)] for img in images]
-        return span_walk(steps, self.add)
+    def span(self, gens, size: int | None = None, start: int = 0) -> list[int]:
+        """start plus every combination of gens over the subfield of the
+        given size (default B), in span_walk order (gens[0] the lowest
+        digit, scalars in sorted order).  At size p it is the table of the
+        GF(p)-linear map p^k -> gens[k]; packed rows work too."""
+        scalars = self.subfield(size or self.q)[0][1:]
+        return span_walk([[self.mul(c, g) for c in scalars] for g in gens], self.add, start)
 
     def _trace_table(self, step: int, count: int) -> list[int]:
         """Table of the trace x -> sum of x^(step^i), i in [0, count)."""
         def tr(x):
             return functools.reduce(self.add, (self.pow(x, step**i) for i in range(count)))
-        table = self.linear_table([tr(self.p**k) for k in range(self.degree)])
+        table = self.span([tr(self.p**k) for k in range(self.degree)], self.p)
         spot_check(table, tr, "trace")
         return table
 
@@ -452,9 +453,9 @@ class FieldTower:
     def subfield_coords(self) -> dict[int, int]:
         """B -> its coordinates over subfield_gfp_basis(q), as the a base-p
         digits of an int below q (each element itself at prime q): the
-        inverse of the map's spot-checked linear_table."""
+        inverse of the map's spot-checked table (span over GF(p))."""
         gb = self.subfield_gfp_basis(self.q)
-        els = self.linear_table(gb)
+        els = self.span(gb, self.p)
         spot_check(els, lambda i: functools.reduce(self.add, map(self.mul, self.coords(i), gb)), "subfield coordinates")
         return {x: i for i, x in enumerate(els)}
 

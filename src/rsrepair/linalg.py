@@ -9,15 +9,16 @@ whose elements are encoded as themselves, and rref eliminates on native ints
 reads the greedy dependency split of a list of rows off the rref of their
 transpose, sharing its kernel step with right_kernel and solution_set (the
 affine solution set of M x = b).  independent greedily picks field
-elements that grow a span over B, each joined by its GF(p)-closure in one
-echelon basis.  For hot loops, rows may come digit-packed into ints
-(base-p digit i = column i, bits at p = 2), as elements of a tower that
-does their arithmetic: echelon keeps their GF(p) echelon basis, rank_bits
-is their GF(p) rank, closure_rank the B-rank of rows given with their
+elements that grow a span over a subfield (default B), each joined by its
+GF(p)-closure in one echelon basis; their count is the rank over it.
+For hot loops, rows may come digit-packed into ints (base-p digit i =
+column i, bits at p = 2), as elements of a tower that does their
+arithmetic: echelon keeps their GF(p) echelon basis, rank_bits is their
+GF(p) rank, closure_rank the B-rank of rows given with their
 GF(p)-closure (on top of a basis reduced once), digit_supports reads all
-their nonzero digits (base-q digits for rows over B), digit_select clears
-the digits outside a mask, and b_echelon builds an echelon basis over B
-of field elements through their packed rows.
+their nonzero digits (base-q digits for rows over B), digit_select
+clears the digits outside a mask, and b_echelon builds an echelon basis
+over B of field elements through their packed rows.
 """
 
 from __future__ import annotations
@@ -206,15 +207,14 @@ def echelon(rows, tower, basis: dict | None = None) -> dict:
     return basis
 
 
-def closure_rank(rows: list[int], tower, k: int | None = None, basis: dict | None = None) -> int:
-    """Rank over the subfield of degree k (default B, k = a) of packed rows
-    given with their closure under it, joined by the rows of basis (an
-    echelon basis of closed rows, left as it is): their GF(p) rank over k.
-    A remainder is an arithmetic bug."""
+def closure_rank(rows: list[int], tower, basis: dict | None = None) -> int:
+    """Rank over B of packed rows given with their closure under B, joined
+    by the rows of basis (an echelon basis of closed rows, left as it is):
+    their GF(p) rank over a.  A remainder is an arithmetic bug."""
     dim = len(echelon(rows, tower, dict(basis))) if basis else rank_bits(rows, tower)
-    rank, rest = divmod(dim, k := k or tower.a)
+    rank, rest = divmod(dim, tower.a)
     if rest:
-        raise CrossCheckMismatch(f"closure rank not divisible by the subfield degree {k}")
+        raise CrossCheckMismatch(f"closure rank not divisible by the subfield degree {tower.a}")
     return rank
 
 

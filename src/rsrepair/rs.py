@@ -20,7 +20,7 @@ import random
 
 from . import linalg
 from .errors import ParamViolation
-from .gf import FieldTower, span_walk, spot_check
+from .gf import FieldTower, spot_check
 from .subspace import Subspace
 
 
@@ -66,7 +66,7 @@ class RSCode:
         vals = self.A.b_basis()[::-1]  # L_j(g_k), k = 0..d-1
         lam, levels = [1], []  # L_j = sum of lam[i] x^(q^i)
         for j in range(len(vals)):
-            kap = span_walk([[t.mul(u, w) for u in t.subfield_elements()[1:]] for w in vals[j:]], t.add)
+            kap = t.span(vals[j:])
             levels.append((q**j, [(q**i, log[t.neg(c)] - t.order) for i, c in enumerate(lam[:-1]) if c],
                            [log[y] - t.order if y else 0 for y in kap]))
             v = t.pow(vals[j], q - 1)  # L_{j+1} = L_j^q - L_j(g_j)^(q-1) L_j

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .basis import BasisPair, dual_basis
 from .errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
-from .gf import FieldTower, field_create, span_iter, span_walk
+from .gf import FieldTower, field_create, span_iter
 from .rs import RSCode
 from .subspace import Subspace, b_rank
 
@@ -280,15 +280,13 @@ def weight_identity(tower: FieldTower, k: int):
     B-span over GF(p) (closure_polys), walked over GF(p).  An inexact
     division or a zero count that is no power of q is an arithmetic bug.
     """
-    q, add, mul = tower.q, tower.add, tower.mul
+    q = tower.q
     supports = linalg.digit_supports(q, tower.ell)
-    units = range(2, tower.p)  # the GF(p) scalars besides 0 and 1
     denom = q ** (k - 1) * (q - 1) if k else 1
     log_q = {q**e: e for e in range(k + 1)}
 
     def walk(rows):
-        steps = [[r, *(mul(c, r) for c in units)] for r in rows]
-        span = supports(span_walk(steps, add))
+        span = supports(tower.span(rows, tower.p))
         total, zeros = sum(map(int.bit_count, span)), span.count(0)
         if total % denom:
             raise CrossCheckMismatch("weight identity sum not divisible; arithmetic bug")
@@ -532,6 +530,8 @@ def load_scheme(path: str) -> RepairScheme:
     rr = len(polys[0]) if polys else 0
     if any(len(p) != rr for p in polys):
         raise InvalidScheme("polynomials must share the padded length r")
+    if len(polys) != t.ell:  # no polynomial would give r = 0 in RSCode
+        raise InvalidScheme(f"need ell = {t.ell} polynomials, got {len(polys)}")
     code = RSCode(A, t.q**A.dim - rr)
     scheme = RepairScheme(code, bp, polys, target=doc.get("target", 1))
     nfspec = doc.get("normal_form")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import CrossCheckMismatch, ParamViolation
-from .gf import FieldTower, max_field_size, span_walk
+from .gf import FieldTower, max_field_size
 
 
 def _closure_rows(tower: FieldTower, elements, size: int) -> list[list[int]]:
@@ -23,20 +23,14 @@ def _closure_rows(tower: FieldTower, elements, size: int) -> list[list[int]]:
     return [list(tower.coords(tower.mul(s, e))) for e in elements for s in sb]
 
 
-def _closure_rank(tower: FieldTower, elements, size: int) -> int:
-    """Rank over the subfield of the given size = GF(p)-rank of the closure."""
-    sb = tower.subfield_gfp_basis(size)
-    return linalg.closure_rank([tower.mul(s, e) for e in elements for s in sb], tower, len(sb))
-
-
 def b_rank(tower: FieldTower, elements) -> int:
     """Rank over B of field elements."""
-    return _closure_rank(tower, elements, tower.q)
+    return len(linalg.independent(tower, elements, tower.degree))
 
 
 def rank_over_subfield(tower: FieldTower, elements, subfield_size: int) -> int:
     """Rank of elements over the intermediate subfield of the given size."""
-    return _closure_rank(tower, elements, subfield_size)
+    return len(linalg.independent(tower, elements, tower.degree, subfield_size))
 
 
 class Subspace:
@@ -132,9 +126,7 @@ class Subspace:
         t = self.tower
         if t.q**self.dim > max_field_size():
             raise ParamViolation(f"enumeration of q^{self.dim} elements exceeds budget")
-        units = t.subfield_elements()[1:]
-        steps = [[t.mul(c, b) for c in units] for b in reversed(self.b_basis())]
-        points = span_walk(steps, t.add)
+        points = t.span(reversed(self.b_basis()))
         seen = bytearray(t.size)
         for x in points:
             seen[x] = 1

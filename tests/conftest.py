@@ -253,7 +253,13 @@ def example1():
 
 @pytest.fixture
 def corrupt_first_image(monkeypatch):
-    """Shift the image of 1 by 1 in every linear table built: a wrong basis image."""
-    original = FieldTower.linear_table
-    monkeypatch.setattr(FieldTower, "linear_table",
-                        lambda self, images: original(self, [self.add(images[0], 1), *images[1:]]))
+    """Shift the image of 1 by 1 in every GF(p)-linear table built (spans
+    over GF(p), not over B): a wrong basis image."""
+    original = FieldTower.span
+
+    def corrupt(self, gens, size=None, start=0):
+        if size == self.p:
+            gens = [self.add(gens[0], 1), *gens[1:]]
+        return original(self, gens, size, start)
+
+    monkeypatch.setattr(FieldTower, "span", corrupt)

@@ -34,3 +34,37 @@ def test_tracer_installs_and_uninstalls(capsys, monkeypatch):
     assert (rsrepair.cli.main, rsrepair.construction2, rsrepair.scheme.repair_matrix) == originals
     assert {"cli.main", "constructions.construction2"} <= set(tracer.names)
     assert tracer.layer_metrics()["constructions.c2_s"] > 0
+
+
+def test_tracer_counts_each_rank_call_once(capsys, monkeypatch):
+    # rank calls counted from outside, each outermost call once: a rank
+    # function that calls the other would count twice in the tracer
+    tracing = _load_tracing(monkeypatch)
+    made, depth = [0], [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            made[0] += not depth[0]
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    package = [m for name, m in sys.modules.items() if name == "rsrepair" or name.startswith("rsrepair.")]
+    for name in ("b_rank", "rank_over_subfield"):
+        original = getattr(rsrepair.subspace, name)
+        wrapper = counted(original)
+        for module in package:  # every name it is imported as, as the tracer does
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    tracer = tracing.Tracer("rsrepair")
+    try:
+        tracer.install()
+        assert rsrepair.cli.main(["construct", "c1", "--ell", "6"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert made[0] > 0 and tracer.layer_metrics()["subspace.b_rank_calls"] == made[0]

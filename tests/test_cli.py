@@ -66,8 +66,12 @@ def test_field_pinned_stdout(capsys, q, ell):
 
 _CORRUPT_IMAGE = (
     "from rsrepair.gf import FieldTower\n"
-    "linear_table = FieldTower.linear_table\n"
-    "FieldTower.linear_table = lambda self, images: linear_table(self, [self.add(images[0], 1), *images[1:]])\n"
+    "span = FieldTower.span\n"
+    "def corrupt(self, gens, size=None, start=0):\n"
+    "    if size == self.p:\n"
+    "        gens = [self.add(gens[0], 1), *gens[1:]]\n"
+    "    return span(self, gens, size, start)\n"
+    "FieldTower.span = corrupt\n"
 )
 
 
@@ -237,8 +241,12 @@ _PACKED_BREAKS = {
         "direct gives (2, "),
     "zero_count": (
         "import rsrepair.scheme as s\n"
-        "walk = s.span_walk\n"
-        "s.span_walk = lambda steps, add, start=0: [start, *walk(steps, add, start)]\n",
+        "identity = s.weight_identity\n"
+        "class Extra:\n"
+        "    def __init__(self, t): self.t = t\n"
+        "    def __getattr__(self, name): return getattr(self.t, name)\n"
+        "    def span(self, *args): return [0, *self.t.span(*args)]\n"
+        "s.weight_identity = lambda tower, k: identity(Extra(tower), k)\n",
         "combinations vanish, not a power of q = 3"),
 }
 
@@ -381,6 +389,17 @@ def test_construct_claim_mismatch_exits_2(kind, flags):
 _C2_ARGS = ["construct", "c2", "--q", "2", "--ell", "6", "--d", "4", "--m", "3", "--r", "2"]
 
 
+@pytest.mark.parametrize("argv", [
+    *(["c1", "--ell", "4", option, value] for option, value in
+      (("--q", "3"), ("--d", "3"), ("--s", "0"), ("--m", "2"), ("--r", "2"))),
+    [*_C2_ARGS[1:], "--theta", "paper"],
+    [*_C2_ARGS[1:], "--theta", "auto"],
+])
+def test_construct_rejects_the_other_kinds_options(capsys, argv):
+    code, out, err = _run(capsys, ["construct", *argv])
+    assert (code, out, err) == (1, "", f"error: construct {argv[0]} does not take {argv[-2]}\n")
+
+
 def test_construct_dimension_check_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("rsrepair.subspace.Subspace.intersect", lambda self, *others: self)
     code, _, err = _run(capsys, _C2_ARGS)
@@ -475,6 +494,19 @@ def test_metrics_rejects_document_missing_polys(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = _run(capsys, ["metrics", str(path)])
     assert code == 1 and "wrong type" in err
+
+
+def test_metrics_rejects_empty_polys(capsys, tmp_path):
+    # no polynomial gives no r to read: the count is reported, not k = n
+    path = tmp_path / "scheme.json"
+    _run(capsys, ["construct", "c1", "--ell", "4", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc["polys"] = []
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["metrics", str(path)])
+    assert (code, out, err) == (1, "", "error: need ell = 4 polynomials, got 0\n")
+    with pytest.raises(InvalidScheme, match="got 0"):
+        load_scheme(str(path))
 
 
 def test_metrics_rejects_edited_t(capsys, tmp_path):

@@ -274,12 +274,14 @@ def _moved_solution(monkeypatch, nf, by_kernel=False):
 
 
 def _swapped_nodes(monkeypatch, nf):
-    points = ex._affine_points
+    solve = linalg.solution_set
+    swap = lambda x: [x[1], x[0], *x[2:]]
 
-    def swapped(t, digits, *vs):  # exchange the basis elements of the two lowest digits
-        return points(t, [digits[1], digits[0], *digits[2:]], *vs)
+    def swapped(t, rows, rhs):  # weight x_0 by the basis element of x_1, and x_1 by that of x_0
+        x0, kernel = solve(t, rows, rhs)
+        return swap(x0), list(map(swap, kernel))
 
-    monkeypatch.setattr(ex, "_affine_points", swapped)
+    monkeypatch.setattr(linalg, "solution_set", swapped)
 
 
 def _theta_outside(monkeypatch, nf):

@@ -1,5 +1,6 @@
 """Field tower arithmetic against small brute-force oracles."""
 
+import functools
 import itertools
 import operator
 import random
@@ -350,7 +351,7 @@ def test_large_odd_tower_log_inverts_exp():
 def test_spot_check_catches_a_wrong_image():
     # a wrong image of 1 shows at size - 1, where every digit is nonzero
     t = field_create(3, 1, 3)
-    bad = t.linear_table([t.add(1, 1)] + [t.absolute_trace(3**k) for k in range(1, 3)])
+    bad = t.span([t.add(1, 1)] + [t.absolute_trace(3**k) for k in range(1, 3)], 3)
     with pytest.raises(CrossCheckMismatch, match="definition at 26"):
         spot_check(bad, t.absolute_trace, "absolute trace")
 
@@ -363,6 +364,24 @@ def test_trace_tables_are_spot_checked(corrupt_first_image):
         with pytest.raises(CrossCheckMismatch):
             fresh.absolute_trace_table()
         assert fresh._tr_sub is None and fresh._tr_abs is None
+
+
+@pytest.mark.parametrize("params,size", [
+    ((2, 1, 6), 2), ((2, 1, 6), 4), ((2, 1, 6), 8), ((2, 2, 3), None), ((2, 2, 3), 8),
+    ((3, 1, 4), 3), ((3, 1, 4), 9), ((3, 2, 2), None), ((3, 2, 2), 3),
+])
+def test_span_is_the_literal_enumeration(params, size):
+    # every coefficient vector over the subfield in product order, gens[0]
+    # the lowest digit, with and without a start
+    t = field_create(*params)
+    rng = random.Random(7)
+    gens = [rng.randrange(t.size) for _ in range(3)]
+    scalars = t.subfield(size or t.q)[0]
+    for start in (0, rng.randrange(1, t.size)):
+        want = [functools.reduce(t.add, map(t.mul, cs[::-1], gens), start)
+                for cs in itertools.product(scalars, repeat=len(gens))]
+        assert t.span(gens, size, start) == want
+    assert t.span([], size, start) == [start]
 
 
 def test_span_iter_is_span_walk_in_order():

@@ -654,14 +654,27 @@ def test_packed_routes_match_tuple_reference_at_prime_powers(q):
         assert metrics_expsum(nf).per_node == want
 
 
+class _ExtraZero:
+    """A tower whose spans hold one extra zero vector."""
+
+    def __init__(self, tower):
+        self.tower = tower
+
+    def __getattr__(self, name):
+        return getattr(self.tower, name)
+
+    def span(self, *args):
+        return [0, *self.tower.span(*args)]
+
+
 @pytest.mark.parametrize("params", [(3, 6, 4, 0, 3, 2), (4, 6, 4, 0, 3, 2)])
 def test_weight_route_checks_the_zero_count(monkeypatch, params):
     """One extra zero vector per walk leaves the weight sum divisible, but
     the vanishing count is then no power of q: packed (q = 3) and tuple
     (q = 4) rows alike."""
     nf = construction2(*params)[2].normal_form
-    walk = scheme_mod.span_walk
-    monkeypatch.setattr(scheme_mod, "span_walk", lambda steps, add, start=0: [start, *walk(steps, add, start)])
+    identity = scheme_mod.weight_identity
+    monkeypatch.setattr(scheme_mod, "weight_identity", lambda tower, k: identity(_ExtraZero(tower), k))
     with pytest.raises(CrossCheckMismatch, match=f"not a power of q = {params[0]}"):
         metrics_weight(nf)
 

@@ -1,5 +1,6 @@
 """Subspace spans, trace kernels, and the intersection dimension identity."""
 
+import functools
 import itertools
 import random
 
@@ -123,6 +124,24 @@ def test_b_rank_vs_subfield_rank(gf16):
     for _ in range(50):
         elems = [rng.randrange(16) for _ in range(rng.randint(1, 5))]
         assert b_rank(gf16, elems) == rank_over_subfield(gf16, elems, 2)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 6), (2, 2, 3), (3, 1, 4), (3, 2, 2)])
+def test_ranks_are_log_of_the_span_size(params):
+    # draws with dependent elements: a combination over the subfield of earlier ones
+    t = field_create(*params)
+    rng = random.Random(9)
+    sizes = [t.p**k for k in range(1, t.degree) if t.degree % k == 0]  # F itself walks too far
+    for size in sizes:
+        scalars, log_size = t.subfield(size)[0], {size**k: k for k in range(t.degree + 1)}
+        for _ in range(6):
+            elems = [rng.randrange(t.size) for _ in range(rng.randint(0, 3))]
+            elems.insert(rng.randint(0, len(elems)), functools.reduce(
+                t.add, (t.mul(rng.choice(scalars), x) for x in elems), 0))
+            rank = log_size[len(set(t.span(elems, size)))]
+            assert rank_over_subfield(t, elems, size) == rank
+            if size == t.q:
+                assert b_rank(t, elems) == rank
 
 
 def test_b_rank_gf4_subfield():
