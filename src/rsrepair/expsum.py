@@ -25,9 +25,10 @@ minus the helpers' counts.
 Ranks: theta_1..theta_m, a B-basis of C^perp = {theta : Tr(theta c_j) = 0 for j > m}, map
 F / span(constants) onto B^m, so rank(W_i) = (ell - m) + rank(T_i),
 T_i[j][k] = Tr_{F/B}(theta_k g_j(alpha_i)), affine in alpha and span-walked
-over A in node order as digit-packed rows over GF(p), at every q.  Polynomials
-that are not B-affine take their values from scheme.node_values and are
-tallied node by node.
+over A in node order as digit-packed rows over GF(p), at every q, in blocks
+of nodes, and ranked once per distinct T_i.  Polynomials that are not
+B-affine take their values from scheme.node_values and are tallied node by
+node.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import operator
 
 from . import linalg
 from .errors import CrossCheckMismatch, ParamViolation
-from .gf import FieldTower, span_iter
-from .scheme import affine_parts, closure_polys, node_values
+from .gf import FieldTower, span_blocks
+from .scheme import affine_parts, closure_polys, node_rows, node_tuples, node_values
 from .subspace import Subspace
 
 
@@ -188,7 +189,7 @@ def per_node_zero_columns(nf) -> list[int]:
     qm = t.q**nf.m
     parts = affine_parts(scheme, scheme.polys[: nf.m])
     if parts is None:
-        rows = node_values(scheme, scheme.polys[: nf.m])
+        rows = node_rows(scheme, scheme.polys[: nf.m])
         zcols = [_collapse(_normal_form_tally(nf, [vals]), qm) for vals in rows]
     else:
         systems = [_trace_system(t, scheme.basis.beta[s - 1], *parts) for s in nf.support_set]
@@ -224,9 +225,11 @@ def per_node_ranks(nf) -> list[int]:
     T_i[j][k] = Tr_{F/B}(theta_k g_j(alpha_i)), memoized per distinct T_i,
     held as the digit-packed rows of the closure_polys' values (as in
     BasisPair.phi_hat_bits) and ranked by linalg.closure_rank.  Each row
-    is affine in alpha: at q = 2 the m rows of a node are one XOR-walked
-    int, row j at bits j m .. j m + m - 1, split into rows only when the
-    memo misses; otherwise each row is walked alone."""
+    is affine in alpha and walked over blocks of nodes (span_blocks): at
+    q = 2 the m rows of a node are one XOR-walked int, row j at bits
+    j m .. j m + m - 1, split into rows only when the memo misses;
+    otherwise each row is walked alone.  Each block's misses are ranked
+    first, then read off the memo."""
     scheme, m = nf.scheme, nf.m
     t = scheme.tower
     tr, mul, q = t.trace_to_subfield, t.mul, t.q
@@ -239,24 +242,26 @@ def per_node_ranks(nf) -> list[int]:
     parts = affine_parts(scheme, polys)
     rows_of = list
     if parts is None or not polys:  # (a zip of no walks would stop at once)
-        walk = (tuple(map(pack, vals)) for vals in node_values(scheme, polys))
+        values = node_values(scheme, polys)
+        blocks = node_tuples(([list(map(pack, v)) for v in columns] for columns in values), scheme.code.n)
     elif q == 2:
         consts, images = parts
         join = lambda vals: sum(pack(v) << j * m for j, v in enumerate(vals))
-        walk = span_iter([[join(lb)] for lb in images], operator.xor, join(consts), 0)
+        blocks = span_blocks([[join(lb)] for lb in images], operator.xor, join(consts))
         rows_of = lambda T: [T >> j * m & (1 << m) - 1 for j in range(m)]
     else:  # one walk per row
         consts, images = parts
         units = t.subfield_elements()[1:]
-        walk = zip(*[span_iter([[pack(mul(c, lb[j])) for c in units] for lb in images], t.add, pack(cj), 0)
-                     for j, cj in enumerate(consts)])
+        walks = [span_blocks([[pack(mul(c, lb[j])) for c in units] for lb in images], t.add, pack(cj))
+                 for j, cj in enumerate(consts)]
+        blocks = (list(zip(*columns)) for columns in zip(*walks))
     memo = {}
     ranks = []
-    for i, T in enumerate(walk, 1):
-        if i != scheme.target:
-            if T not in memo:
-                memo[T] = (scheme.ell - m) + linalg.closure_rank(rows_of(T), t)
-            ranks.append(memo[T])
+    for block in blocks:
+        for T in set(block) - memo.keys():
+            memo[T] = (scheme.ell - m) + linalg.closure_rank(rows_of(T), t)
+        ranks += map(memo.__getitem__, block)
+    del ranks[scheme.target - 1]
     return ranks
 
 

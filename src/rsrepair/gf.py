@@ -24,12 +24,14 @@ intended scale is q^ell <= 2^20, settable via RSREPAIR_MAX_FIELD_BITS.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import os
 
 from .errors import CrossCheckMismatch, ParamViolation
 
 DEFAULT_MAX_FIELD_BITS = 20
+BLOCK = 256  # nodes per block of values in the metric routes: small transient lists, few calls per node
 
 
 def max_field_size() -> int:
@@ -145,18 +147,17 @@ def span_walk(steps, add, start=0) -> list:
     return span
 
 
-def span_iter(steps, add, start, zero):
-    """span_walk(steps, add, start), lazily and in the same order: a table
-    of the lowest digits, at most 256 elements walked from zero, added to
-    each element of the walk of the other digits."""
+def span_blocks(steps, add, start=0):
+    """span_walk(steps, add, start) in blocks of at most BLOCK elements, in
+    the same order: a table of the lowest digits, walked from 0, added to
+    each element of the walk of the other digits, one block per element."""
     k, size = 0, 1
-    while k < len(steps) and size * (len(steps[k]) + 1) <= 256:
+    while k < len(steps) and size * (len(steps[k]) + 1) <= BLOCK:
         size *= len(steps[k]) + 1
         k += 1
-    low = span_walk(steps[:k], add, zero)
+    low = span_walk(steps[:k], add)
     for base in span_walk(steps[k:], add, start):
-        for v in low:
-            yield add(base, v)
+        yield list(map(add, itertools.repeat(base, size), low))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,7 @@ class FieldTower:
             self.add = self.sub = operator.xor
         self._build_mul_tables()
         self.order = self.size - 1
+        self._witness()
         if a > 1:
             self.subfield_generator = self.exp[self.order // (self.q - 1)]
         else:
@@ -206,6 +208,7 @@ class FieldTower:
         self._tr_sub = None
         self._tr_abs = None
         self._subfield_cache = {}
+        self._gfp_basis_cache = {}
 
     # -- construction internals ------------------------------------------
 
@@ -333,6 +336,23 @@ class FieldTower:
         if p > 2:  # Z[n] = log(1 + g^n); -1 where g^n = -1
             self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
 
+    def _witness(self) -> None:
+        """Check the tables against the modulus the tower reports: x x^(D-1)
+        must be -(m_0 + ... + m_(D-1) x^(D-1)) in table arithmetic, and a
+        stride of exp[i] the schoolbook product exp[i-1] g reduced by _pmod."""
+        p, m, coords = self.p, list(self.modulus), self.coords
+        x = self.element(_pmod([0, 1], m, p))  # -m_0 at degree 1
+        if self.mul(x, self.pow(x, self.degree - 1)) != self.element(-c for c in m[:-1]):
+            raise CrossCheckMismatch("tower tables break the modulus identity x^D = -(m_0 + ... )")
+        g = coords(self.generator)
+        for i in range(self.order - 1, 0, -(self.order // 4 + 1)):
+            product = [0] * (2 * self.degree - 1)
+            for j, c in enumerate(coords(self.exp[i - 1])):
+                for k, d in enumerate(g):
+                    product[j + k] += c * d
+            if self.exp[i] != self.element(_pmod(product, m, p)):
+                raise CrossCheckMismatch(f"exp table disagrees with the schoolbook product at {i}")
+
     # -- ring operations ---------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
@@ -446,9 +466,12 @@ class FieldTower:
         return out
 
     def subfield_gfp_basis(self, size: int) -> tuple[int, ...]:
-        """A GF(p)-basis of the subfield of the given size: generator powers."""
-        _, gen = self.subfield(size)
-        return tuple(self.pow(gen, i) for i in range(split_prime_power(size)[1]))
+        """A GF(p)-basis of the subfield of the given size: generator powers,
+        cached per size."""
+        if size not in self._gfp_basis_cache:
+            _, gen = self.subfield(size)
+            self._gfp_basis_cache[size] = tuple(self.pow(gen, i) for i in range(split_prime_power(size)[1]))
+        return self._gfp_basis_cache[size]
 
     def subfield_coords(self) -> dict[int, int]:
         """B -> its coordinates over subfield_gfp_basis(q), as the a base-p

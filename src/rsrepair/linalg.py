@@ -15,7 +15,8 @@ For hot loops, rows may come digit-packed into ints (base-p digit i =
 column i, bits at p = 2), as elements of a tower that does their
 arithmetic: echelon keeps their GF(p) echelon basis, rank_bits is their
 GF(p) rank, closure_rank the B-rank of rows given with their
-GF(p)-closure (on top of a basis reduced once), digit_supports reads all
+GF(p)-closure (on top of a basis reduced once), reduction maps rows to
+their remainders modulo an echelon basis, digit_supports reads all
 their nonzero digits (base-q digits for rows over B), digit_select
 clears the digits outside a mask, and b_echelon builds an echelon basis
 over B of field elements through their packed rows.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 
 from .errors import CrossCheckMismatch, SingularMatrix
+from .gf import spot_check
 
 
 def rref(tower, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -257,6 +259,34 @@ def digit_select(base: int, width: int, mask: int):
     lo, hi = ([sum(v // base**k % base * base**k for k in range(h) if bits >> k & 1) * scale for v in range(size)]
               for bits, scale in ((mask, 1), (mask >> h, size)))
     return lambda xs: [lo[x % size] + hi[x // size] for x in xs]
+
+
+def reduction(basis: dict, tower):
+    """xs -> [x reduced modulo the span of basis, for x in xs]: the
+    GF(p)-linear map on packed rows that clears every pivot digit of an
+    echelon basis (echelon), row by row in increasing pivot order.  It is
+    read as two half tables in digit_select's layout, the spans over GF(p)
+    of the reduced unit rows, added (XOR at p = 2); both are spot-checked
+    against that row-by-row elimination."""
+    p, width = tower.p, tower.degree
+    add, mul, pivots = tower.add, tower.mul, sorted(basis)  # at p = 2 the pivots are bits
+
+    def reduce(x):
+        for k in pivots:
+            if p == 2:
+                x ^= basis[k] if x & k else 0
+            elif c := x // p**k % p:
+                x = add(x, mul(p - c, basis[k]))
+        return x
+
+    h = (width + 1) // 2
+    size = p**h
+    lo, hi = (tower.span([reduce(p**k) for k in range(start, stop)], p) for start, stop in ((0, h), (h, width)))
+    spot_check(lo, reduce, "reduction")
+    spot_check(hi, lambda x: reduce(x * size), "reduction")
+    if p == 2:
+        return lambda xs: [lo[x & size - 1] ^ hi[x >> h] for x in xs]
+    return lambda xs: [add(lo[x % size], hi[x // size]) for x in xs]
 
 
 def b_echelon(tower, packed):

@@ -10,8 +10,9 @@ evaluate (so encode) runs a remainder tree over the cosets of A, about
 span(g_0..g_{j-1}), g in Subspace.enumerate's digit order, the subspace
 polynomial L_j is q-linearized with j + 1 terms, and the coset s + A_j has
 the product L_j - L_j(s).  encode spot-checks it against eval_poly (Horner),
-which stays the independent oracle of the metric routes, the repair plan's
-target rows and the dual codeword.
+which stays the independent oracle of the repair plan's target rows and the
+dual codeword; eval_block runs the same rule over a block of points for the
+direct metric route and the node walk's fallback.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 
 from . import linalg
 from .errors import ParamViolation
-from .gf import FieldTower, spot_check
+from .gf import BLOCK, FieldTower, spot_check
 from .subspace import Subspace
 
 
@@ -56,6 +57,35 @@ class RSCode:
             for c in reversed(coeffs):
                 acc = add(exp[log[acc] + lx] if acc else 0, c)
         return acc
+
+    def eval_block(self, coeffs, xs) -> list[int]:
+        """[eval_poly(coeffs, x) for x in xs]: Horner over the whole block,
+        one list comprehension per coefficient, on logs of the points (XOR
+        inline at p = 2, Zech logarithms inline otherwise)."""
+        coeffs, t = list(coeffs), self.tower
+        if not coeffs:
+            return [0] * len(xs)
+        exp, log, order = t.exp, t.log, t.order
+        lxs = [log[x] - order if x else -order for x in xs]  # fixed up below at x = 0
+        acc = [coeffs[-1]] * len(xs)
+        for c in reversed(coeffs[:-1]):
+            if not c:
+                acc = [exp[log[a] + lx] if a else 0 for a, lx in zip(acc, lxs)]
+            elif t.p == 2:
+                acc = [exp[log[a] + lx] ^ c if a else c for a, lx in zip(acc, lxs)]
+            else:  # a x + c = c (1 + a x / c): exp[lc + Z[log(a x) - lc]], 0 where Z = -1
+                zech, lc = t._zech, log[c]
+                acc = [(exp[lc + z - order] if (z := zech[(log[a] + lx - lc) % order]) >= 0 else 0) if a else c
+                       for a, lx in zip(acc, lxs)]
+        if 0 in xs:
+            for k, x in enumerate(xs):
+                if not x:
+                    acc[k] = coeffs[0]
+        return acc
+
+    def point_blocks(self):
+        """The points in node order, in slices of at most BLOCK."""
+        return (self.points[s:s + BLOCK] for s in range(0, self.n, BLOCK))
 
     def _build_levels(self) -> list:
         """Per level j = d-1..0: q^j, the lower terms of the monic L_j as

@@ -18,13 +18,18 @@ covering all but t coordinates; NormalForm derives the support_set, the t
 uncovered column indices, from (scheme, m).  Metrics can then be read off
 the m x t upper blocks W_hat_i.
 
-Each metric route yields (node, nz, rank) per helper, and MetricsReport
+Each metric route gives (node, nz, rank) per helper, and MetricsReport
 keeps them as three columns and sums them; cross_check names the first
 node where two reports differ.
-The direct and weight routes read rows of W_i as digit-packed ints
-(BasisPair.phi_hat_bits), joined by the rows that close their GF(p)-span
-under B (closure_polys), so both work over GF(p) at every q.
-Elimination lives in linalg: the direct route ranks those rows by
+The direct and weight routes work on blocks of at most gf.BLOCK nodes, one
+column of values per polynomial (node_values, RSCode.eval_block), and read
+rows of W_i as digit-packed ints (BasisPair.phi_hat_bits), joined by the
+rows that close their GF(p)-span under B (closure_polys), so both work over
+GF(p) at every q.  Both rank or walk each distinct key once, through an
+exact memo filled per block: the direct route keys a helper by its varying
+rows reduced modulo the constant rows' echelon basis (linalg.reduction),
+the weight route by its block W_hat_i.
+Elimination lives in linalg: the direct route ranks the reduced rows by
 linalg.closure_rank, normalize splits by linalg.split, and the repair plan
 takes each helper's basis over B from linalg.b_echelon, at every q.
 """
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .basis import BasisPair, dual_basis
 from .errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
-from .gf import FieldTower, field_create, span_iter
+from .gf import FieldTower, field_create, span_blocks
 from .rs import RSCode
 from .subspace import Subspace, b_rank
 
@@ -110,9 +115,23 @@ class MetricsReport:
             add_node(node)
             add_nz(nz)
             add_rank(rank)
+        self._total()
+
+    @classmethod
+    def from_columns(cls, method: str, nodes: array, nz: array, ranks: array) -> "MetricsReport":
+        """The report of three equally long array('q') columns, kept as they
+        are."""
+        report = cls.__new__(cls)
+        report.method, report.nodes, report.nz, report.ranks = method, nodes, nz, ranks
+        if not len(nodes) == len(nz) == len(ranks):
+            raise CrossCheckMismatch(f"{method}: columns of unequal length")
+        report._total()
+        return report
+
+    def _total(self) -> None:
         self.io_cost, self.bandwidth = sum(self.nz), sum(self.ranks)
         if self.bandwidth > self.io_cost:
-            raise CrossCheckMismatch(f"{method}: bandwidth exceeds io cost")
+            raise CrossCheckMismatch(f"{self.method}: bandwidth exceeds io cost")
 
     @property
     def per_node(self) -> tuple:
@@ -203,31 +222,68 @@ def affine_parts(scheme: RepairScheme, polys):
     qpows = {t.q**k for k in range(code.r.bit_length())}
     if any(c for g in polys for e, c in enumerate(g) if e and e not in qpows):
         return None
-    images = [[code.eval_poly([0, *g[1:]], b) for g in polys] for b in reversed(code.A.b_basis())]
-    return [g[0] for g in polys], images
+    basis = list(reversed(code.A.b_basis()))
+    values = [code.eval_block([0, *g[1:]], basis) for g in polys]
+    return [g[0] for g in polys], [[v[k] for v in values] for k in range(len(basis))]
 
 
 def node_values(scheme: RepairScheme, polys):
-    """Yield [g(alpha_i) for g in polys] for each node i, in node order.
+    """Yield the values of polys over each block of at most gf.BLOCK nodes,
+    in node order: one column [g(alpha_i) for i in the block] per g, and no
+    block at all for no polys.
 
-    For B-affine polynomials (affine_parts), A is span-walked in
-    Subspace.enumerate order from the multiples of L(b) per basis element
-    b, one field addition per g and node.  Other polynomials go through
-    Horner.
+    For B-affine polynomials (affine_parts), each column is span-walked
+    over A in Subspace.enumerate order from the multiples of L(b) per basis
+    element b (span_blocks), one field addition per node.  Other
+    polynomials go through the block Horner (RSCode.eval_block).
     """
     code, t = scheme.code, scheme.tower
     parts = affine_parts(scheme, polys)
     if parts is None:
-        for alpha in code.points:
-            yield [code.eval_poly(g, alpha) for g in polys]
+        for xs in code.point_blocks():
+            yield [code.eval_block(g, xs) for g in polys]
         return
     consts, images = parts
-    # lists, not tuples: freed tuples stay cached per size, raising peak RSS
-    add = t.add
-    vadd = lambda v, w: list(map(add, v, w))
     units = t.subfield_elements()[1:]
-    steps = [[[t.mul(c, x) for x in lb] for c in units] for lb in images]  # lowest digit first
-    yield from span_iter(steps, vadd, consts, [0] * len(polys))
+    walks = [span_blocks([[t.mul(c, lb[j]) for c in units] for lb in images], t.add, c0)  # lowest digit first
+             for j, c0 in enumerate(consts)]
+    yield from map(list, zip(*walks))
+
+
+def node_tuples(blocks, n: int):
+    """Per block of columns, the list of each node's entries (zip(*columns));
+    one list of n empty tuples when there is no block, as node_values gives
+    for no polys."""
+    empty = True
+    for columns in blocks:
+        empty = False
+        yield list(zip(*columns))
+    if empty:
+        yield [()] * n
+
+
+def node_rows(scheme: RepairScheme, polys):
+    """The tuple (g(alpha_i) for g in polys) for each node i, in node order:
+    node_values read node by node."""
+    return itertools.chain.from_iterable(node_tuples(node_values(scheme, polys), scheme.code.n))
+
+
+def _helpers(scheme: RepairScheme) -> array:
+    """Every node but the target, in node order."""
+    nodes = array("q", range(1, scheme.code.n + 1))
+    del nodes[scheme.target - 1]
+    return nodes
+
+
+def _columns(scheme: RepairScheme, blocks) -> tuple[array, array]:
+    """The nz and rank columns of blocks of (nz, ranks) over every node in
+    node order, the target's entries dropped."""
+    nz, ranks = array("q"), array("q")
+    for block_nz, block_ranks in blocks:
+        nz.extend(block_nz)
+        ranks.extend(block_ranks)
+    del nz[scheme.target - 1], ranks[scheme.target - 1]
+    return nz, ranks
 
 
 def closure_polys(scheme: RepairScheme, polys) -> list:
@@ -239,13 +295,16 @@ def closure_polys(scheme: RepairScheme, polys) -> list:
 
 
 def metrics_direct(scheme: RepairScheme) -> MetricsReport:
-    """Count nonzero columns and ranks of every W_i, no shortcuts: the
-    varying rows from Horner values, the constant rows resolved once.  Rows
-    are digit-packed (BasisPair.phi_hat_bits), v's joined by those of c v,
-    c past 1 in subfield_gfp_basis(q): nz is the popcount of the OR of their
-    base-q digit supports, the rank their linalg.closure_rank on top of the
-    constant rows' echelon basis, reduced once per scheme, so each helper
-    eliminates only its varying rows.  That is still the full ell x ell rank."""
+    """Count nonzero columns and ranks of every W_i, no shortcuts, over
+    blocks of nodes: the varying rows from block Horner values
+    (RSCode.eval_block), the constant rows resolved once.  Rows are
+    digit-packed (BasisPair.phi_hat_bits), v's joined by those of c v, c
+    past 1 in subfield_gfp_basis(q): nz is the popcount of the OR of their
+    base-q digit supports.  The rank is the constant rows' B-rank plus
+    linalg.closure_rank of the varying rows reduced modulo the constants'
+    echelon basis (linalg.reduction).  That reduced tuple fixes the rank,
+    so it keys an exact memo and each distinct reduced matrix is ranked
+    once; it is still the full ell x ell rank."""
     code, t = scheme.code, scheme.tower
     table, mul = scheme.basis.phi_hat_bits(), t.mul
     scales = t.subfield_gfp_basis(t.q)[1:]
@@ -253,20 +312,22 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     fixed = [table[p[0]] for p in closure_polys(scheme, scheme.polys) if not any(p[1:])]
     supports = linalg.digit_supports(t.q, t.ell)
     fixed_cols = functools.reduce(operator.or_, supports(fixed), 0)
-    reduced = linalg.echelon(fixed, t)
+    fixed_rank, reduce = linalg.closure_rank(fixed, t), linalg.reduction(linalg.echelon(fixed, t), t)
+    ranks = {}  # reduced varying rows -> rank
 
-    def per_node():
-        for i, alpha in enumerate(code.points, 1):
-            if i == scheme.target:
-                continue
-            vals = [code.eval_poly(p, alpha) for p in varying]
-            rows = list(map(table.__getitem__, vals))
-            cols = functools.reduce(operator.or_, supports(rows), fixed_cols)
-            if scales:
-                rows += [table[mul(c, v)] for c in scales for v in vals]
-            yield i, cols.bit_count(), linalg.closure_rank(rows, t, basis=reduced)
+    def per_block(xs):
+        vals = [code.eval_block(g, xs) for g in varying]
+        rows = [list(map(table.__getitem__, v)) for v in vals]
+        cols = [fixed_cols] * len(xs)
+        for r in rows:
+            cols = list(map(operator.or_, cols, supports(r)))
+        rows += [[table[mul(c, x)] for x in v] for c in scales for v in vals]
+        keys = list(zip(*map(reduce, rows))) or [()] * len(xs)
+        for key in set(keys) - ranks.keys():
+            ranks[key] = fixed_rank + linalg.closure_rank(key, t)
+        return map(int.bit_count, cols), map(ranks.__getitem__, keys)
 
-    return MetricsReport("direct", per_node())
+    return MetricsReport.from_columns("direct", _helpers(scheme), *_columns(scheme, map(per_block, code.point_blocks())))
 
 
 def weight_identity(tower: FieldTower, k: int):
@@ -307,7 +368,7 @@ def _rank_profile(scheme: RepairScheme) -> list[int]:
     fixed = linalg.echelon([p[0] for p in closure_polys(scheme, scheme.polys) if not any(p[1:])], t)
     varying = closure_polys(scheme, [g for g in scheme.polys if any(g[1:])])
     return [linalg.closure_rank(vals, t, basis=fixed)
-            for i, vals in enumerate(node_values(scheme, varying), 1) if i != scheme.target]
+            for i, vals in enumerate(node_rows(scheme, varying), 1) if i != scheme.target]
 
 
 def metrics_weight(nf: NormalForm) -> MetricsReport:
@@ -317,29 +378,29 @@ def metrics_weight(nf: NormalForm) -> MetricsReport:
     nz(W_hat_i), and when t = m, rank = (ell - m) + rank(W_hat_i)
     (weight_identity); else the ranks come from _rank_profile.  A block is
     the packed rows of the closure_polys' values cut to the support columns
-    (linalg.digit_select).
+    (linalg.digit_select), read column by column over each block of nodes
+    of node_values; the walks fill the misses of each block's distinct
+    W_hat blocks.
     """
     scheme = nf.scheme
     t = scheme.tower
     ell = scheme.ell
-    ranks = iter(_rank_profile(scheme)) if nf.t != nf.m else None
+    ranks = array("q", _rank_profile(scheme)) if nf.t != nf.m else None
     row = scheme.basis.phi_hat_bits().__getitem__
     block_of = linalg.digit_select(t.q, ell, sum(1 << s - 1 for s in nf.support_set))
     walk = weight_identity(t, nf.m)
-    walked = {}  # block -> (nz, rank)
+    walked = {}  # block -> (io, rank)
 
-    def per_node():
-        for i, vals in enumerate(node_values(scheme, closure_polys(scheme, scheme.polys[: nf.m])), 1):
-            if i == scheme.target:
-                continue
-            block = tuple(block_of(map(row, vals)))
-            if block not in walked:
-                walked[block] = walk(block)
-            nz, rk = walked[block]
-            rk = (ell - nf.m) + rk if ranks is None else next(ranks)
-            yield i, (ell - nf.t) + nz, rk
+    def per_block(keys):  # the W_hat blocks of a block of nodes
+        for block in set(keys) - walked.keys():
+            nz, rk = walk(block)
+            walked[block] = (ell - nf.t) + nz, (ell - nf.m) + rk
+        return zip(*map(walked.__getitem__, keys))
 
-    return MetricsReport("weight_formula", per_node())
+    values = node_values(scheme, closure_polys(scheme, scheme.polys[: nf.m]))
+    keys = node_tuples(([block_of(map(row, v)) for v in columns] for columns in values), scheme.code.n)
+    nz, walked_ranks = _columns(scheme, map(per_block, keys))
+    return MetricsReport.from_columns("weight_formula", _helpers(scheme), nz, walked_ranks if ranks is None else ranks)
 
 
 def metrics_expsum(nf: NormalForm) -> MetricsReport:
@@ -350,9 +411,8 @@ def metrics_expsum(nf: NormalForm) -> MetricsReport:
     from .expsum import per_node_ranks, per_node_zero_columns
 
     scheme = nf.scheme
-    nz = array("q", (scheme.ell - z for z in per_node_zero_columns(nf)))
-    nodes = (i for i in range(1, scheme.code.n + 1) if i != scheme.target)
-    return MetricsReport("expsum", zip(nodes, nz, per_node_ranks(nf)))
+    nz = array("q", map(scheme.ell.__sub__, per_node_zero_columns(nf)))
+    return MetricsReport.from_columns("expsum", _helpers(scheme), nz, array("q", per_node_ranks(nf)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +474,7 @@ def _repair_plan(scheme: RepairScheme):
     selector = functools.cache(functools.partial(linalg.digit_select, t.q, ell))
     add, mul, eliminate = t.add, t.mul, linalg.b_echelon(t, table)
     helpers = []
-    for i, vals in enumerate(node_values(scheme, scheme.polys), 1):
+    for i, vals in enumerate(node_rows(scheme, scheme.polys), 1):
         if i == scheme.target:
             continue
         basis, pairs = eliminate(vals)

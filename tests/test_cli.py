@@ -348,6 +348,53 @@ def test_metrics_constant_row_break_exits_2(capsys, tmp_path, kind, flags):
     assert "Traceback" not in proc.stderr
 
 
+# the direct route reduces each varying row modulo the constants' echelon
+# basis through two half tables (linalg.reduction): every table's last entry
+# moved by 1 is read by its spot check; every entry the spot check skips
+# moved by 1 gives ranks that the other routes contradict
+_CORRUPT_REDUCTION = (
+    "import rsrepair.linalg as la\n"
+    "reduction = la.reduction\n"
+    "class Corrupt:\n"
+    "    def __init__(self, tower):\n"
+    "        self.tower = tower\n"
+    "    def __getattr__(self, name):\n"
+    "        return getattr(self.tower, name)\n"
+    "    def span(self, gens, size=None, start=0):\n"
+    "        table = self.tower.span(gens, size, start)\n"
+    "        n = len(table)\n"
+    "        for i in {}:\n"
+    "            table[i] = self.tower.add(table[i], 1)\n"
+    "        return table\n"
+    "la.reduction = lambda basis, tower: reduction(basis, Corrupt(tower))\n"
+)
+_C1_6 = ["construct", "c1", "--ell", "6"]
+_C2_Q3 = ["construct", "c2", "--q", "3", "--ell", "6", "--d", "4", "--m", "3", "--r", "2"]
+_REDUCTION_BREAKS = {
+    "checked-c1": ("[n - 1]", _C1_6, "reduction table disagrees with its definition at 7"),
+    "checked-q3": ("[n - 1]", _C2_Q3, "reduction table disagrees with its definition at 26"),
+    "skipped-c1": ("[i for i in range(1, n) if (n - 1 - i) % (n // 8 + 1)]", _C1_6,
+                   "direct gives (4, 5, 4) but weight_formula gives (4, 5, 5)"),
+    "skipped-q3": ("[i for i in range(1, n) if (n - 1 - i) % (n // 8 + 1)]", _C2_Q3,
+                   "direct gives (2, 6, 5) but weight_formula gives (2, 6, 6)"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("kind", sorted(_REDUCTION_BREAKS))
+def test_metrics_reduction_break_exits_2(capsys, tmp_path, kind, flags):
+    entries, argv, message = _REDUCTION_BREAKS[kind]
+    path = str(tmp_path / "scheme.json")
+    assert _run(capsys, [*argv, "--out", path])[0] == 0
+    script = ("import sys\n" + _CORRUPT_REDUCTION.format(entries) + "from rsrepair.cli import main\n"
+              "sys.exit(main(['metrics', sys.argv[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", script, path], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == f"cross-check mismatch: {message}\n"
+
+
 # construct checks the expsum route's totals against the construction's
 # claim: c1's against a tampered thm6 value, c2's against a route whose
 # last helper reads one column more

@@ -3,14 +3,18 @@
 import functools
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import rsrepair
 from conftest import OracleTower, large, oracle_is_irreducible
 from rsrepair import field_create, gf
 from rsrepair.errors import CrossCheckMismatch, ParamViolation
-from rsrepair.gf import FieldTower, span_iter, span_walk, spot_check, split_prime_power
+from rsrepair.gf import BLOCK, FieldTower, span_blocks, span_walk, spot_check, split_prime_power
 
 
 def _poly_mod(num, den, p):
@@ -384,11 +388,65 @@ def test_span_is_the_literal_enumeration(params, size):
     assert t.span([], size, start) == [start]
 
 
-def test_span_iter_is_span_walk_in_order():
-    # spans of 729 and 1024 elements, past the 256-element table of low digits;
-    # GF(3) digit vectors packed base 10, so every element is distinct
-    add = lambda v, w: sum((v // 10**i % 10 + w // 10**i % 10) % 3 * 10**i for i in range(6))
-    steps = [[c * 10**k for c in (1, 2)] for k in range(6)]
-    assert list(span_iter(steps, add, 111111, 0)) == span_walk(steps, add, 111111)
-    steps = [[1 << k] for k in range(10)]
-    assert list(span_iter(steps, operator.xor, 0b1011, 0)) == span_walk(steps, operator.xor, 0b1011)
+def test_span_blocks_is_span_walk_in_order():
+    # spans of 3^7 and 2^12 elements, past the BLOCK-sized table of low
+    # digits, and spans within one block; GF(3) digit vectors packed base 10,
+    # so every element is distinct
+    add = lambda v, w: sum((v // 10**i % 10 + w // 10**i % 10) % 3 * 10**i for i in range(7))
+    for k, size in ((7, 243), (4, 81)):
+        steps = [[c * 10**i for c in (1, 2)] for i in range(k)]
+        blocks = list(span_blocks(steps, add, 1111111))
+        assert [len(b) for b in blocks] == [size] * (3**k // size)
+        assert sum(blocks, []) == span_walk(steps, add, 1111111)
+    for k, size in ((12, BLOCK), (10, BLOCK), (3, 8)):
+        steps = [[1 << i] for i in range(k)]
+        blocks = list(span_blocks(steps, operator.xor, 0b1011))
+        assert [len(b) for b in blocks] == [size] * (2**k // size)
+        assert sum(blocks, []) == span_walk(steps, operator.xor, 0b1011)
+    assert list(span_blocks([], operator.xor, 5)) == [[5]]
+
+
+def test_subfield_gfp_basis_is_cached_per_size():
+    t = FieldTower(2, 2, 3)
+    for size in (2, 4, 8, 64):
+        assert t.subfield_gfp_basis(size) is t.subfield_gfp_basis(size)
+    assert sorted(t._gfp_basis_cache) == [2, 4, 8, 64]
+    assert t.subfield_gfp_basis(4) == (1, t.subfield(4)[1])
+
+
+# GF(2^4) tables built from x^4 + x^3 + 1 while the tower reports x^4 + x + 1,
+# or the right tables with exp[-1] and exp[-2] swapped past the permutation check
+_WRONG_TABLES = (
+    "from rsrepair.gf import FieldTower\n"
+    "build = FieldTower._build_mul_tables\n"
+    "def wrong(self):\n"
+    "    reported, self.modulus = self.modulus, {} or self.modulus\n"
+    "    build(self)\n"
+    "    self.modulus = reported\n"
+    "    if {}:\n"
+    "        self.exp[-1], self.exp[-2] = self.exp[-2], self.exp[-1]\n"
+    "FieldTower._build_mul_tables = wrong\n"
+)
+_TOWER_BREAKS = {
+    "modulus": (_WRONG_TABLES.format((1, 0, 0, 1, 1), False), "modulus identity"),
+    "exp": (_WRONG_TABLES.format(None, True), "exp table disagrees with the schoolbook product at 14"),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("kind", sorted(_TOWER_BREAKS))
+def test_tower_witness_catches_wrong_tables(monkeypatch, kind, flags):
+    prefix, message = _TOWER_BREAKS[kind]
+    assert FieldTower(2, 1, 4).modulus == (1, 1, 0, 0, 1)
+    monkeypatch.setattr(FieldTower, "_build_mul_tables", FieldTower._build_mul_tables)  # undone after
+    exec(prefix, {})
+    with pytest.raises(CrossCheckMismatch, match=message):
+        FieldTower(2, 1, 4)
+    monkeypatch.undo()
+    # checks, not asserts: -O keeps them, and the CLI exits 2
+    script = "import sys\n" + prefix + "from rsrepair.cli import main\nsys.exit(main(['field', '--q', '2', '--ell', '4']))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("cross-check mismatch: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr

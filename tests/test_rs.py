@@ -122,6 +122,22 @@ def test_eval_poly_matches_horner(params):
             assert code.eval_poly(tuple(coeffs), x) == _horner(t, coeffs, x)
 
 
+# q = 2, 3, 4 and 9, at every point (so at 0, and where a x + c vanishes)
+@pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
+def test_eval_block_matches_eval_poly(params):
+    t = field_create(*params)
+    code = RSCode(Subspace.full_field(t), t.size - 6)
+    rng = random.Random(sum(params))
+    c = lambda: rng.randrange(1, t.size)
+    polys = [[], [0], [0, 0, 0], [c()], [0, 1], [c(), 0, c()], [c(), c(), 0, 0],  # zero, constant, trailing zeros
+             [rng.randrange(t.size) for _ in range(6)], [0, 0, 0, 0, c()]]
+    xs = [*range(t.size), 0, *rng.sample(range(t.size), 10)]
+    for coeffs in polys:
+        assert code.eval_block(coeffs, xs) == [code.eval_poly(coeffs, x) for x in xs]
+        assert code.eval_block(tuple(coeffs), xs[:1]) == [code.eval_poly(coeffs, xs[0])]
+        assert code.eval_block(coeffs, []) == []
+
+
 # every tower with p in {2, 3, 5, 7}, a in {1, 2} and |F| <= 729
 SMALL_TOWERS = [(p, a, ell) for p in (2, 3, 5, 7) for a in (1, 2) for ell in range(1, 10) if p ** (a * ell) <= 729]
 

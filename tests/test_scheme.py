@@ -30,6 +30,7 @@ from rsrepair import linalg
 from rsrepair import scheme as scheme_mod
 from rsrepair.basis import BasisPair
 from rsrepair.errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
+from rsrepair.gf import BLOCK
 from rsrepair.scheme import _rank_profile, cross_check, node_values
 from rsrepair.suites import _random_independent, random_normalized_scheme
 
@@ -347,14 +348,20 @@ def _horner_rows(scheme, polys):
     return [[code.eval_poly(g, a) for g in polys] for a in code.points]
 
 
+def _concat(blocks):
+    """node_values' blocks of columns, concatenated into one row per node."""
+    return [list(row) for columns in blocks for row in zip(*columns)]
+
+
 def _walk(scheme, polys, monkeypatch):
-    """node_values over polys, with the number of Horner evaluations it made."""
+    """node_values over polys as rows, with the number of points the block
+    Horner evaluated."""
     calls = []
-    horner = RSCode.eval_poly
-    monkeypatch.setattr(RSCode, "eval_poly", lambda self, c, x: calls.append(1) or horner(self, c, x))
-    got = list(node_values(scheme, polys))
+    horner = RSCode.eval_block
+    monkeypatch.setattr(RSCode, "eval_block", lambda self, c, xs: calls.append(len(xs)) or horner(self, c, xs))
+    got = _concat(node_values(scheme, polys))
     monkeypatch.undo()
-    return got, len(calls)
+    return got, sum(calls)
 
 
 def test_node_values_affine_walk_matches_horner(monkeypatch):
@@ -368,7 +375,7 @@ def test_node_values_affine_walk_matches_horner(monkeypatch):
         # the walk evaluates each polynomial once per B-basis element of A
         assert calls == scheme.code.A.dim * len(scheme.polys)
         # g(x) = x walks A itself, in node order
-        assert list(node_values(scheme, [(0, 1)])) == [[a] for a in scheme.code.points]
+        assert _concat(node_values(scheme, [(0, 1)])) == [[a] for a in scheme.code.points]
 
 
 def test_node_values_random_schemes_match_horner(monkeypatch):
@@ -382,6 +389,21 @@ def test_node_values_random_schemes_match_horner(monkeypatch):
             assert got == _horner_rows(scheme, polys)
             fallback.append(calls == scheme.code.n * len(polys))
     assert any(fallback) and not all(fallback)
+
+
+def test_node_values_blocks_cover_every_node(monkeypatch):
+    # 2^12 and 3^7 nodes: several blocks of at most BLOCK nodes, one column
+    # per polynomial, in node order, from the affine walk and from the block
+    # Horner (x^3 at q = 2 and x^2 at q = 3 are not B-affine)
+    for scheme in (construction1(12)[1], construction2(3, 8, 7, 0, 2, 2)[2]):
+        rng, t = random.Random(scheme.code.n), scheme.tower
+        affine = [g for g in scheme.polys if any(g[1:])]
+        other = [[rng.randrange(t.size) for _ in range(4)] for _ in range(2)]
+        for polys, points in ((affine, scheme.code.A.dim * len(affine)), (other, scheme.code.n * len(other))):
+            sizes = [{len(col) for col in columns} for columns in node_values(scheme, polys)]
+            assert len(sizes) > 1 and all(len(s) == 1 and s.pop() <= BLOCK for s in sizes)
+            assert _walk(scheme, polys, monkeypatch) == (_horner_rows(scheme, polys), points)
+    assert list(node_values(scheme, [])) == []
 
 
 def test_node_values_q4_square_takes_horner(monkeypatch):
@@ -583,12 +605,13 @@ def test_metrics_direct_resolves_constants_once(monkeypatch):
     for scheme in (construction2(3, 6, 4, 0, 3, 2)[2], construction2(9, 4, 3, 0, 2, 2)[2]):
         code, t = scheme.code, scheme.tower
         calls = []
-        horner = RSCode.eval_poly
-        monkeypatch.setattr(RSCode, "eval_poly", lambda *a: calls.append(1) or horner(*a))
+        horner = RSCode.eval_block
+        monkeypatch.setattr(RSCode, "eval_block", lambda self, c, xs: calls.append(len(xs)) or horner(self, c, xs))
         rep = metrics_direct(scheme)
         monkeypatch.undo()
         varying = sum(1 for g in scheme.polys if any(g[1:]))
-        assert len(calls) == (code.n - 1) * varying
+        # each varying polynomial at every node (the target's row is dropped), no constant
+        assert sum(calls) == code.n * varying
         want = []
         for i in range(1, code.n + 1):
             if i != scheme.target:
