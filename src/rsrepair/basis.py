@@ -9,7 +9,8 @@ vectorizations are equally cheap:
 They satisfy phi_hat(theta) . phi(alpha) = Tr(theta alpha) for all pairs, and
 devectorizing phi(alpha) against beta returns alpha.  The phi_hat rows
 also come digit-packed (phi_hat_bits): one int per row, itself a field
-element, whose base-q digit s holds coordinate s over GF(p).
+element, whose base-q digit s holds coordinate s over GF(p), in one
+field table (FieldTower.table: an array('q') above gf.TABLE_CUTOFF).
 """
 
 from __future__ import annotations
@@ -75,11 +76,12 @@ class BasisPair:
             self._phi_hat = self._table(self.vectorize_dual)
         return self._phi_hat
 
-    def phi_hat_bits(self) -> list[int]:
+    def phi_hat_bits(self):
         """phi_hat rows packed into ints: base-q digit s is coordinate s,
         written by the a base-p digits of tower.subfield_coords (bit s at
         q = 2).  They are field elements, so the tower's add and mul by
-        GF(p) scalars act digit by digit."""
+        GF(p) scalars act digit by digit; the table is their span over
+        GF(p), a field table."""
         t = self.tower
         if self._phi_hat_bits is None:
             coords = t.subfield_coords()

@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 
 from . import linalg
 from .errors import CrossCheckMismatch, ParamViolation
@@ -247,12 +246,12 @@ def per_node_ranks(nf) -> list[int]:
     elif q == 2:
         consts, images = parts
         join = lambda vals: sum(pack(v) << j * m for j, v in enumerate(vals))
-        blocks = span_blocks([[join(lb)] for lb in images], operator.xor, join(consts))
+        blocks = span_blocks([[join(lb)] for lb in images], t.plus, join(consts))
         rows_of = lambda T: [T >> j * m & (1 << m) - 1 for j in range(m)]
     else:  # one walk per row
         consts, images = parts
         units = t.subfield_elements()[1:]
-        walks = [span_blocks([[pack(mul(c, lb[j])) for c in units] for lb in images], t.add, pack(cj))
+        walks = [span_blocks([[pack(mul(c, lb[j])) for c in units] for lb in images], t.plus, pack(cj))
                  for j, cj in enumerate(consts)]
         blocks = (list(zip(*columns)) for columns in zip(*walks))
     memo = {}

@@ -12,26 +12,43 @@ are compared as base-p integers, low degree first.  Two towers built from the
 same (p, a, ell) are therefore interchangeable.
 
 Multiplication, inversion and powering use exp/log tables indexed by powers
-of the smallest primitive element g, filled by multiply-by-x walks on the int
-encoding: one walk of <x>, whose x-logs also find g, and when x is not
-primitive one more walk per coset of <x> (at p = 2, products by powers of g
-instead).  Odd-p addition uses Zech logarithms Z[n] = log(1 + g^n).
-GF(p)-linear tables (traces, vectorizations) are spans over GF(p)
-(FieldTower.span) at O(1) work per entry, and are spot-checked.  The
-intended scale is q^ell <= 2^20, settable via RSREPAIR_MAX_FIELD_BITS.
+of the smallest primitive element g.  At p = 2 (and at degree 1) g is found
+by the order test on table-free powers and exp doubles from g; at odd p one
+multiply-by-x walk of <x>, whose x-logs also find g, and when x is not
+primitive one more walk per coset of <x>.  Odd-p addition uses Zech
+logarithms Z[n] = log(1 + g^n).  GF(p)-linear tables (traces,
+vectorizations) are spans over GF(p) (FieldTower.span) at O(1) work per
+entry, and are spot-checked.  The intended scale is q^ell <= 2^20, settable
+via RSREPAIR_MAX_FIELD_BITS.
+
+Tables indexed by the elements of F (exp, log, Zech, the traces, spans of
+all of F such as BasisPair.phi_hat_bits, the repair plan's tables) are
+made by FieldTower.table: lists while |F| <= TABLE_CUTOFF = 2^15, one
+array('q') above, filled from iterators so that no list of |F| fresh ints
+is ever held.  A list entry is a pointer to a 32-byte int object, about
+40 B an entry, scattered over the heap; an array entry is 8 B in one block.
+Measured per lookup in a block-Horner comprehension (Python 3.11, 2-CPU
+shared host): 90-111 ns at 2^14, 268-490 ns at 2^16 and 567-591 ns at
+2^20 from a list, against 117-140, 119-154 and 139-151 ns from an array.
+Below the cutoff 3.11's specialised list indexing is faster: arrays at
+every size made the benchmark's verify-suites passes about a quarter
+slower.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
 import os
+from array import array
 
 from .errors import CrossCheckMismatch, ParamViolation
 
 DEFAULT_MAX_FIELD_BITS = 20
 BLOCK = 256  # nodes per block of values in the metric routes: small transient lists, few calls per node
+TABLE_CUTOFF = 1 << 15  # field size above which FieldTower.table makes an array('q'), not a list
 
 
 def max_field_size() -> int:
@@ -133,31 +150,41 @@ def spot_check(table, definition, what: str) -> None:
             raise CrossCheckMismatch(f"{what} table disagrees with its definition at {x}")
 
 
-def span_walk(steps, add, start=0) -> list:
-    """Every start + sum over k of steps[k][c_k], one add per element.
+def span_walk(steps, plus, start=0, table=list):
+    """Every start + sum over k of steps[k][c_k], in table((start,)) (by
+    default a list), extended in place.
 
     steps[k] lists the nonzero multiples c g_k of generator k, c in
     enumeration order; start comes first and steps[0] is the lowest digit
-    of the index.  Elements may be anything add combines: field elements,
-    bit-packed rows, lists or tuples of values.
+    of the index.  plus(values, mults) is the list of v + m for m in mults
+    and then v in values (FieldTower.plus, for field elements and packed
+    rows): one list per generator, or for an array('q') table one per
+    multiple and slice of at most BLOCK values, so that no list of |F|
+    new values is held.
     """
-    span = [start]
+    span = table((start,))
     for mults in steps:
-        span += [add(v, m) for m in mults for v in span]
+        if type(span) is list:
+            span += plus(span, mults)
+            continue
+        n = len(span)
+        for m in mults:
+            for s in range(0, n, BLOCK):
+                span.extend(plus(span[s:min(s + BLOCK, n)], (m,)))
     return span
 
 
-def span_blocks(steps, add, start=0):
-    """span_walk(steps, add, start) in blocks of at most BLOCK elements, in
-    the same order: a table of the lowest digits, walked from 0, added to
-    each element of the walk of the other digits, one block per element."""
+def span_blocks(steps, plus, start=0):
+    """span_walk(steps, plus, start) in blocks of at most BLOCK elements, in
+    the same order: a table of the lowest digits, walked from 0, plus each
+    element of the walk of the other digits, one block per element."""
     k, size = 0, 1
     while k < len(steps) and size * (len(steps[k]) + 1) <= BLOCK:
         size *= len(steps[k]) + 1
         k += 1
-    low = span_walk(steps[:k], add)
-    for base in span_walk(steps[k:], add, start):
-        yield list(map(add, itertools.repeat(base, size), low))
+    low = span_walk(steps[:k], plus)
+    for base in span_walk(steps[k:], plus, start):
+        yield plus(low, (base,))
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +265,14 @@ class FieldTower:
                 r = self._mul_raw(r, x)
         return r
 
-    def _x_walk(self, v: int, n: int) -> list[int]:
+    def _x_walk(self, v: int, n: int):
         """[v, v x, ..., v x^(n-1)], cut where the walk returns to v.  With c
         the top digit of v, v x is v p less c p^degree, with digits j <= e
         (the modulus's highest low term) made d_(j-1) - c m_j: a change read
         from A on c and the low digits of v, plus one from B on c and the
-        next digits when A alone would pass 4096 entries."""
-        p, (K, A, M, B), out, first = self.p, self._x_tables, [v], v
+        next digits when A alone would pass 4096 entries.  A field table
+        (table), as the odd-p walk of <x> is as long as F."""
+        p, (K, A, M, B), out, first = self.p, self._x_tables, self.table((v,)), v
         top = self.size // p
         for _ in range(n - 1):
             c = v // top
@@ -268,31 +296,32 @@ class FieldTower:
         return table
 
     def _build_mul_tables(self) -> None:
-        """exp, log and Zech tables of the smallest primitive g.  One walk
-        logs <x>, of order o and index h: c is primitive iff c^h = x^j with
-        j prime to o and c^(h/t) lies outside <x> for each prime t | h that
-        does not divide o.  At h = 1 that picks g = x = p and exp is the
-        walk.  Otherwise exp walks the cosets g^c <x>, or at p = 2 doubles:
-        exp[2^k:2^(k+1)] is exp[:2^k] times g^(2^k), each product the XOR
-        of two lookups on the halves of the bits."""
+        """exp, log and Zech tables of the smallest primitive g, as field
+        tables (table).  At p = 2 and at degree 1 g is the first c passing
+        the order test c^(order/t) != 1 for each prime t | order, on
+        table-free powers; at p = 2 exp then doubles from g: exp[2^k:2^(k+1)]
+        is exp[:2^k] times g^(2^k), each product the XOR of two lookups on
+        the halves of the bits.  At odd p one walk logs <x>, of order o and
+        index h: c is primitive iff c^h = x^j with j prime to o and c^(h/t)
+        lies outside <x> for each prime t | h that does not divide o.  At
+        h = 1 that picks g = x = p and exp is the walk; otherwise exp walks
+        the cosets g^c <x>.  log is filled once from exp, or is the walk's."""
         p, order, m = self.p, self.size - 1, self.modulus
         e = max((j for j, c in enumerate(m[:-1]) if c), default=0)
         k = e if p ** (e + 1) <= 4096 else (e + 1) // 2  # two tables for a dense modulus
         high = self._step_table(range(k + 1, e + 1)) if k < e else []
         self._x_tables = p**k, self._step_table(range(k + 1)), p ** (e - k), high
 
-        def logs(values):
-            log = [-1] * self.size
-            for i, v in enumerate(values):
-                log[v] = i
-            return log
+        walk = log = None
+        if p == 2 or self.degree == 1:  # the modulus may be x itself at degree 1: x = 0, no walk
+            power = self._pow_raw if self.degree > 1 else functools.partial(pow, mod=p)
+            cofactors = [order // t for t in _factor(order)]
 
-        if self.degree == 1:  # the modulus may be x itself: x = 0, no walk
             def primitive(c):
-                return all(pow(c, order // t, p) != 1 for t in _factor(order))
+                return all(power(c, e) != 1 for e in cofactors)
         else:
             walk = self._x_walk(1, self.size)
-            o, log = len(walk), logs(walk)
+            o, log = len(walk), self.index_table(walk, -1)
             h = order // o
             if h * o != order:
                 raise CrossCheckMismatch(f"the walk of x does not close in {order} steps")
@@ -307,34 +336,34 @@ class FieldTower:
             raise CrossCheckMismatch("no primitive element found; modulus not irreducible?")
         self.generator = g
         if self.degree == 1:
-            exp = [pow(g, i, p) for i in range(order)]
-        elif h == 1:
-            exp = walk  # g = x: log is the walk's
+            exp = self.table(pow(g, i, p) for i in range(order))
         elif p == 2:  # exp[2^k:2^(k+1)] = exp[:2^k] y, y = g^(2^k)
-            half, exp, y = self.degree // 2, [1], g
+            half, exp, y = self.degree // 2, self.table((1,)), g
             for _ in range(self.degree):
-                walk = self._x_walk(y, self.degree)  # y times each bit
-                lo = span_walk([[w] for w in walk[:half]], operator.xor)
-                hi = span_walk([[w] for w in walk[half:]], operator.xor)
+                bits = self._x_walk(y, self.degree)  # y times each bit
+                lo = span_walk([[w] for w in bits[:half]], self.plus)
+                hi = span_walk([[w] for w in bits[half:]], self.plus)
                 mask = len(lo) - 1
-                exp += [lo[v & mask] ^ hi[v >> half] for v in exp]
+                exp.extend(lo[v & mask] ^ hi[v >> half] for v in itertools.islice(exp, len(exp)))
                 y = lo[y & mask] ^ hi[y >> half]
             exp.pop()  # g^order = 1
+        elif h == 1:
+            exp = walk  # g = x: log is the walk's
         else:
-            j0, exp = log[self._pow_raw(g, h)], [0] * order  # g^h = x^j0
+            j0, exp = log[self._pow_raw(g, h)], self.table((0,)) * order  # g^h = x^j0
             for c in range(h):  # coset g^c <x>: g^(c + h i) = g^c x^(i j0)
                 if c:
                     rep = self._mul_raw(rep, g) if c > 1 else g
                     walk = self._x_walk(rep, o)
-                exp[c::h] = walk if j0 == 1 else [walk[i * j0 % o] for i in range(o)]
-        if self.degree == 1 or h > 1:
-            log = logs(exp)
+                exp[c::h] = walk if j0 == 1 else self.table(walk[i * j0 % o] for i in range(o))
+        if exp is not walk:
+            log = self.index_table(exp, -1)
         if log[0] != -1 or log.count(-1) != 1:
             raise CrossCheckMismatch("exp is not a permutation of F*")
         self.exp = exp
         self.log = log
         if p > 2:  # Z[n] = log(1 + g^n); -1 where g^n = -1
-            self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
+            self._zech = self.table(log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp)
 
     def _witness(self) -> None:
         """Check the tables against the modulus the tower reports: x x^(D-1)
@@ -398,39 +427,75 @@ class FieldTower:
 
     # -- traces ------------------------------------------------------------
 
-    def span(self, gens, size: int | None = None, start: int = 0) -> list[int]:
+    def span(self, gens, size: int | None = None, start: int = 0):
         """start plus every combination of gens over the subfield of the
-        given size (default B), in span_walk order (gens[0] the lowest
-        digit, scalars in sorted order).  At size p it is the table of the
-        GF(p)-linear map p^k -> gens[k]; packed rows work too."""
+        given size (default B), by span_walk (gens[0] the lowest digit,
+        scalars in sorted order).  At size p it is the table of the
+        GF(p)-linear map p^k -> gens[k]; packed rows work too.  A span as
+        large as F is a field table (table)."""
         scalars = self.subfield(size or self.q)[0][1:]
-        return span_walk([[self.mul(c, g) for c in scalars] for g in gens], self.add, start)
+        steps = [[self.mul(c, g) for c in scalars] for g in gens]
+        table = self.table if (len(scalars) + 1) ** len(steps) == self.size else list
+        return span_walk(steps, self.plus, start, table)
 
-    def _trace_table(self, step: int, count: int) -> list[int]:
-        """Table of the trace x -> sum of x^(step^i), i in [0, count)."""
-        def tr(x):
-            return functools.reduce(self.add, (self.pow(x, step**i) for i in range(count)))
-        table = self.span([tr(self.p**k) for k in range(self.degree)], self.p)
-        spot_check(table, tr, "trace")
+    def plus(self, values, mults) -> list:
+        """[v + m for m in mults for v in values]: XOR at p = 2, else the
+        Zech step inline as in RSCode.eval_block, v + m = m (1 + v / m) =
+        exp[log m + Z[log v - log m]] (0 where Z = -1)."""
+        if self.p == 2:
+            return [v ^ m for m in mults for v in values]
+        exp, log, zech, order = self.exp, self.log, self._zech, self.order
+        return [(exp[lm + z - order] if (z := zech[log[v] - lm]) >= 0 else 0) if v and m else v or m
+                for m, lm in [(m, log[m]) for m in mults] for v in values]
+
+    def table(self, values=()):
+        """values as a table indexed by the elements of F: a list while
+        size <= TABLE_CUTOFF, else an array('q') filled from the iterator,
+        with no int object held per entry (module docstring)."""
+        return array("q", values) if self.size > TABLE_CUTOFF else list(values)
+
+    def index_table(self, values, missing: int):
+        """The field table t with t[v] = i for the i-th of values, and
+        missing at every element not among them, filled in one loop of C
+        calls."""
+        table = self.table((missing,)) * self.size
+        collections.deque(map(table.__setitem__, values, itertools.count()), maxlen=0)
         return table
 
+    def _trace(self, x: int, step: int, count: int) -> int:
+        """The trace sum of x^(step^i), i in [0, count), by powering."""
+        return functools.reduce(self.add, (self.pow(x, step**i) for i in range(count)))
+
     def trace_to_subfield(self, x: int) -> int:
-        """Tr_{F/B}(x) = sum of x^(q^i), i in [0, ell); lands in B."""
+        """Tr_{F/B}(x) = sum of x^(q^i), i in [0, ell); lands in B.  Its
+        table is a span over GF(p), spot-checked."""
         if self._tr_sub is None:
-            self._tr_sub = self._trace_table(self.q, self.ell)
+            def tr(x):
+                return self._trace(x, self.q, self.ell)
+            table = self.span([tr(self.p**k) for k in range(self.degree)], self.p)
+            spot_check(table, tr, "trace")
+            self._tr_sub = table
         return self._tr_sub[x]
 
     def absolute_trace(self, x: int) -> int:
         """Trace down to GF(p), returned as an int in [0, p)."""
         return (self._tr_abs or self.absolute_trace_table())[x]
 
-    def absolute_trace_table(self) -> list[int]:
-        """Absolute traces of all elements, indexed by the int encoding.
+    def absolute_trace_table(self):
+        """Absolute traces of all elements, indexed by the int encoding:
+        Tr_{B/GF(p)} of the Tr_{F/B} table, which is this table itself at
+        a = 1 and is otherwise read through a q-entry map.  Spot-checked,
+        and every entry must lie in GF(p).
 
-        Built once on first use; callers must not mutate the list.
+        Built once on first use; callers must not mutate it.
         """
         if self._tr_abs is None:
-            table = self._trace_table(self.p, self.degree)
+            self.trace_to_subfield(0)  # builds the Tr_{F/B} table
+            table = self._tr_sub
+            if self.a > 1:
+                down = {b: self._trace(b, self.p, self.a) for b in self.subfield_elements()}
+                table = self.table(map(down.__getitem__, table))
+                spot_check(table, lambda x: self._trace(x, self.p, self.degree), "absolute trace")
             if max(table) >= self.p:
                 raise CrossCheckMismatch("absolute trace left the prime field")
             self._tr_abs = table

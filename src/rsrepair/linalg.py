@@ -251,14 +251,22 @@ def digit_supports(base: int, width: int):
 
 def digit_select(base: int, width: int, mask: int):
     """xs -> [x with its base-`base` digits outside mask set to 0, for x in
-    xs], each x < base^width: ANDs at base 2, else two half-width lookups."""
+    xs], each x < base^width: ANDs at base 2, else two half-width lookups
+    (select_halves)."""
     if base == 2:
         return lambda xs: [x & mask for x in xs]
+    size, lo, hi = select_halves(base, width, mask)
+    return lambda xs: [lo[x % size] + hi[x // size] for x in xs]
+
+
+def select_halves(base: int, width: int, mask: int) -> tuple[int, list, list]:
+    """(size, lo, hi): x with its base-`base` digits outside mask set to 0
+    is lo[x % size] + hi[x // size], size = base^h, h = ceil(width / 2)."""
     h = (width + 1) // 2
     size = base**h
     lo, hi = ([sum(v // base**k % base * base**k for k in range(h) if bits >> k & 1) * scale for v in range(size)]
               for bits, scale in ((mask, 1), (mask >> h, size)))
-    return lambda xs: [lo[x % size] + hi[x // size] for x in xs]
+    return size, lo, hi
 
 
 def reduction(basis: dict, tower):

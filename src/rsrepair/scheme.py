@@ -42,6 +42,7 @@ import json
 import operator
 from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import linalg
 from .basis import BasisPair, dual_basis
@@ -234,8 +235,8 @@ def node_values(scheme: RepairScheme, polys):
 
     For B-affine polynomials (affine_parts), each column is span-walked
     over A in Subspace.enumerate order from the multiples of L(b) per basis
-    element b (span_blocks), one field addition per node.  Other
-    polynomials go through the block Horner (RSCode.eval_block).
+    element b (span_blocks), one field addition per node (FieldTower.plus).
+    Other polynomials go through the block Horner (RSCode.eval_block).
     """
     code, t = scheme.code, scheme.tower
     parts = affine_parts(scheme, polys)
@@ -245,7 +246,7 @@ def node_values(scheme: RepairScheme, polys):
         return
     consts, images = parts
     units = t.subfield_elements()[1:]
-    walks = [span_blocks([[t.mul(c, lb[j]) for c in units] for lb in images], t.add, c0)  # lowest digit first
+    walks = [span_blocks([[t.mul(c, lb[j]) for c in units] for lb in images], t.plus, c0)  # lowest digit first
              for j, c0 in enumerate(consts)]
     yield from map(list, zip(*walks))
 
@@ -361,14 +362,22 @@ def weight_identity(tower: FieldTower, k: int):
 def _rank_profile(scheme: RepairScheme) -> list[int]:
     """rank(W_i) for every helper, in node order.  phi_hat is a B-linear
     bijection, so it is the B-rank of the values g_j(alpha_i): the
-    constants' values and their closure are reduced once, and each helper
-    ranks only the closure of its varying values on top (closure_polys,
-    linalg.closure_rank)."""
+    constants' values and their closure are reduced once, and a helper's
+    rank is theirs plus linalg.closure_rank of the closure of its varying
+    values reduced modulo their echelon basis (closure_polys,
+    linalg.reduction).  As in metrics_direct, the reduced tuple keys an
+    exact memo filled per block of nodes, so each is ranked once."""
     t = scheme.tower
     fixed = linalg.echelon([p[0] for p in closure_polys(scheme, scheme.polys) if not any(p[1:])], t)
+    fixed_rank, reduce = linalg.closure_rank(list(fixed.values()), t), linalg.reduction(fixed, t)
     varying = closure_polys(scheme, [g for g in scheme.polys if any(g[1:])])
-    return [linalg.closure_rank(vals, t, basis=fixed)
-            for i, vals in enumerate(node_rows(scheme, varying), 1) if i != scheme.target]
+    memo, ranks = {}, []  # reduced varying values -> rank
+    for keys in node_tuples((map(reduce, columns) for columns in node_values(scheme, varying)), scheme.code.n):
+        for key in set(keys) - memo.keys():
+            memo[key] = fixed_rank + linalg.closure_rank(key, t)
+        ranks += map(memo.__getitem__, keys)
+    del ranks[scheme.target - 1]
+    return ranks
 
 
 def metrics_weight(nf: NormalForm) -> MetricsReport:
@@ -455,14 +464,40 @@ def normalize(scheme: RepairScheme) -> NormalForm:
 # repair
 
 
-def _repair_plan(scheme: RepairScheme):
-    """The packed phi table, its inverse, the traces of the tower
-    generator's powers below 2 (|F| - 1), and per helper (node, positions,
-    their digit_select, logs of w_s, folds): w_s its basis over B of the
-    values v_j = g_j(alpha_i) = sum c_js w_s (linalg.b_echelon), positions
-    the digit supports of their rows, fold s = sum_j c_js h_j.  With gamma
-    the trace-dual basis of the values at the target, h_j = -gamma_j and
-    c_{i*} = sum_j h_j sum_i Tr(v_j c_i)."""
+class RepairPlan(NamedTuple):
+    """The repair of a scheme's target, in columns over the helpers.
+
+    phi, inverse and traces are field tables (FieldTower.table): the packed
+    phi words, the element of each word, and Tr_{F/B}(g^e) for e in
+    [0, 2 (|F| - 1)) followed by |F| - 1 zeros, the traces a read of 0
+    sends.  nodes, support and offsets are array('q') columns with one
+    entry per helper, in node order (offsets one more): the node, the index
+    of its digit support in positions and selects, and where its entries
+    start in logs and folds, the array('q') columns of the logs of its
+    basis w_s and of their folds.  positions holds the 1-based read
+    positions of each distinct support; selects how a read keeps them: a
+    bit mask at p = 2, else linalg.select_halves.
+    """
+
+    phi: list | array
+    inverse: list | array
+    traces: list | array
+    nodes: array
+    support: array
+    offsets: array
+    logs: array
+    folds: array
+    positions: tuple
+    selects: tuple
+
+
+def _repair_plan(scheme: RepairScheme) -> RepairPlan:
+    """The RepairPlan of a scheme: per helper, w_s its basis over B of the
+    values v_j = g_j(alpha_i) = sum c_js w_s (linalg.b_echelon), its
+    positions the digit supports of their rows, fold s = sum_j c_js h_j.
+    With gamma the trace-dual basis of the values at the target, h_j =
+    -gamma_j and c_{i*} = sum_j h_j sum_i Tr(v_j c_i).  No per-helper
+    container is kept: each helper appends to the columns."""
     t, ell = scheme.tower, scheme.ell
     target = [scheme.code.eval_poly(g, scheme.target_point) for g in scheme.polys]
     try:
@@ -471,45 +506,67 @@ def _repair_plan(scheme: RepairScheme):
         # every scheme is checked to span F at the target on construction
         raise CrossCheckMismatch("repair matrix at the target is singular") from None
     table, supports = scheme.basis.phi_hat_bits(), linalg.digit_supports(t.q, ell)
-    selector = functools.cache(functools.partial(linalg.digit_select, t.q, ell))
     add, mul, eliminate = t.add, t.mul, linalg.b_echelon(t, table)
-    helpers = []
+    nodes, support, offsets, logs, folds = (array("q") for _ in range(5))
+    offsets.append(0)
+    index = {}  # digit support -> its index in positions and selects
     for i, vals in enumerate(node_rows(scheme, scheme.polys), 1):
         if i == scheme.target:
             continue
         basis, pairs = eliminate(vals)
-        folds = dict.fromkeys(basis, 0)
+        fold = dict.fromkeys(basis, 0)
         for hj, own in zip(h, pairs):
             for s, c in own:
-                folds[s] = add(folds[s], hj if c == 1 else mul(c, hj))
+                fold[s] = add(fold[s], hj if c == 1 else mul(c, hj))
         cols = functools.reduce(operator.or_, supports([table[w] for w in basis.values()]), 0)
-        positions = tuple(s + 1 for s in range(ell) if cols >> s & 1)
-        helpers.append((i, positions, selector(cols), [t.log[w] for w in basis.values()], list(folds.values())))
+        nodes.append(i)
+        support.append(index.setdefault(cols, len(index)))
+        logs.extend(map(t.log.__getitem__, basis.values()))
+        folds.extend(fold.values())
+        offsets.append(len(logs))
+    positions = tuple(tuple(s + 1 for s in range(ell) if cols >> s & 1) for cols in index)
+    if t.p == 2:  # base-q digit s is bits a s .. a s + a - 1
+        selects = tuple(sum((t.q - 1) << t.a * (s - 1) for s in pos) for pos in positions)
+    else:
+        selects = tuple(linalg.select_halves(t.q, ell, cols) for cols in index)
     # packed phi is the swapped pair's phi_hat; inverse maps a word back to its element
-    phi, inverse = scheme.basis.swapped().phi_hat_bits(), [0] * t.size
-    for x, word in enumerate(phi):
-        inverse[word] = x
-    return phi, inverse, list(map(t.trace_to_subfield, t.exp)) * 2, helpers
+    phi = scheme.basis.swapped().phi_hat_bits()
+    traces = t.table(map(t.trace_to_subfield, t.exp))
+    traces *= 2
+    traces += t.table((0,)) * t.order
+    return RepairPlan(phi, t.index_table(phi, 0), traces, nodes, support, offsets, logs, folds, positions, selects)
 
 
 def repair_node(scheme: RepairScheme, codeword, counter: AccessCounter | None = None):
-    """Recover the target symbol: helper i reads phi(c_i) at its positions,
-    the element c' they hold, and sends Tr(w_s c'), which the target adds
-    up times their folds.  Returns it and the counter (positions read,
-    symbols sent)."""
+    """Recover the target symbol through the columns of its RepairPlan:
+    helper i reads phi(c_i) at its positions, the element c' they hold, and
+    sends Tr(w_s c') = traces[log w_s + log c'] for each entry of its
+    basis, which the target adds up times their folds (at q = 2 the XOR of
+    the folds where the trace is 1).  Every step is one pass over a
+    column.  Returns the value and the counter, holding (positions read,
+    symbols sent) per helper."""
     counter = counter or AccessCounter()
     if scheme._plan is None:
         scheme._plan = _repair_plan(scheme)
-    phi, inverse, traces, helpers = scheme._plan
-    t, acc = scheme.tower, 0
-    log, mul, add = t.log, t.mul, t.add
-    for i, positions, select, logs, folds in helpers:
-        read = inverse[select((phi[codeword[i - 1]],))[0]]
-        sent = [traces[lv + log[read]] for lv in logs] if read else [0] * len(logs)
-        for y, f in zip(sent, folds):
-            if y:
-                acc = add(acc, f if y == 1 else mul(y, f))
-        counter.record(i, positions, len(sent))
+    plan, t = scheme._plan, scheme.tower
+    words = (plan.phi[codeword[i - 1]] for i in plan.nodes)
+    selects = map(plan.selects.__getitem__, plan.support)
+    if t.p == 2:
+        kept = map(operator.and_, words, selects)
+    else:
+        kept = (lo[w % size] + hi[w // size] for w, (size, lo, hi) in zip(words, selects))
+    log, nothing = t.log, 2 * t.order  # traces from 2 (|F| - 1) on are 0
+    reads = (log[c] if c else nothing for c in map(plan.inverse.__getitem__, kept))
+    counts = array("q", map(operator.sub, plan.offsets[1:], plan.offsets))
+    per_entry = itertools.chain.from_iterable(map(itertools.repeat, reads, counts))
+    sent = map(plan.traces.__getitem__, map(operator.add, plan.logs, per_entry))
+    if t.q == 2:
+        acc = functools.reduce(operator.xor, itertools.compress(plan.folds, sent), 0)
+    else:  # the nonzero symbols sent, times their folds
+        sent = list(sent)
+        acc = functools.reduce(t.add, map(t.mul, itertools.compress(sent, sent), itertools.compress(plan.folds, sent)), 0)
+    shared = functools.cache(lambda s, c: (plan.positions[s], c))  # one tuple per distinct pair
+    counter.per_helper.update(zip(plan.nodes, map(shared, plan.support, counts)))
     return acc, counter
 
 

@@ -116,9 +116,10 @@ class Subspace:
 
     # -- enumeration -----------------------------------------------------------
 
-    def enumerate(self) -> list:
+    def enumerate(self):
         """All q^dim members: B-coefficient vectors in lex order over b_basis,
-        the last basis element as the lowest digit.
+        the last basis element as the lowest digit (FieldTower.span, so a
+        field table when the subspace is all of F).
 
         First element is always 0; CrossCheckMismatch unless there are q^dim
         distinct ones.

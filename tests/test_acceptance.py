@@ -135,6 +135,31 @@ def test_criterion_1_metrics_ell20_frontier(tmp_path):
 
 
 @large
+def test_criterion_6_simulate_ell18_frontier(tmp_path):
+    # the columnar repair plan at 2^18: simulate in its own process; prints
+    # its seconds and peak RSS and asserts neither
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    path = tmp_path / "c1.json"
+    subprocess.run([sys.executable, "-m", "rsrepair.cli", "construct", "c1", "--ell", "18",
+                    "--out", str(path)], check=True, capture_output=True, env=env)
+    script = ("import resource, sys, time\n"
+              "from rsrepair.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(['simulate', sys.argv[1], '--trials', '1'])\n"
+              "sys.stdout.flush()\n"
+              "print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+              " file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seconds, maxrss_kb = proc.stderr.split()
+    print(f"criterion 6: simulate --trials 1 at c1 ell=18 took {float(seconds):.1f} s, "
+          f"peak RSS {int(maxrss_kb) / 1024:.0f} MB")
+    doc = json.loads(proc.stdout)
+    assert (doc["successes"], doc["io_cost"], doc["bandwidth"]) == (1, (2**18 - 1) * 18 - 2**18, 4_404_206)
+
+
+@large
 def test_criterion_1_c2_q3_ell12_direct_and_weight():
     # odd prime q at the field budget: 531,441 nodes, digit-packed rows
     scheme = construction2(3, 12, 12, 0, 1, 2)[2]

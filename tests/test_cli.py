@@ -691,9 +691,14 @@ def test_simulate_broken_plan_exits_2_under_O(capsys, tmp_path, mutation):
 _MISATTRIBUTE = (
     "import rsrepair.scheme as S\n"
     "plan = S._repair_plan\n"
+    "from array import array\n"
     "def misattributed(scheme):\n"
-    "    *tables, ((i, pos_i, *rest_i), (j, pos_j, *rest_j), *others) = plan(scheme)\n"
-    "    return (*tables, [(i, pos_i[1:], *rest_i), (j, pos_j + pos_i[:1], *rest_j), *others])\n"
+    "    p = plan(scheme)\n"
+    "    i, j, k = p.support[0], p.support[1], len(p.positions)\n"
+    "    support = array('q', p.support)\n"
+    "    support[0], support[1] = k, k + 1\n"
+    "    return p._replace(support=support, selects=(*p.selects, p.selects[i], p.selects[j]),\n"
+    "                      positions=(*p.positions, p.positions[i][1:], p.positions[j] + p.positions[i][:1]))\n"
 )
 
 
@@ -727,6 +732,52 @@ def test_simulate_misattributed_read_exits_2_under_O(capsys, tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == _misattributed_message(path)
+
+
+# One entry of the repair plan's columns corrupted: the first fold, the
+# last log of a w_s (the first w_s times g sends the same traces on the
+# first helper's two read positions), or the first helper's end offset
+# (its last entry credited to the second helper).
+_CORRUPT_PLAN = (
+    "import rsrepair.scheme as S\n"
+    "plan = S._repair_plan\n"
+    "def corrupted(scheme):\n"
+    "    p = plan(scheme)\n"
+    "    {}\n"
+    "    return p\n"
+)
+_PLAN_CORRUPTIONS = {
+    "fold": "p.folds[0] ^= 1",
+    "log": "p.logs[-1] = (p.logs[-1] + 1) % scheme.tower.order",
+    "offset": "p.offsets[1] -= 1",
+}
+
+
+@pytest.mark.parametrize("column", sorted(_PLAN_CORRUPTIONS))
+def test_simulate_corrupted_plan_column_exits_2(capsys, tmp_path, monkeypatch, column):
+    path = _saved_scheme(tmp_path, capsys)
+    namespace = {}
+    exec(_CORRUPT_PLAN.format(_PLAN_CORRUPTIONS[column]), namespace)
+    monkeypatch.setattr("rsrepair.scheme._repair_plan", namespace["corrupted"])
+    code, out, err = _run(capsys, ["simulate", path, "--trials", "7", "--seed", "3"])
+    assert code == 2 and out == ""
+    assert err.startswith("cross-check mismatch: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("column", sorted(_PLAN_CORRUPTIONS))
+def test_simulate_corrupted_plan_column_exits_2_under_O(capsys, tmp_path, column):
+    path = _saved_scheme(tmp_path, capsys)
+    script = _CORRUPT_PLAN.format(_PLAN_CORRUPTIONS[column]) + "S._repair_plan = corrupted\n" + (
+        "import sys\nfrom rsrepair.cli import main\n"
+        "sys.exit(main(['simulate', sys.argv[1], '--trials', '7', '--seed', '3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "cross-check mismatch" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def _child(flags, script, *args):

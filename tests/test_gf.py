@@ -7,12 +7,14 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
 
 import rsrepair
 from conftest import OracleTower, large, oracle_is_irreducible
-from rsrepair import field_create, gf
+from rsrepair import field_create, gf, linalg
+from rsrepair.basis import dual_basis
 from rsrepair.errors import CrossCheckMismatch, ParamViolation
 from rsrepair.gf import BLOCK, FieldTower, span_blocks, span_walk, spot_check, split_prime_power
 
@@ -306,7 +308,10 @@ def test_irreducibility_matches_the_oracles():
 
 
 def _tables(t):
-    return t.modulus, t.generator, t.exp, t.log, getattr(t, "_zech", None)
+    """The tower's tables by value: lists at or below gf.TABLE_CUTOFF,
+    array('q') above, alike in every entry."""
+    zech = getattr(t, "_zech", None)
+    return t.modulus, t.generator, list(t.exp), list(t.log), zech and list(zech)
 
 
 # every tower with p <= 13 and p^(a ell) <= 2^12, then the towers where x is
@@ -318,6 +323,46 @@ ORACLE_TOWERS = [(p, a, ell) for p in (2, 3, 5, 7, 11, 13) for a in range(1, 13)
 @pytest.mark.parametrize("p,a,ell", ORACLE_TOWERS)
 def test_tables_match_the_table_free_oracle(p, a, ell):
     assert _tables(FieldTower(p, a, ell)) == _tables(OracleTower(p, a, ell))
+
+
+# both sides of gf.TABLE_CUTOFF = 2^15: lists up to it, array('q') above;
+# GF(4^7) and GF(4^8) read the absolute trace through the q-entry map
+@pytest.mark.parametrize("p,a,ell,kind", [(2, 1, 15, list), (2, 2, 7, list), (2, 1, 16, array),
+                                          (2, 2, 8, array), (3, 1, 10, array)])
+def test_tables_across_the_cutoff(p, a, ell, kind):
+    t, oracle = FieldTower(p, a, ell), OracleTower(p, a, ell)
+    assert _tables(t) == _tables(oracle)
+    tr_abs, tr_sub = t.absolute_trace_table(), t._tr_sub
+    assert (tr_abs is tr_sub) == (a == 1)
+    assert list(tr_abs) == list(oracle.absolute_trace_table()) and list(tr_sub) == list(oracle._tr_sub)
+    beta = linalg.independent(t, range(1, t.size), t.ell)
+    bits = dual_basis(beta, t).phi_hat_bits()
+    assert list(bits) == list(dual_basis(beta, oracle).phi_hat_bits())
+    tables = [t.exp, t.log, tr_abs, tr_sub, bits] + ([t._zech] if p > 2 else [])
+    assert all(type(table) is kind for table in tables)
+
+
+def _walk_generator(t):
+    """The smallest primitive element by the walk of <x>, of order o and
+    index h: c is primitive iff c^h = x^j with j prime to o and c^(h/f)
+    lies outside <x> for each prime f | h that does not divide o."""
+    walk = list(t._x_walk(1, t.size))
+    o, log = len(walk), {v: i for i, v in enumerate(walk)}
+    h = t.order // o
+
+    def primitive(c):
+        j = log.get(t._pow_raw(c, h), -1)
+        if j < 0 or any(j % f == 0 for f in gf._factor(o)):
+            return False
+        return all(t._pow_raw(c, h // f) not in log for f in gf._factor(h) if o % f)
+    return next(c for c in range(1, t.size) if primitive(c))
+
+
+@pytest.mark.parametrize("a,ell", [(1, k) for k in range(2, 17)] + [(2, 6), (4, 2)])
+def test_p2_generator_is_the_walk_based_choice(a, ell):
+    # the order test picks the generator the walk of <x> picked
+    t = field_create(2, a, ell)
+    assert t.generator == _walk_generator(t)
 
 
 @pytest.mark.parametrize("p,degree", [(2, 12), (3, 8), (5, 4), (13, 3)])
@@ -393,17 +438,20 @@ def test_span_blocks_is_span_walk_in_order():
     # digits, and spans within one block; GF(3) digit vectors packed base 10,
     # so every element is distinct
     add = lambda v, w: sum((v // 10**i % 10 + w // 10**i % 10) % 3 * 10**i for i in range(7))
+    plus = lambda values, mults: [add(v, m) for m in mults for v in values]
+    xor = lambda values, mults: [v ^ m for m in mults for v in values]
     for k, size in ((7, 243), (4, 81)):
         steps = [[c * 10**i for c in (1, 2)] for i in range(k)]
-        blocks = list(span_blocks(steps, add, 1111111))
+        blocks = list(span_blocks(steps, plus, 1111111))
         assert [len(b) for b in blocks] == [size] * (3**k // size)
-        assert sum(blocks, []) == span_walk(steps, add, 1111111)
+        assert sum(blocks, []) == span_walk(steps, plus, 1111111)
+        assert len(set(span_walk(steps, plus, 1111111))) == 3**k
     for k, size in ((12, BLOCK), (10, BLOCK), (3, 8)):
         steps = [[1 << i] for i in range(k)]
-        blocks = list(span_blocks(steps, operator.xor, 0b1011))
+        blocks = list(span_blocks(steps, xor, 0b1011))
         assert [len(b) for b in blocks] == [size] * (2**k // size)
-        assert sum(blocks, []) == span_walk(steps, operator.xor, 0b1011)
-    assert list(span_blocks([], operator.xor, 5)) == [[5]]
+        assert sum(blocks, []) == span_walk(steps, xor, 0b1011) == [v ^ 0b1011 for v in range(2**k)]
+    assert list(span_blocks([], xor, 5)) == [[5]]
 
 
 def test_subfield_gfp_basis_is_cached_per_size():

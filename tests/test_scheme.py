@@ -1,6 +1,7 @@
 """Repair schemes: matrices, metrics, normal forms, repair, scheme files."""
 
 import random
+from array import array
 
 import pytest
 from conftest import nz_via_weight, random_codeword, w_hat
@@ -594,11 +595,39 @@ def test_cleared_read_digit_gives_wrong_value(kind, params):
     code, t = scheme.code, scheme.tower
     cws = [random_codeword(code, seed) for seed in range(8)]
     assert all(repair_node(scheme, cw)[0] == cw[scheme.target - 1] for cw in cws)
-    *tables, ((i, positions, _, *rest), *others) = scheme._plan
-    cleared = sum(1 << s - 1 for s in positions[1:])
-    select = linalg.digit_select(t.q, scheme.ell, cleared)
-    scheme._plan = (*tables, [(i, positions, select, *rest), *others])
+    plan = scheme._plan
+    positions = plan.positions[plan.support[0]]
+    if t.p == 2:  # a bit mask over the a bits of each kept digit
+        select = sum((t.q - 1) << t.a * (s - 1) for s in positions[1:])
+    else:
+        select = linalg.select_halves(t.q, scheme.ell, sum(1 << s - 1 for s in positions[1:]))
+    support = array("q", plan.support)
+    support[0] = len(plan.positions)  # a support of its own, claiming every position
+    scheme._plan = plan._replace(support=support, positions=(*plan.positions, positions),
+                                 selects=(*plan.selects, select))
     assert any(repair_node(scheme, cw)[0] != cw[scheme.target - 1] for cw in cws)
+
+
+# GF(2^12) keeps list tables, GF(2^16) and GF(3^10) array('q') ones
+@pytest.mark.parametrize("params,kind", [((2, 12, 8, 0, 4, 2), list), ((2, 16, 12, 0, 4, 2), array),
+                                         ((3, 10, 5, 0, 2, 2), array)])
+def test_repair_plan_tables_across_the_cutoff(params, kind):
+    scheme = construction2(*params)[2]
+    t, rep = scheme.tower, metrics_direct(scheme)
+    for seed in range(2):
+        cw = random_codeword(scheme.code, seed)
+        value, counter = repair_node(scheme, cw, AccessCounter())
+        assert value == cw[scheme.target - 1] and counter.report("repair").per_node == rep.per_node
+    plan = scheme._plan
+    assert all(type(table) is kind for table in (plan.phi, plan.inverse, plan.traces))
+    assert all(type(column) is array for column in (plan.nodes, plan.support, plan.offsets, plan.logs, plan.folds))
+    # phi is the vectorization against beta, packed; inverse undoes it
+    coords = t.subfield_coords()
+    assert sorted(plan.phi) == list(range(t.size))
+    for x in [0, t.size - 1, *random.Random(1).sample(range(t.size), 300)]:
+        assert plan.phi[x] == sum(coords[c] * t.q**s for s, c in enumerate(scheme.basis.vectorize(x)))
+        assert plan.inverse[plan.phi[x]] == x
+    assert list(plan.traces) == [t.trace_to_subfield(v) for v in t.exp] * 2 + [0] * t.order
 
 
 def test_metrics_direct_resolves_constants_once(monkeypatch):
