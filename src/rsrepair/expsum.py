@@ -40,7 +40,7 @@ import math
 from . import linalg
 from .errors import CrossCheckMismatch, ParamViolation
 from .gf import FieldTower, span_blocks
-from .scheme import affine_parts, closure_polys, node_rows, node_tuples, node_values
+from .scheme import affine_parts, closure_polys, memoized, node_rows, node_tuples, node_values
 from .subspace import Subspace
 
 
@@ -228,7 +228,7 @@ def per_node_ranks(nf) -> list[int]:
     q = 2 the m rows of a node are one XOR-walked int, row j at bits
     j m .. j m + m - 1, split into rows only when the memo misses;
     otherwise each row is walked alone.  Each block's misses are ranked
-    first, then read off the memo."""
+    first, then read off the memo (scheme.memoized)."""
     scheme, m = nf.scheme, nf.m
     t = scheme.tower
     tr, mul, q = t.trace_to_subfield, t.mul, t.q
@@ -254,12 +254,8 @@ def per_node_ranks(nf) -> list[int]:
         walks = [span_blocks([[pack(mul(c, lb[j])) for c in units] for lb in images], t.plus, pack(cj))
                  for j, cj in enumerate(consts)]
         blocks = (list(zip(*columns)) for columns in zip(*walks))
-    memo = {}
-    ranks = []
-    for block in blocks:
-        for T in set(block) - memo.keys():
-            memo[T] = (scheme.ell - m) + linalg.closure_rank(rows_of(T), t)
-        ranks += map(memo.__getitem__, block)
+    rank_of = memoized(lambda T: (scheme.ell - m) + linalg.closure_rank(rows_of(T), t))
+    ranks = [rank for block in blocks for rank in rank_of(block)]
     del ranks[scheme.target - 1]
     return ranks
 

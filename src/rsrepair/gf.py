@@ -63,8 +63,22 @@ def max_field_size() -> int:
     return 1 << bits
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981  # the least strong pseudoprime to all of them
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _factor(n) == [n]
+    """Miller-Rabin on the primes up to 41 (n - 1 = d 2^s, d odd: b proves
+    n composite unless b^d = 1 or b^(d 2^i) = -1, i < s), exact below
+    _MR_EXACT; a larger probable prime is ParamViolation."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    if any(pow(b, n >> s, n) != 1 and n - 1 not in (pow(b, n >> s << i, n) for i in range(s)) for b in _MR_BASES):
+        return False
+    if n >= _MR_EXACT:
+        raise ParamViolation(f"{n} is a probable prime too large to certify")
+    return True
 
 
 def _factor(n: int) -> list[int]:
@@ -82,13 +96,22 @@ def _factor(n: int) -> list[int]:
     return out
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def split_prime_power(q: int) -> tuple[int, int]:
-    """(p, a) with q = p^a; ParamViolation unless q is a prime power."""
-    primes = _factor(q) if q >= 2 else []
-    if len(primes) != 1:
-        raise ParamViolation(f"q = {q} is not a prime power")
-    p = primes[0]
-    return p, next(a for a in range(1, q) if p**a == q)
+    """(p, a) with q = p^a; ParamViolation unless q is a prime power.  p,
+    q's integer root of the highest exponent a that has one, is prime."""
+    if q >= 2:
+        p, a = next((p, a) for a in range(q.bit_length(), 0, -1) if (p := _iroot(q, a)) ** a == q)
+        if _is_prime(p):
+            return p, a
+    raise ParamViolation(f"q = {q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +226,11 @@ class FieldTower:
             raise ParamViolation(f"p = {p} is not prime")
         if a < 1 or ell < 1:
             raise ParamViolation("a and ell must be positive")
-        self.p = p
-        self.a = a
-        self.ell = ell
-        self.q = p**a
-        self.degree = a * ell
-        self.size = p**self.degree
-        if self.size > max_field_size():
-            raise ParamViolation(
-                f"field size {p}^{self.degree} exceeds budget "
-                f"(raise RSREPAIR_MAX_FIELD_BITS to override)"
-            )
+        self.p, self.a, self.ell, self.degree, cap = p, a, ell, a * ell, max_field_size()
+        # p^degree >= 2^(degree (bits of p - 1)): no huge power is taken
+        if self.degree * (p.bit_length() - 1) >= cap.bit_length() or p**self.degree > cap:
+            raise ParamViolation(f"field size {p}^{self.degree} exceeds budget (raise RSREPAIR_MAX_FIELD_BITS to override)")
+        self.q, self.size = p**a, p**self.degree
         if modulus is None:
             modulus = _smallest_irreducible(p, self.degree)
         else:

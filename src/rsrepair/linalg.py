@@ -17,7 +17,7 @@ arithmetic: echelon keeps their GF(p) echelon basis, rank_bits is their
 GF(p) rank, closure_rank the B-rank of rows given with their
 GF(p)-closure (on top of a basis reduced once), reduction maps rows to
 their remainders modulo an echelon basis, digit_supports reads all
-their nonzero digits (base-q digits for rows over B), digit_select
+their nonzero digits (base-q digits for rows over B), select_halves
 clears the digits outside a mask, and b_echelon builds an echelon basis
 over B of field elements through their packed rows.
 """
@@ -249,16 +249,6 @@ def digit_supports(base: int, width: int):
     return lambda xs: [lo[x % size] | hi[x // size] for x in xs]
 
 
-def digit_select(base: int, width: int, mask: int):
-    """xs -> [x with its base-`base` digits outside mask set to 0, for x in
-    xs], each x < base^width: ANDs at base 2, else two half-width lookups
-    (select_halves)."""
-    if base == 2:
-        return lambda xs: [x & mask for x in xs]
-    size, lo, hi = select_halves(base, width, mask)
-    return lambda xs: [lo[x % size] + hi[x // size] for x in xs]
-
-
 def select_halves(base: int, width: int, mask: int) -> tuple[int, list, list]:
     """(size, lo, hi): x with its base-`base` digits outside mask set to 0
     is lo[x % size] + hi[x // size], size = base^h, h = ceil(width / 2)."""
@@ -269,17 +259,19 @@ def select_halves(base: int, width: int, mask: int) -> tuple[int, list, list]:
     return size, lo, hi
 
 
-def reduction(basis: dict, tower):
-    """xs -> [x reduced modulo the span of basis, for x in xs]: the
-    GF(p)-linear map on packed rows that clears every pivot digit of an
-    echelon basis (echelon), row by row in increasing pivot order.  It is
-    read as two half tables in digit_select's layout, the spans over GF(p)
-    of the reduced unit rows, added (XOR at p = 2); both are spot-checked
-    against that row-by-row elimination."""
+def reduction(basis: dict, tower, packed=None):
+    """xs -> [row(x) reduced modulo the span of basis, for x in xs], row(x)
+    = packed[x] for a GF(p)-linear table (BasisPair.phi_hat_bits), else x.
+    The reduction clears every pivot digit of an echelon basis (echelon)
+    in increasing pivot order; the composite is read as two half tables in
+    select_halves' layout, spans over GF(p) of the reduced unit digits,
+    added (XOR at p = 2), both spot-checked against that elimination."""
     p, width = tower.p, tower.degree
     add, mul, pivots = tower.add, tower.mul, sorted(basis)  # at p = 2 the pivots are bits
+    row = (lambda x: x) if packed is None else packed.__getitem__
 
     def reduce(x):
+        x = row(x)
         for k in pivots:
             if p == 2:
                 x ^= basis[k] if x & k else 0
@@ -293,7 +285,8 @@ def reduction(basis: dict, tower):
     spot_check(lo, reduce, "reduction")
     spot_check(hi, lambda x: reduce(x * size), "reduction")
     if p == 2:
-        return lambda xs: [lo[x & size - 1] ^ hi[x >> h] for x in xs]
+        low = size - 1
+        return lambda xs: [lo[x & low] ^ hi[x >> h] for x in xs]
     return lambda xs: [add(lo[x % size], hi[x // size]) for x in xs]
 
 

@@ -25,10 +25,10 @@ The direct and weight routes work on blocks of at most gf.BLOCK nodes, one
 column of values per polynomial (node_values, RSCode.eval_block), and read
 rows of W_i as digit-packed ints (BasisPair.phi_hat_bits), joined by the
 rows that close their GF(p)-span under B (closure_polys), so both work over
-GF(p) at every q.  Both rank or walk each distinct key once, through an
-exact memo filled per block: the direct route keys a helper by its varying
-rows reduced modulo the constant rows' echelon basis (linalg.reduction),
-the weight route by its block W_hat_i.
+GF(p) at every q.  Both key a helper by rows reduced modulo constant rows
+(linalg.reduction): direct its varying rows modulo every constant, weight
+those of g_1..g_m modulo g_(m+1)..g_ell (at t = m the block W_hat_i).  Each
+distinct key is ranked or walked once, through a memo filled per block.
 Elimination lives in linalg: the direct route ranks the reduced rows by
 linalg.closure_rank, normalize splits by linalg.split, and the repair plan
 takes each helper's basis over B from linalg.b_echelon, at every q.
@@ -186,9 +186,6 @@ class AccessCounter:
 
     per_helper: dict = field(default_factory=dict)
 
-    def record(self, node: int, positions, transmitted: int) -> None:
-        self.per_helper[node] = (tuple(positions), int(transmitted))
-
     @property
     def total_accessed(self) -> int:
         return sum(len(p) for p, _ in self.per_helper.values())
@@ -295,6 +292,26 @@ def closure_polys(scheme: RepairScheme, polys) -> list:
     return [[t.mul(c, x) for x in g] for c in t.subfield_gfp_basis(t.q) for g in polys]
 
 
+def _constant_rows(scheme: RepairScheme, constants, packed=None) -> tuple:
+    """(rows, reduce): the packed rows of the closure_polys of constants,
+    and linalg.reduction (through packed) modulo their echelon basis."""
+    t, table = scheme.tower, scheme.basis.phi_hat_bits()
+    rows = [table[g[0]] for g in closure_polys(scheme, constants)]
+    return rows, linalg.reduction(linalg.echelon(rows, t), t, packed)
+
+
+def memoized(compute):
+    """keys -> compute(key) for each of a list of keys, each distinct key
+    computed once over all calls: a call's misses first, then the memo."""
+    memo = {}
+
+    def read(keys):
+        memo.update((key, compute(key)) for key in set(keys) - memo.keys())
+        return map(memo.__getitem__, keys)
+
+    return read
+
+
 def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     """Count nonzero columns and ranks of every W_i, no shortcuts, over
     blocks of nodes: the varying rows from block Horner values
@@ -303,18 +320,18 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
     past 1 in subfield_gfp_basis(q): nz is the popcount of the OR of their
     base-q digit supports.  The rank is the constant rows' B-rank plus
     linalg.closure_rank of the varying rows reduced modulo the constants'
-    echelon basis (linalg.reduction).  That reduced tuple fixes the rank,
-    so it keys an exact memo and each distinct reduced matrix is ranked
-    once; it is still the full ell x ell rank."""
+    echelon basis (_constant_rows).  That reduced tuple fixes the rank, so
+    it keys an exact memo and each distinct reduced matrix is ranked once;
+    it is still the full ell x ell rank."""
     code, t = scheme.code, scheme.tower
     table, mul = scheme.basis.phi_hat_bits(), t.mul
     scales = t.subfield_gfp_basis(t.q)[1:]
     varying = [p for p in scheme.polys if any(p[1:])]
-    fixed = [table[p[0]] for p in closure_polys(scheme, scheme.polys) if not any(p[1:])]
+    fixed, reduce = _constant_rows(scheme, [p for p in scheme.polys if not any(p[1:])])
     supports = linalg.digit_supports(t.q, t.ell)
     fixed_cols = functools.reduce(operator.or_, supports(fixed), 0)
-    fixed_rank, reduce = linalg.closure_rank(fixed, t), linalg.reduction(linalg.echelon(fixed, t), t)
-    ranks = {}  # reduced varying rows -> rank
+    fixed_rank = linalg.closure_rank(fixed, t)
+    ranks = memoized(lambda key: fixed_rank + linalg.closure_rank(key, t))  # reduced varying rows -> rank
 
     def per_block(xs):
         vals = [code.eval_block(g, xs) for g in varying]
@@ -324,19 +341,18 @@ def metrics_direct(scheme: RepairScheme) -> MetricsReport:
             cols = list(map(operator.or_, cols, supports(r)))
         rows += [[table[mul(c, x)] for x in v] for c in scales for v in vals]
         keys = list(zip(*map(reduce, rows))) or [()] * len(xs)
-        for key in set(keys) - ranks.keys():
-            ranks[key] = fixed_rank + linalg.closure_rank(key, t)
-        return map(int.bit_count, cols), map(ranks.__getitem__, keys)
+        return map(int.bit_count, cols), ranks(keys)
 
     return MetricsReport.from_columns("direct", _helpers(scheme), *_columns(scheme, map(per_block, code.point_blocks())))
 
 
 def weight_identity(tower: FieldTower, k: int):
-    """rows -> (nz(G), rank(G)) for k x w matrices G over B, from one span
-    walk of the q^k vectors uG, u in B^k:
+    """(rows, mask) -> (nz, rank) for k x w matrices G over B, from one
+    span walk of the q^k vectors uG, u in B^k: G's nonzero columns in mask
+    (by default all) and G's rank,
 
-        nz(G)   = sum of wt(uG) / (q^(k-1) (q-1))
-        rank(G) = k - log_q #{u : uG = 0}.
+        nz   = sum of wt(uG & mask) / (q^(k-1) (q-1))
+        rank = k - log_q #{u : uG = 0}.
 
     G comes as a k packed rows (base-q digit s = column s) that span its
     B-span over GF(p) (closure_polys), walked over GF(p).  An inexact
@@ -347,9 +363,9 @@ def weight_identity(tower: FieldTower, k: int):
     denom = q ** (k - 1) * (q - 1) if k else 1
     log_q = {q**e: e for e in range(k + 1)}
 
-    def walk(rows):
+    def walk(rows, mask=-1):
         span = supports(tower.span(rows, tower.p))
-        total, zeros = sum(map(int.bit_count, span)), span.count(0)
+        total, zeros = sum(map(int.bit_count, map(mask.__and__, span))), span.count(0)
         if total % denom:
             raise CrossCheckMismatch("weight identity sum not divisible; arithmetic bug")
         if zeros not in log_q:
@@ -359,57 +375,26 @@ def weight_identity(tower: FieldTower, k: int):
     return walk
 
 
-def _rank_profile(scheme: RepairScheme) -> list[int]:
-    """rank(W_i) for every helper, in node order.  phi_hat is a B-linear
-    bijection, so it is the B-rank of the values g_j(alpha_i): the
-    constants' values and their closure are reduced once, and a helper's
-    rank is theirs plus linalg.closure_rank of the closure of its varying
-    values reduced modulo their echelon basis (closure_polys,
-    linalg.reduction).  As in metrics_direct, the reduced tuple keys an
-    exact memo filled per block of nodes, so each is ranked once."""
-    t = scheme.tower
-    fixed = linalg.echelon([p[0] for p in closure_polys(scheme, scheme.polys) if not any(p[1:])], t)
-    fixed_rank, reduce = linalg.closure_rank(list(fixed.values()), t), linalg.reduction(fixed, t)
-    varying = closure_polys(scheme, [g for g in scheme.polys if any(g[1:])])
-    memo, ranks = {}, []  # reduced varying values -> rank
-    for keys in node_tuples((map(reduce, columns) for columns in node_values(scheme, varying)), scheme.code.n):
-        for key in set(keys) - memo.keys():
-            memo[key] = fixed_rank + linalg.closure_rank(key, t)
-        ranks += map(memo.__getitem__, keys)
-    del ranks[scheme.target - 1]
-    return ranks
-
-
 def metrics_weight(nf: NormalForm) -> MetricsReport:
-    """Metrics from the weight identity on the m x t blocks W_hat_i.
+    """Metrics from the weight identity, one span walk per distinct key.
 
-    One span walk per distinct block gives both: io = (ell - t) +
-    nz(W_hat_i), and when t = m, rank = (ell - m) + rank(W_hat_i)
-    (weight_identity); else the ranks come from _rank_profile.  A block is
-    the packed rows of the closure_polys' values cut to the support columns
-    (linalg.digit_select), read column by column over each block of nodes
-    of node_values; the walks fill the misses of each block's distinct
-    W_hat blocks.
+    A helper's key is the packed rows of the closure_polys' values of
+    g_1..g_m over each block of nodes of node_values, reduced modulo the
+    constants g_(m+1)..g_ell, both by one linalg.reduction through
+    phi_hat_bits (_constant_rows).  The constants vanish on the support
+    columns, so the walk's weights there give io = (ell - t) +
+    nz(W_hat_i), and its zero count the rank modulo the constants, rank =
+    (ell - m) + that (weight_identity).  At t = m the keys are the W_hat_i.
     """
-    scheme = nf.scheme
-    t = scheme.tower
-    ell = scheme.ell
-    ranks = array("q", _rank_profile(scheme)) if nf.t != nf.m else None
-    row = scheme.basis.phi_hat_bits().__getitem__
-    block_of = linalg.digit_select(t.q, ell, sum(1 << s - 1 for s in nf.support_set))
-    walk = weight_identity(t, nf.m)
-    walked = {}  # block -> (io, rank)
-
-    def per_block(keys):  # the W_hat blocks of a block of nodes
-        for block in set(keys) - walked.keys():
-            nz, rk = walk(block)
-            walked[block] = (ell - nf.t) + nz, (ell - nf.m) + rk
-        return zip(*map(walked.__getitem__, keys))
-
+    scheme, ell = nf.scheme, nf.scheme.ell
+    reduce = _constant_rows(scheme, scheme.polys[nf.m:], scheme.basis.phi_hat_bits())[1]
+    walk, support = weight_identity(scheme.tower, nf.m), sum(1 << s - 1 for s in nf.support_set)
+    offsets = (ell - nf.t, ell - nf.m)  # what the constants add
+    walked = memoized(lambda key: tuple(map(operator.add, offsets, walk(key, support))))
     values = node_values(scheme, closure_polys(scheme, scheme.polys[: nf.m]))
-    keys = node_tuples(([block_of(map(row, v)) for v in columns] for columns in values), scheme.code.n)
-    nz, walked_ranks = _columns(scheme, map(per_block, keys))
-    return MetricsReport.from_columns("weight_formula", _helpers(scheme), nz, walked_ranks if ranks is None else ranks)
+    keys = node_tuples((list(map(reduce, columns)) for columns in values), scheme.code.n)
+    nz, ranks = _columns(scheme, (zip(*walked(block)) for block in keys))
+    return MetricsReport.from_columns("weight_formula", _helpers(scheme), nz, ranks)
 
 
 def metrics_expsum(nf: NormalForm) -> MetricsReport:

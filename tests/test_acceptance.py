@@ -311,7 +311,8 @@ def test_criterion_5_three_way_agreement():
     )
     assert not problems, problems[:5]
     # the closed form's edge cases: no constants, an empty support, t != m
-    # (where weight ranks come from _rank_profile), and the per-node tally
+    # (where the weight walk's keys keep columns outside W_hat), and the
+    # per-node tally
     assert seen == {"m = ell", "t = 0", "t != m", "not B-affine"}
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
 
@@ -16,7 +17,15 @@ from rsrepair.cli import main
 from rsrepair.errors import InvalidScheme, ParamViolation, SingularMatrix
 from rsrepair.expsum import CharSum
 from rsrepair.gf import max_field_size
-from rsrepair.scheme import MetricsReport, load_scheme
+from rsrepair.scheme import (
+    MetricsReport,
+    NormalForm,
+    load_scheme,
+    metrics_direct,
+    save_scheme,
+    transform,
+)
+from rsrepair.suites import random_normalized_scheme
 
 
 def _run(capsys, argv):
@@ -317,12 +326,12 @@ def test_metrics_prime_power_break_exits_2(capsys, tmp_path, kind, flags):
     assert "Traceback" not in proc.stderr
 
 
-# the direct route reduces the constant rows once per scheme: a constant's
-# packed row zeroed (argv[2] is its field element, its B-multiples kept)
-# changes every helper's direct report at q = 3, and leaves the constants'
-# GF(p) closure one short of a multiple of a = 2 at q = 9
+# the direct and weight routes reduce the constant rows once per scheme: a
+# constant's packed row zeroed (argv[2] is its field element, its
+# B-multiples kept) leaves the weight route's ranks above its io at q = 3,
+# and the constants' GF(p) closure one short of a multiple of a = 2 at q = 9
 _CONSTANT_BREAKS = {
-    "q3": (["--q", "3", "--ell", "6", "--d", "4", "--m", "3"], "direct gives (2, "),
+    "q3": (["--q", "3", "--ell", "6", "--d", "4", "--m", "3"], "weight_formula: bandwidth exceeds io cost"),
     "q9": (["--q", "9", "--ell", "4", "--d", "3", "--m", "2"],
            "closure rank not divisible by the subfield degree 2"),
 }
@@ -348,10 +357,10 @@ def test_metrics_constant_row_break_exits_2(capsys, tmp_path, kind, flags):
     assert "Traceback" not in proc.stderr
 
 
-# the direct route reduces each varying row modulo the constants' echelon
-# basis through two half tables (linalg.reduction): every table's last entry
-# moved by 1 is read by its spot check; every entry the spot check skips
-# moved by 1 gives ranks that the other routes contradict
+# the direct and weight routes reduce each varying row modulo the constants'
+# echelon basis through two half tables (linalg.reduction): every table's
+# last entry moved by 1 is read by its spot check; every entry the spot
+# check skips moved by 1 gives reports that the two routes contradict
 _CORRUPT_REDUCTION = (
     "import rsrepair.linalg as la\n"
     "reduction = la.reduction\n"
@@ -366,7 +375,7 @@ _CORRUPT_REDUCTION = (
     "        for i in {}:\n"
     "            table[i] = self.tower.add(table[i], 1)\n"
     "        return table\n"
-    "la.reduction = lambda basis, tower: reduction(basis, Corrupt(tower))\n"
+    "la.reduction = lambda basis, tower, *packed: reduction(basis, Corrupt(tower), *packed)\n"
 )
 _C1_6 = ["construct", "c1", "--ell", "6"]
 _C2_Q3 = ["construct", "c2", "--q", "3", "--ell", "6", "--d", "4", "--m", "3", "--r", "2"]
@@ -374,9 +383,9 @@ _REDUCTION_BREAKS = {
     "checked-c1": ("[n - 1]", _C1_6, "reduction table disagrees with its definition at 7"),
     "checked-q3": ("[n - 1]", _C2_Q3, "reduction table disagrees with its definition at 26"),
     "skipped-c1": ("[i for i in range(1, n) if (n - 1 - i) % (n // 8 + 1)]", _C1_6,
-                   "direct gives (4, 5, 4) but weight_formula gives (4, 5, 5)"),
+                   "direct gives (2, 5, 5) but weight_formula gives (2, 4, 4)"),
     "skipped-q3": ("[i for i in range(1, n) if (n - 1 - i) % (n // 8 + 1)]", _C2_Q3,
-                   "direct gives (2, 6, 5) but weight_formula gives (2, 6, 6)"),
+                   "direct gives (3, 6, 6) but weight_formula gives (3, 6, 5)"),
 }
 
 
@@ -567,6 +576,33 @@ def test_metrics_rejects_edited_t(capsys, tmp_path):
     code, out, err = _run(capsys, ["metrics", str(path)])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_metrics_constant_among_the_first_m(capsys, tmp_path, q):
+    # a scheme file's normal form may hold a constant among g_1..g_m: the
+    # weight route reduces modulo g_(m+1)..g_ell alone, at t = m and t < m
+    rng, seen = random.Random(q), set()
+    while len(seen) < 2:
+        nf = random_normalized_scheme(rng, q=q)[0]
+        m, ell = nf.m, nf.scheme.ell
+        if m == ell:
+            continue
+        order = [m, *(j for j in range(ell) if j != m)]  # the constant g_(m+1) first
+        scheme = transform(nf.scheme, [[int(c == j) for c in range(ell)] for j in order])
+        scheme.normal_form = NormalForm(scheme, m + 1)
+        if (kind := scheme.normal_form.t == m + 1) in seen:
+            continue
+        seen.add(kind)
+        direct = metrics_direct(scheme)
+        path = str(tmp_path / "scheme.json")
+        save_scheme(scheme, path)
+        code, out, err = _run(capsys, ["metrics", path])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["m"], doc["t"]) == (m + 1, scheme.normal_form.t)
+        assert (doc["io_cost"], doc["bandwidth"], doc["per_node"]) == (
+            direct.io_cost, direct.bandwidth, [list(row) for row in direct.per_node])
 
 
 def test_metrics_missing_file(capsys, tmp_path):
@@ -875,6 +911,34 @@ def test_bounds_bandwidth_named_route(capsys):
     )
     doc = json.loads(out)
     assert code == 0 and doc["value"] == 58 and doc["case"] == "iii"
+
+
+# a prime of 61 bits and a degree of 10^9, far past the field budget: each
+# command answers at once instead of trial-dividing p or raising p to the degree
+_BIG_PRIME = "2305843009213693951"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["field", "--q", _BIG_PRIME, "--ell", "1"], 1, f"{_BIG_PRIME}^1"),
+    (["bounds", "--q", _BIG_PRIME, "--ell", "2", "--d", "1", "--r", "2"], 0, None),
+    (["metrics", {"p": int(_BIG_PRIME), "a": 1}], 1, f"{_BIG_PRIME}^1"),
+    (["metrics", {"p": 3, "a": 10**9}], 1, "3^1000000000"),
+], ids=["field", "bounds", "metrics", "metrics-degree"])
+def test_huge_field_answers_at_once(tmp_path, argv, code, err):
+    if argv[0] == "metrics":
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps({
+            "field": {**argv[1], "ell": 1, "modulus": [1, 1]},
+            "basis": {"beta": [[1]], "gamma": [[1]]}, "evaluation_subspace": [[1]], "polys": [[[1]]]}))
+        argv = ["metrics", str(path)]
+    script = "import sys\nfrom rsrepair.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsrepair.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=2)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == f"error: field size {err} exceeds budget (raise RSREPAIR_MAX_FIELD_BITS to override)\n"
+    else:
+        assert json.loads(proc.stdout)["value"] == (int(_BIG_PRIME) - 1) * 2 - 2
 
 
 def test_bounds_unsupported(capsys):

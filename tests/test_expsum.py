@@ -332,20 +332,25 @@ def test_expsum_takes_any_particular_solution(monkeypatch):
 
 
 def test_weight_and_expsum_ranks_are_separate(capsys, tmp_path, monkeypatch):
-    # at t != m the weight route takes its ranks from _rank_profile; the
+    # at t != m the weight route reads its ranks from its own walk; the
     # expsum route does not, so an off-by-one there splits the two
     rng = random.Random(0)
     nf = next(nf for nf, _ in iter(lambda: random_normalized_scheme(rng), None) if nf.t != nf.m)
     path = str(tmp_path / "scheme.json")
     save_scheme(nf.scheme, path)
-    profile = scheme_mod._rank_profile
+    identity = scheme_mod.weight_identity
 
-    def off_by_one(scheme):
-        ranks = profile(scheme)
-        ranks[0] -= 1
-        return ranks
+    def off_by_one(tower, k):
+        walk, walked = identity(tower, k), []
 
-    monkeypatch.setattr(scheme_mod, "_rank_profile", off_by_one)
+        def first_off(rows, *mask):
+            nz, rank = walk(rows, *mask)
+            walked.append(1)
+            return nz, rank - (len(walked) == 1)
+
+        return first_off
+
+    monkeypatch.setattr(scheme_mod, "weight_identity", off_by_one)
     with pytest.raises(CrossCheckMismatch):
         cross_check(metrics_weight(nf), metrics_expsum(nf))
     assert main(["metrics", path]) == 2
@@ -354,14 +359,14 @@ def test_weight_and_expsum_ranks_are_separate(capsys, tmp_path, monkeypatch):
 
 def test_expsum_route_reads_no_shared_walk_or_table(monkeypatch):
     def fail(*args, **kwargs):
-        pytest.fail("the expsum route reached a shared walk, rank profile or phi_hat table")
+        pytest.fail("the expsum route reached a shared walk, reduction, weight walk or phi_hat table")
 
     for scheme in (construction1(6)[1], construction2(3, 6, 4, 0, 3, 2)[2],
                    construction2(4, 6, 4, 0, 3, 2)[2]):
         direct = metrics_direct(scheme)
         with monkeypatch.context() as patched:
             for owner, name in ((scheme_mod, "node_values"), (ex, "node_values"),
-                                (scheme_mod, "_rank_profile"),
+                                (linalg, "reduction"), (scheme_mod, "weight_identity"),
                                 (BasisPair, "phi_hat_table"), (BasisPair, "phi_hat_bits")):
                 patched.setattr(owner, name, fail)
             assert metrics_expsum(scheme.normal_form).per_node == direct.per_node

@@ -245,6 +245,24 @@ def test_split_prime_power():
     for q in (-4, 0, 1, 6, 12, 100):
         with pytest.raises(ParamViolation, match="prime power"):
             split_prime_power(q)
+    # integer roots and Miller-Rabin agree with trial division below 2^13,
+    # and answer at once for bases of 61 and more bits: the least strong
+    # pseudoprime to the bases 2..37 is composite, and a probable prime past
+    # the last exact bound is refused
+    for q in range(-3, 1 << 13):
+        primes = gf._factor(q) if q >= 2 else []
+        if len(primes) == 1:
+            assert split_prime_power(q) == (primes[0], next(a for a in range(1, 14) if primes[0] ** a == q))
+        else:
+            with pytest.raises(ParamViolation, match="prime power"):
+                split_prime_power(q)
+    p = 2**61 - 1
+    assert [split_prime_power(q) for q in (p, p**3, 3**40)] == [(p, 1), (p, 3), (3, 40)]
+    for q in (318665857834031151167461, 399165290221 * 798330580441 * 3, p * (2**31 - 1)):
+        with pytest.raises(ParamViolation, match="not a prime power"):
+            split_prime_power(q)
+    with pytest.raises(ParamViolation, match="probable prime too large to certify"):
+        split_prime_power(2**89 - 1)
 
 
 def _digitwise(p, deg, op):

@@ -147,7 +147,27 @@ def test_digit_supports_reads_groups_at_prime_powers(p, a):
         mask = rng.randrange(1 << t.ell)
         # clearing the groups outside mask, against the coordinates
         cut = [t.element(c if mask >> i // a & 1 else 0 for i, c in enumerate(t.coords(x))) for x in rows]
-        assert linalg.digit_select(t.q, t.ell, mask)(rows) == cut
+        size, lo, hi = linalg.select_halves(t.q, t.ell, mask)
+        assert [lo[x % size] + hi[x // size] for x in rows] == cut
+
+
+@pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
+def test_reduction_clears_the_pivots_within_the_coset(params):
+    """A row reduced modulo an echelon basis differs from it by an element
+    of the span and has 0 at every pivot digit; through a packed table the
+    reduction of a value is that of its row."""
+    t = field_create(*params)
+    rng = random.Random(sum(params))
+    table = dual_basis(linalg.independent(t, range(1, t.size), t.ell), t).phi_hat_bits()
+    for k in range(t.degree + 1):
+        basis = linalg.echelon([rng.randrange(t.size) for _ in range(k)], t)
+        digits = [b.bit_length() - 1 for b in basis] if t.p == 2 else list(basis)
+        xs = [rng.randrange(t.size) for _ in range(30)] + [0, t.size - 1]
+        reduced = linalg.reduction(basis, t)(xs)
+        for x, r in zip(xs, reduced):
+            assert all(r // t.p**d % t.p == 0 for d in digits)
+            assert linalg.rank_bits([*basis.values(), t.sub(x, r)], t) == len(basis)
+        assert linalg.reduction(basis, t, table)(xs) == linalg.reduction(basis, t)([table[x] for x in xs])
 
 
 @pytest.mark.parametrize("params", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])

@@ -32,7 +32,7 @@ from rsrepair import scheme as scheme_mod
 from rsrepair.basis import BasisPair
 from rsrepair.errors import CrossCheckMismatch, InvalidScheme, ParamViolation, SingularMatrix
 from rsrepair.gf import BLOCK
-from rsrepair.scheme import _rank_profile, cross_check, node_values
+from rsrepair.scheme import cross_check, node_values
 from rsrepair.suites import _random_independent, random_normalized_scheme
 
 
@@ -422,7 +422,7 @@ def test_node_values_q4_square_takes_horner(monkeypatch):
         assert (rep.io_cost, rep.bandwidth, rep.per_node) == (
             direct.io_cost, direct.bandwidth, direct.per_node)
     # the expsum ranks come from trace functionals here too
-    monkeypatch.setattr(scheme_mod, "_rank_profile", lambda s: pytest.fail("expsum used the rank profile"))
+    monkeypatch.setattr(linalg, "reduction", lambda *a: pytest.fail("expsum reduced rows modulo the constants"))
     assert metrics_expsum(nf).per_node == direct.per_node
 
 
@@ -456,16 +456,20 @@ def _rank_profile_cases():
 
 
 def test_rank_profile_matches_full_rank(monkeypatch):
+    # the weight route's per-node (io, rank) at every t, against the
+    # literal repair matrices, without an rref
     calls = []
     rref = linalg.rref
     for scheme in _rank_profile_cases():
-        t = scheme.tower
+        t, nf = scheme.tower, normalize(scheme)
         monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
-        ranks = _rank_profile(scheme)
+        report = metrics_weight(nf)
         monkeypatch.undo()
         helpers = [i for i in range(1, scheme.code.n + 1) if i != scheme.target]
-        want = [linalg.rank(t, [list(r) for r in repair_matrix(scheme, i)]) for i in helpers]
-        assert ranks == want
+        matrices = [[list(r) for r in repair_matrix(scheme, i)] for i in helpers]
+        want = [(_nz_scan(w), linalg.rank(t, w)) for w in matrices]
+        ranks = list(report.ranks)
+        assert (list(report.nodes), list(zip(report.nz, ranks))) == (helpers, want)
     assert not calls
     # the last scheme's rank drops where the varying value meets a constant
     b = scheme.basis.beta
@@ -528,7 +532,7 @@ def test_repair_plan_built_once(monkeypatch):
     walk, rref = scheme_mod.node_values, linalg.rref
     monkeypatch.setattr(scheme_mod, "node_values", lambda *a: walks.append(1) or walk(*a))
     monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(1) or rref(*a))
-    monkeypatch.setattr(scheme_mod, "_rank_profile", lambda s: pytest.fail("rank profile recomputed"))
+    monkeypatch.setattr(linalg, "reduction", lambda *a: pytest.fail("the plan reduced rows"))
     monkeypatch.setattr(linalg, "split", lambda *a: pytest.fail("the plan split rows"))
     for scheme in schemes:
         walks.clear()
